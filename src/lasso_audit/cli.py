@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -168,6 +169,17 @@ class RunConfig:
     n_samples: Optional[int] = None
     jitter: float = 0.0
     noise_sd: float = 1.0
+
+    def __post_init__(self):
+        for flag, cap in (("--cap-subsets", self.cap_subsets), ("--cap-signs", self.cap_signs)):
+            if cap < 1:
+                raise InvalidParameter(f"{flag} must be at least 1, got {cap}")
+        numbers = (("--L", self.big_l), ("--lambda", self.lam), ("--tol", self.tol),
+                   ("--jitter", self.jitter), ("--rho", self.rho), ("--noise-sd", self.noise_sd))
+        numbers += tuple(("--t", t) for t in self.t_list)
+        for flag, value in numbers:
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameter(f"{flag} must be finite, got {value!r}")
 
     def solver_config(self) -> SolverConfig:
         return replace(DEFAULT_CONFIG, tol=self.tol, seed=self.seed)

@@ -9,6 +9,20 @@ Minima over enlargements {nset : nset contains S, |nset| <= N} are evaluated
 at nset = S and at all |nset| = N; for eigenvalue-type quantities the
 intermediate sizes are dominated by eigenvalue interlacing, and for the
 leverage minimum this evaluation set is the documented convention.
+
+Lambda^2(S, N), delta_N, theta(S, N), theta_{s,N} and the largest spectral
+norm of Sigma[nset, nset^c] share one enumeration kernel (_first_best).  It
+builds stacked index arrays of the index sets nset, or of the pairs
+(nset, mset) with mset drawn from the complement of nset, in lexicographic
+order; it evaluates each chunk with one stacked eigvalsh (the
+Sigma[nset, nset] blocks) or one stacked singular-value call (the
+Sigma[nset, mset] blocks) and keeps the first argmin or argmax, so values
+and witnesses are those of a plain per-subset loop.  A chunk gathers at most
+_CHUNK_ENTRIES Gram entries (128 kB), so memory does not grow with the
+enumeration size.  Results are memoized on the GramMatrix, keyed by
+(quantity, S, N); caps are checked before the memo is consulted, so a cached
+value never bypasses a smaller cap.  Composite constants (rip_constant)
+check the costs of all their parts before enumerating any of them.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from .core import (
     GramMatrix,
     SubsetN,
     block,
+    check_superset_cap,
     enumerate_supersets,
     inverse_11,
     min_eigen_11,
@@ -43,12 +58,84 @@ from .errors import (
 
 DEFAULT_SIGN_CAP = 2 ** 20
 
+# Gram entries one kernel chunk gathers into its stacked blocks
+_CHUNK_ENTRIES = 2 ** 14
 
-def _candidate_nsets(gram: GramMatrix, cone: ConeSpec, cap: int):
-    """nset = S followed by all size-N supersets, lexicographically."""
-    yield SubsetN(cone.S)
-    if cone.N > cone.s:
-        yield from enumerate_supersets(cone, gram.p, cap)
+
+def _combinations(pool: np.ndarray, k: int, rows: int):
+    """The k-subsets of the ascending index array pool in lexicographic
+    order, as stacked (r, k) arrays of at most rows rows."""
+    total = math.comb(len(pool), k)
+    combos = itertools.combinations(range(len(pool)), k)
+    for start in range(0, total, rows):
+        r = min(rows, total - start)
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, r)),
+                           dtype=np.intp, count=r * k)
+        yield pool[flat.reshape(r, k)]
+
+
+def _complements(nsets: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise ascending complements of the stacked index sets."""
+    keep = np.ones((len(nsets), p), dtype=bool)
+    keep[np.arange(len(nsets))[:, None], nsets] = False
+    return np.nonzero(keep)[1].reshape(len(nsets), p - nsets.shape[1])
+
+
+def _supersets(p: int, base: tuple, n: int, rows: int):
+    """The size-n supersets of base, lexicographic in the added indices (the
+    order of enumerate_supersets), as stacked ascending (r, n) arrays."""
+    base = np.asarray(base, dtype=np.intp).reshape(1, -1)
+    for extra in _combinations(_complements(base, p)[0], n - base.size, rows):
+        stacked = np.broadcast_to(base, (len(extra), base.size))
+        yield np.sort(np.concatenate([stacked, extra], axis=1), axis=1)
+
+
+def _index_chunks(p: int, base: tuple, n: int, m: int):
+    """Stacked index arrays, chunk by chunk, in lexicographic order.
+
+    m == 0: (nsets, None) with nsets the size-n supersets of base.
+    m > 0: (nsets, msets), row i the pair of a size-n superset of base and a
+    size-m subset of its complement, nset-major.  A chunk holds at most
+    _CHUNK_ENTRIES block entries, or the msets of a single nset.
+    """
+    if m == 0:
+        for nsets in _supersets(p, base, n, max(1, _CHUNK_ENTRIES // (n * n))):
+            yield nsets, None
+        return
+    rows = max(1, _CHUNK_ENTRIES // (n * m))
+    per_nset = math.comb(p - n, m)
+    for nsets in _supersets(p, base, n, max(1, rows // per_nset)):
+        outside = _complements(nsets, p)
+        for pos in _combinations(np.arange(p - n), m, rows):
+            yield np.repeat(nsets, len(pos), axis=0), outside[:, pos].reshape(-1, m)
+
+
+def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float):
+    """The enumeration kernel: the first extreme score over every index set
+    (or pair) of plan, with its witness, starting from best.
+
+    plan is a sequence of (base, n, m) as in _index_chunks; score maps the
+    stacked ascending eigenvalues of Sigma[nset, nset] (m == 0) or the
+    descending singular values of Sigma[nset, mset] (m > 0) to one value per
+    row.  Only a strictly better score replaces best, so ties keep the
+    lexicographically first witness, as a per-subset loop would.
+    """
+    entries = gram.entries
+    witness = None
+    for base, n, m in plan:
+        for nsets, msets in _index_chunks(gram.p, base, n, m):
+            if msets is None:
+                values = score(np.linalg.eigvalsh(entries[nsets[:, :, None], nsets[:, None, :]]))
+            else:
+                values = score(np.linalg.svd(entries[nsets[:, :, None], msets[:, None, :]],
+                                             compute_uv=False))
+            i = int(np.argmax(values) if maximize else np.argmin(values))
+            value = float(values[i])
+            if (value > best) if maximize else (value < best):
+                best = value
+                witness = (tuple(nsets[i].tolist()) if msets is None
+                           else (tuple(nsets[i].tolist()), tuple(msets[i].tolist())))
+    return best, witness
 
 
 def uniform_eigenvalue(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
@@ -56,33 +143,37 @@ def uniform_eigenvalue(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBS
     enlargements of S up to size N.  By interlacing the minimum over sizes
     <= N is attained at size N, so only nset = S and |nset| = N are visited."""
     cone.validate_p(gram.p)
-    best = math.inf
-    witness = None
-    for nset in _candidate_nsets(gram, cone, cap):
-        val = min_eigen_11(gram, nset)
-        if val < best:
-            best = val
-            witness = nset.members
-    return BoundedValue.exact(best, provenance=f"argmin nset={witness}")
+    plan = [(cone.S, cone.s, 0)]
+    if cone.N > cone.s:
+        check_superset_cap(cone, gram.p, cap)
+        plan.append((cone.S, cone.N, 0))
+
+    def compute():
+        best, witness = _first_best(gram, plan, lambda vals: vals[:, 0], False, math.inf)
+        return BoundedValue.exact(best, provenance=f"argmin nset={witness}")
+
+    return gram.memoized(("uniform_eigenvalue", cone.S, cone.N), compute)
 
 
-def restricted_isometry(gram: GramMatrix, n_size: int, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
-    """delta_N over all size-N index sets (sizes < N are dominated by interlacing)."""
-    p = gram.p
+def _check_isometry(p: int, n_size: int, cap: int) -> None:
     if not (1 <= n_size <= p):
         raise InvalidParameter(f"restricted isometry needs 1 <= N <= p, got N={n_size}")
     count = math.comb(p, n_size)
     if count > cap:
         raise CapExceeded(count, cap, what=f"isometry enumeration C({p},{n_size})")
-    best = -math.inf
-    witness = None
-    for members in itertools.combinations(range(p), n_size):
-        vals = np.linalg.eigvalsh(gram.entries[np.ix_(members, members)])
-        dev = max(float(vals[-1]) - 1.0, 1.0 - float(vals[0]))
-        if dev > best:
-            best = dev
-            witness = members
-    return BoundedValue.exact(best, provenance=f"argmax nset={witness}")
+
+
+def restricted_isometry(gram: GramMatrix, n_size: int, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
+    """delta_N over all size-N index sets (sizes < N are dominated by interlacing)."""
+    _check_isometry(gram.p, n_size, cap)
+
+    def compute():
+        best, witness = _first_best(
+            gram, [((), n_size, 0)],
+            lambda vals: np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0]), True, -math.inf)
+        return BoundedValue.exact(best, provenance=f"argmax nset={witness}")
+
+    return gram.memoized(("restricted_isometry", None, n_size), compute)
 
 
 def _ortho_sizes(p: int, s: int, n_size: int):
@@ -100,57 +191,74 @@ def _ortho_sizes(p: int, s: int, n_size: int):
     return sorted(sizes.items())
 
 
+def _largest_singular_value(svals: np.ndarray) -> np.ndarray:
+    return svals[:, 0]
+
+
 def restricted_orthogonality(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
     """theta(S, N): the largest singular value of Sigma[nset, mset] over
     enlargements nset of S (|nset| <= N) and disjoint msets with |mset| <= s."""
     cone.validate_p(gram.p)
     p, s = gram.p, cone.s
-    s_set = set(cone.S)
     plan = _ortho_sizes(p, s, cone.N)
-    total = 0
-    for n_star, m_star in plan:
-        total += math.comb(p - s, n_star - s) * math.comb(p - n_star, m_star)
+    total = sum(math.comb(p - s, n_star - s) * math.comb(p - n_star, m_star)
+                for n_star, m_star in plan)
     if total > cap:
         raise CapExceeded(total, cap, what="restricted orthogonality enumeration")
-    best = 0.0
-    witness = None
-    others = [j for j in range(p) if j not in s_set]
-    for n_star, m_star in plan:
-        for extra in itertools.combinations(others, n_star - s):
-            nset = tuple(sorted(cone.S + extra))
-            outside = [j for j in range(p) if j not in set(nset)]
-            for mset in itertools.combinations(outside, m_star):
-                sv = np.linalg.svd(gram.entries[np.ix_(nset, mset)], compute_uv=False)
-                if sv.size and float(sv[0]) > best:
-                    best = float(sv[0])
-                    witness = (nset, mset)
-    return BoundedValue.exact(best, provenance=f"argmax pair={witness}")
+
+    def compute():
+        best, witness = _first_best(gram, [(cone.S, n, m) for n, m in plan],
+                                    _largest_singular_value, True, 0.0)
+        return BoundedValue.exact(best, provenance=f"argmax pair={witness}")
+
+    return gram.memoized(("restricted_orthogonality", cone.S, cone.N), compute)
 
 
-def theta_uniform(gram: GramMatrix, s_size: int, n_size: int, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
-    """theta_{s,N} = max over |S| = s of theta(S, N); equivalently the sup of
-    the cross-block spectral norm over all disjoint (nset, mset) pairs with
-    s <= |nset| <= N and |mset| <= s."""
-    p = gram.p
+def max_complement_norm(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> float:
+    """The largest spectral norm of Sigma[nset, nset^c] over the size-N
+    enlargements nset of S (0 when N = p)."""
+    check_superset_cap(cone, gram.p, cap)
+    if cone.N == gram.p:
+        return 0.0
+    best, _ = _first_best(gram, [(cone.S, cone.N, gram.p - cone.N)],
+                          _largest_singular_value, True, 0.0)
+    return best
+
+
+def theta_uniform_plan(p: int, s_size: int, n_size: int, cap: int = DEFAULT_SUBSET_CAP):
+    """The pair sizes theta_{s,N} enumerates, after checking the parameters
+    and the number of pairs against cap; raises before any work is done."""
     if not (1 <= s_size <= p):
         raise InvalidParameter("theta_uniform needs 1 <= s <= p")
     plan = _ortho_sizes(p, s_size, min(n_size, p))
     total = sum(math.comb(p, n) * math.comb(p - n, m) for n, m in plan)
     if total > cap:
         raise CapExceeded(total, cap, what="uniform orthogonality enumeration")
-    best = 0.0
-    for n_star, m_star in plan:
-        for nset in itertools.combinations(range(p), n_star):
-            outside = [j for j in range(p) if j not in set(nset)]
-            for mset in itertools.combinations(outside, m_star):
-                sv = np.linalg.svd(gram.entries[np.ix_(nset, mset)], compute_uv=False)
-                if sv.size:
-                    best = max(best, float(sv[0]))
-    return BoundedValue.exact(best)
+    return plan
+
+
+def theta_uniform(gram: GramMatrix, s_size: int, n_size: int, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
+    """theta_{s,N} = max over |S| = s of theta(S, N); equivalently the sup of
+    the cross-block spectral norm over all disjoint (nset, mset) pairs with
+    s <= |nset| <= N and |mset| <= s."""
+    plan = theta_uniform_plan(gram.p, s_size, n_size, cap)
+
+    def compute():
+        best, _ = _first_best(gram, [((), n, m) for n, m in plan],
+                              _largest_singular_value, True, 0.0)
+        return BoundedValue.exact(best)
+
+    return gram.memoized(("theta_uniform", s_size, n_size), compute)
 
 
 def rip_constant(gram: GramMatrix, s_size: int, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
-    """theta_{s,2s} / (1 - delta_s - theta_{s,s}); the denominator must be positive."""
+    """theta_{s,2s} / (1 - delta_s - theta_{s,s}); the denominator must be positive.
+
+    The costs of delta_s, theta_{s,s} and theta_{s,2s} are all checked, in
+    that order, before any of them is enumerated."""
+    _check_isometry(gram.p, s_size, cap)
+    theta_uniform_plan(gram.p, s_size, s_size, cap)
+    theta_uniform_plan(gram.p, s_size, 2 * s_size, cap)
     delta_s = restricted_isometry(gram, s_size, cap).estimate
     t_ss = theta_uniform(gram, s_size, s_size, cap).estimate
     t_s2s = theta_uniform(gram, s_size, 2 * s_size, cap).estimate
@@ -168,11 +276,18 @@ def rip_constant(gram: GramMatrix, s_size: int, cap: int = DEFAULT_SUBSET_CAP) -
 def weak_rip_constant(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
     """theta(S, N) / Lambda^2(S, N)."""
     lam2 = uniform_eigenvalue(gram, cone, cap).estimate
-    scale = float(np.linalg.eigvalsh(gram.entries)[-1])
+    scale = float(gram.spectrum()[-1])
     if lam2 <= SINGULAR_RTOL * max(scale, 1.0):
         raise SingularUniformEigenvalue(f"Lambda^2(S,N) = {lam2!r} is numerically zero")
     theta = restricted_orthogonality(gram, cone, cap).estimate
     return BoundedValue.exact(theta / lam2, provenance=f"theta={theta!r}, lambda2={lam2!r}")
+
+
+def _candidate_nsets(gram: GramMatrix, cone: ConeSpec, cap: int):
+    """nset = S followed by all size-N supersets, lexicographically."""
+    yield SubsetN(cone.S)
+    if cone.N > cone.s:
+        yield from enumerate_supersets(cone, gram.p, cap)
 
 
 def _max_row_l1(gram: GramMatrix, nset: SubsetN) -> float:

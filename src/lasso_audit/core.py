@@ -123,9 +123,14 @@ class GramMatrix:
     scale is rejected, below that the matrix is symmetrized).  Positive
     semidefiniteness is spot-checked on 1000 seeded random unit vectors, not
     proven; rank-deficient matrices pass by design.
+
+    Derived quantities that several callers need (enumerated constants, the
+    full spectrum) are memoized per instance; the memo takes no part in
+    equality.
     """
 
     entries: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = np.asarray(self.entries, dtype=float)
@@ -154,6 +159,24 @@ class GramMatrix:
     @property
     def p(self) -> int:
         return self.entries.shape[0]
+
+    def memoized(self, key, compute):
+        """compute() on the first request for key, the stored result after.
+
+        Results must be immutable: every caller gets the same object.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def spectrum(self) -> np.ndarray:
+        """All eigenvalues in ascending order (read-only, memoized)."""
+        def compute():
+            vals = np.linalg.eigvalsh(self.entries)
+            vals.setflags(write=False)
+            return vals
+
+        return self.memoized("spectrum", compute)
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -395,15 +418,20 @@ def superset_count(cone: ConeSpec, p: int) -> int:
     return math.comb(p - cone.s, cone.N - cone.s)
 
 
+def check_superset_cap(cone: ConeSpec, p: int, cap: int = DEFAULT_SUBSET_CAP) -> None:
+    """Raise CapExceeded when the size-N supersets of S outnumber the cap."""
+    cone.validate_p(p)
+    count = superset_count(cone, p)
+    if count > cap:
+        raise CapExceeded(count, cap, what=f"superset enumeration (p={p}, s={cone.s}, N={cone.N})")
+
+
 def enumerate_supersets(cone: ConeSpec, p: int, cap: int = DEFAULT_SUBSET_CAP):
     """All size-N supersets of S in deterministic lexicographic order.
 
     Raises CapExceeded up front when C(p-s, N-s) exceeds the cap.
     """
-    cone.validate_p(p)
-    count = superset_count(cone, p)
-    if count > cap:
-        raise CapExceeded(count, cap, what=f"superset enumeration (p={p}, s={cone.s}, N={cone.N})")
+    check_superset_cap(cone, p, cap)
     others = [j for j in range(p) if j not in set(cone.S)]
 
     def _gen():

@@ -625,7 +625,7 @@ def certified_lower_phi(gram: GramMatrix, cone: ConeSpec, target: str = "compati
 
     found = {}
     if want("lambda_min"):
-        vals = np.linalg.eigvalsh(gram.entries)
+        vals = gram.spectrum()
         if float(vals[0]) > SINGULAR_RTOL * max(float(vals[-1]), 0.0) and float(vals[0]) > 0.0:
             found["lambda_min"] = float(vals[0])
 

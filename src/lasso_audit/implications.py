@@ -46,9 +46,11 @@ from .constants import (
     coherence,
     irrepresentable_signed,
     irrepresentable_uniform,
+    max_complement_norm,
     restricted_isometry,
     rip_constant,
     theta_uniform,
+    theta_uniform_plan,
     uniform_eigenvalue,
     weak_rip_constant,
 )
@@ -230,19 +232,17 @@ class _Inputs:
             return float(block_norm_2q(gram, SubsetN(cone.S), math.inf,
                                        sign_cap=self.sign_cap).estimate)
         if key == "max_norm_2s_2inf":
-            return _max_block_norm(gram, cone, 2 * s, math.inf, route_cap, self.sign_cap)
+            return _max_column_norm(gram, cone.with_(N=2 * s), route_cap)
         if key == "max_norm_2s_22":
-            return _max_block_norm(gram, cone, 2 * s, 2, route_cap, self.sign_cap)
+            return max_complement_norm(gram, cone.with_(N=2 * s), route_cap)
         raise InvalidParameter(f"unknown input key {key!r}")
 
 
-def _max_block_norm(gram: GramMatrix, cone: ConeSpec, n_size: int, q, cap: int,
-                    sign_cap: int) -> float:
-    """max over enlargements of size n_size of ||Sigma_12(nset)||_{2,q}."""
+def _max_column_norm(gram: GramMatrix, cone: ConeSpec, cap: int) -> float:
+    """max over the size-N enlargements nset of ||Sigma_12(nset)||_{2,inf}."""
     worst = 0.0
-    for nset in enumerate_supersets(cone.with_(N=n_size), gram.p, cap):
-        bv = block_norm_2q(gram, nset, q, mode="exact", sign_cap=sign_cap)
-        worst = max(worst, float(bv.estimate))
+    for nset in enumerate_supersets(cone, gram.p, cap):
+        worst = max(worst, float(block_norm_2q(gram, nset, math.inf).estimate))
     return worst
 
 
@@ -418,6 +418,10 @@ def _edge_e10(edge_id, inputs):
     delta_s = float(inputs.get(edge_id, "delta_s").estimate)
     if delta_s > 1.0:
         return _skip(edge_id, f"premise delta_s <= 1 fails (value={delta_s!r})")
+    # both theta enumerations must fit the cap before either one runs
+    for key, n_size in (("theta_ss", s), ("theta_s2s", 2 * s)):
+        if gram is not None and key not in inputs.cache:
+            theta_uniform_plan(gram.p, s, n_size, inputs.cap)
     theta_ss = float(inputs.get(edge_id, "theta_ss").estimate)
     theta_s2s = float(inputs.get(edge_id, "theta_s2s").estimate)
     denom = 1.0 - delta_s - theta_ss - theta_s2s

@@ -333,3 +333,40 @@ class TestSeedResolution:
                    "--reps", "120", "--t", "2"])
         assert rc == 1
         assert "LASSO_AUDIT_SEED" in capsys.readouterr().err
+
+
+class TestInvalidArguments:
+    """Bad numbers are refused with exit 1 before any input is read or run."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import lasso_audit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite an invalid argument")
+
+        for name in ("load_matrix_csv", "solve_noiseless", "solve_noisy",
+                     "noise_bound_experiment", "concentration_experiment"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lasso", "--gram", "g.csv", "--S", "0", "--lambda", "nan"],
+         "--lambda must be finite, got nan"),
+        (["lasso", "--gram", "g.csv", "--S", "0", "--lambda", "inf"],
+         "--lambda must be finite, got inf"),
+        (["montecarlo", "--experiment", "noise", "--n", "40", "--p", "2", "--t", "1,nan"],
+         "--t must be finite, got nan"),
+        (["analyze", "--gram", "g.csv", "--S", "0", "--L=-inf"],
+         "--L must be finite, got -inf"),
+        (["analyze", "--gram", "g.csv", "--S", "0", "--cap-subsets", "-5"],
+         "--cap-subsets must be at least 1, got -5"),
+        (["implications", "--gram", "g.csv", "--S", "0", "--cap-signs", "0"],
+         "--cap-signs must be at least 1, got 0"),
+    ])
+    def test_rejected_before_work(self, argv, message, tmp_path, capsys, no_work):
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: InvalidParameter: {message}\n"
+        assert not out.exists()

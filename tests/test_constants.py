@@ -6,6 +6,7 @@ and plain numpy calls, independent of the enumeration plans under test.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from lasso_audit.errors import (
     NonpositiveDenominator,
     SingularUniformEigenvalue,
 )
+from lasso_audit import constants
+from lasso_audit.implications import check_all, check_edge
 
 from conftest import random_gram
 
@@ -401,3 +404,186 @@ class TestAlphaConstant:
         ones = GramMatrix(np.ones((3, 3)))
         with pytest.raises(NonpositiveDenominator):
             alpha_constant(ones, ConeSpec(S=(0, 1), L=1.0, N=2), 1.0)
+
+
+# -- the batched enumeration kernel against a plain per-subset loop ----------
+
+
+def loop_extreme(entries, candidates, value, maximize, start):
+    """First strict optimum of value(candidate) in visiting order, one block
+    at a time: the reference the batched kernel must match exactly."""
+    best, witness = start, None
+    for cand in candidates:
+        v = value(entries, cand)
+        if (v > best) if maximize else (v < best):
+            best, witness = v, cand
+    return best, witness
+
+
+def loop_supersets(p, S, n):
+    others = [j for j in range(p) if j not in set(S)]
+    for extra in itertools.combinations(others, n - len(S)):
+        yield tuple(sorted(tuple(S) + extra))
+
+
+def loop_pairs(p, nsets, m):
+    for nset in nsets:
+        outside = [j for j in range(p) if j not in set(nset)]
+        for mset in itertools.combinations(outside, m):
+            yield nset, mset
+
+
+def min_eig(entries, nset):
+    return float(np.linalg.eigvalsh(entries[np.ix_(nset, nset)])[0])
+
+
+def isometry_dev(entries, nset):
+    vals = np.linalg.eigvalsh(entries[np.ix_(nset, nset)])
+    return max(float(vals[-1]) - 1.0, 1.0 - float(vals[0]))
+
+
+def top_sv(entries, pair):
+    return float(np.linalg.svd(entries[np.ix_(pair[0], pair[1])], compute_uv=False)[0])
+
+
+def loop_constants(entries, S, N, s_uniform, n_uniform):
+    """(value, provenance) of the four enumerated constants by plain loops."""
+    p, s = entries.shape[0], len(S)
+    nsets = [tuple(S)] + (list(loop_supersets(p, S, N)) if N > s else [])
+    lam2, lam_w = loop_extreme(entries, nsets, min_eig, False, math.inf)
+    delta, delta_w = loop_extreme(entries, itertools.combinations(range(p), N),
+                                  isometry_dev, True, -math.inf)
+    pairs = (pair for n, m in constants._ortho_sizes(p, s, N)
+             for pair in loop_pairs(p, loop_supersets(p, S, n), m))
+    theta, theta_w = loop_extreme(entries, pairs, top_sv, True, 0.0)
+    upairs = (pair for n, m in constants._ortho_sizes(p, s_uniform, min(n_uniform, p))
+              for pair in loop_pairs(p, itertools.combinations(range(p), n), m))
+    theta_u, _ = loop_extreme(entries, upairs, top_sv, True, 0.0)
+    complements = ((nset, tuple(j for j in range(p) if j not in nset))
+                   for nset in loop_supersets(p, S, N))
+    cross, _ = loop_extreme(entries, complements, top_sv, True, 0.0)
+    return {
+        "uniform_eigenvalue": (lam2, f"argmin nset={lam_w}"),
+        "restricted_isometry": (delta, f"argmax nset={delta_w}"),
+        "restricted_orthogonality": (theta, f"argmax pair={theta_w}"),
+        "theta_uniform": (theta_u, ""),
+        "max_complement_norm": cross,
+    }
+
+
+def kernel_constants(entries, S, N, s_uniform, n_uniform):
+    g = GramMatrix(entries)
+    cone = ConeSpec(S=S, L=1.0, N=N)
+    got = {
+        "uniform_eigenvalue": uniform_eigenvalue(g, cone),
+        "restricted_isometry": restricted_isometry(g, N),
+        "restricted_orthogonality": restricted_orthogonality(g, cone),
+        "theta_uniform": theta_uniform(g, s_uniform, n_uniform),
+    }
+    out = {k: (bv.estimate, bv.provenance) for k, bv in got.items()}
+    out["max_complement_norm"] = constants.max_complement_norm(g, cone)
+    return out
+
+
+class TestEnumerationKernel:
+    @pytest.mark.parametrize("p, seed", [(8, 101), (12, 102), (16, 103)])
+    def test_matches_loop_on_random_grams(self, p, seed, monkeypatch):
+        g = random_gram(np.random.default_rng(seed), p)
+        S, N = (1, p // 2), 4
+        n_uniform = 4 if p <= 12 else 3
+        want = loop_constants(g.entries, S, N, 2, n_uniform)
+        # the default chunk, then chunks small enough to split every plan
+        assert kernel_constants(g.entries, S, N, 2, n_uniform) == want
+        monkeypatch.setattr(constants, "_CHUNK_ENTRIES", 37)
+        assert kernel_constants(g.entries, S, N, 2, n_uniform) == want
+
+    def test_matches_loop_under_ties(self, monkeypatch):
+        # equicorrelation: every block of a size has the same spectrum, so the
+        # witnesses are decided by tie-breaking alone
+        entries = equicorr(9, 0.3).entries
+        want = loop_constants(entries, (2, 5), 4, 2, 4)
+        assert want["uniform_eigenvalue"][1] == "argmin nset=(2, 5)"
+        assert kernel_constants(entries, (2, 5), 4, 2, 4) == want
+        monkeypatch.setattr(constants, "_CHUNK_ENTRIES", 5)
+        assert kernel_constants(entries, (2, 5), 4, 2, 4) == want
+
+    def test_chunked_memory_is_bounded(self):
+        # 168,168 (nset, mset) pairs; gathered at once their 6x3 blocks alone
+        # would take 24 MB
+        g = random_gram(np.random.default_rng(7), 14)
+        assert sum(math.comb(14, n) * math.comb(14 - n, m)
+                   for n, m in constants._ortho_sizes(14, 3, 6)) == 168168
+        tracemalloc.start()
+        try:
+            theta_uniform(g, 3, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+class TestCostFirstCaps:
+    RIP_CAP_TEXT = ("uniform orthogonality enumeration needs 960960 items, cap is 200000; "
+                    "raise the cap to proceed")
+
+    def test_rip_constant_refuses_before_enumerating(self, monkeypatch):
+        # delta_3 (560 sets) and theta_{3,3} (160,160 pairs) fit the cap;
+        # theta_{3,6} does not, so nothing may be enumerated
+        g = random_gram(np.random.default_rng(31), 16)
+        svd_calls = counting(monkeypatch, "svd")
+        eig_calls = counting(monkeypatch, "eigvalsh")
+        with pytest.raises(CapExceeded) as info:
+            rip_constant(g, 3, cap=200000)
+        assert str(info.value) == self.RIP_CAP_TEXT
+        assert svd_calls == [] and eig_calls == []
+
+    def test_rip_constant_checks_costs_in_order(self):
+        g = GramMatrix(np.eye(16))
+        with pytest.raises(CapExceeded, match=r"isometry enumeration C\(16,3\) needs 560"):
+            rip_constant(g, 3, cap=500)
+        with pytest.raises(CapExceeded, match="uniform orthogonality enumeration needs 160160"):
+            rip_constant(g, 3, cap=1000)
+
+    def test_e10_refuses_before_theta_ss(self, monkeypatch):
+        g = equicorr(16, 0.1)
+        cone = ConeSpec(S=(0, 5, 9), L=1.0, N=6)
+        svd_calls = counting(monkeypatch, "svd")
+        with pytest.raises(CapExceeded) as info:
+            check_edge("E10", g, cone, cap=200000)
+        assert str(info.value) == self.RIP_CAP_TEXT
+        assert svd_calls == []
+
+    def test_e10_skip_note_unchanged(self):
+        # theta_{2,2} (1260 pairs) fits, theta_{2,4} (3150 pairs) does not
+        verdicts = check_all(equicorr(10, 0.1), ConeSpec(S=(0, 3), L=1.0, N=4), cap=2000)
+        e10 = {v.edge_id: v for v in verdicts}["E10"]
+        assert e10.bound_direction_note == (
+            "skipped: CapExceeded: uniform orthogonality enumeration needs 3150 items, "
+            "cap is 2000; raise the cap to proceed")
+
+    def test_memoized_value_still_obeys_a_smaller_cap(self):
+        g = random_gram(np.random.default_rng(37), 8)
+        cone = ConeSpec(S=(0, 4), L=1.0, N=4)
+        computed = [
+            (lambda cap: uniform_eigenvalue(g, cone, cap)),
+            (lambda cap: restricted_isometry(g, 4, cap)),
+            (lambda cap: restricted_orthogonality(g, cone, cap)),
+            (lambda cap: theta_uniform(g, 2, 4, cap)),
+        ]
+        for fn in computed:
+            first = fn(10 ** 6)
+            assert fn(10 ** 6) is first
+            with pytest.raises(CapExceeded):
+                fn(10)
