@@ -227,6 +227,8 @@ def _beta0_for(config: RunConfig, p: int) -> np.ndarray:
         beta0 = load_vector_csv(config.beta0_path)
         if beta0.shape != (p,):
             raise InvalidParameter(f"beta0 has length {beta0.shape[0]}, expected {p}")
+        if not np.all(np.isfinite(beta0)):
+            raise InvalidParameter("beta0 must be finite")
         return beta0
     if not config.s_members:
         raise InvalidParameter("need --beta0 or a nonempty --S to build the target vector")

@@ -139,9 +139,13 @@ class NoisyProblem:
             if eps.shape[0] != x.shape[0]:
                 raise InvalidParameter("epsilon must have length n")
             object.__setattr__(self, "epsilon", eps)
-            if self.lambda0 is None:
-                lam0 = 2.0 * float(np.max(np.abs(x.T @ eps))) / x.shape[0] if x.size else 0.0
-                object.__setattr__(self, "lambda0", lam0)
+        for name in ("X", "Y", "beta0", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise InvalidParameter(f"{name} must be finite")
+        if self.epsilon is not None and self.lambda0 is None:
+            lam0 = 2.0 * float(np.max(np.abs(x.T @ eps))) / x.shape[0] if x.size else 0.0
+            object.__setattr__(self, "lambda0", lam0)
 
     @property
     def n(self) -> int:

@@ -4,6 +4,13 @@ Exact l1-ball projection, projected gradient for convex quadratics over a
 projectable set, cyclic coordinate descent for the l1-penalized quadratic,
 and a dense two-phase simplex with Bland's rule.  All engines are
 deterministic for a fixed configuration.
+
+The simplex pivots with whole-array operations that do the floating-point
+work of an element-by-element Bland loop in the same order, so its pivot
+counts and results are bit-identical to such a loop.  Phase 1 is bounded
+below by 0: a column it reports without a positive entry ends the phase and
+the phase-1 objective decides feasibility.  LPProblem rejects non-finite
+data, on which Bland's ratio order is undefined.
 """
 
 from __future__ import annotations
@@ -219,6 +226,9 @@ class LPProblem:
             raise InvalidParameter("LPProblem needs matrix A and vectors c, b")
         if a.shape != (b.shape[0], c.shape[0]):
             raise InvalidParameter("LPProblem shape mismatch")
+        # Bland's ratio order is undefined once a NaN enters the tableau
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise InvalidParameter("LPProblem needs finite c, A and b")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_eq", a)
         object.__setattr__(self, "b_eq", b)
@@ -233,38 +243,43 @@ class SimplexResult:
     pivots: int
 
 
-def _simplex_phase(tableau, basis, n_real, limit, pivots):
-    """Run Bland-rule pivoting on a tableau whose last row holds reduced costs."""
+def _pivot(tableau, basis, row, col):
+    """Make column col basic in row: scale the pivot row, then eliminate col
+    from every other row by one rank-1 update.
+
+    Rows whose entry in col is zero are left untouched, so their signed
+    zeros survive exactly as a row-by-row elimination would leave them.
+    """
+    tableau[row] /= tableau[row, col]
+    coef = tableau[:, col].copy()
+    coef[row] = 0.0
+    upd = np.flatnonzero(coef)
+    tableau[upd] -= coef[upd, None] * tableau[row]
+    basis[row] = col
+
+
+def _simplex_phase(tableau, basis, limit, pivots):
+    """Run Bland-rule pivoting on a tableau whose last row holds reduced costs.
+
+    Returns (pivots, None) at optimality and (pivots, column) when that
+    entering column has no positive entry (an unbounded direction).
+    """
     m = tableau.shape[0] - 1
     while True:
-        costs = tableau[-1, :-1]
-        entering = -1
-        for j in range(costs.shape[0]):
-            if costs[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = tableau[-1, :-1] < -_PIVOT_TOL
+        entering = int(np.argmax(improving))
+        if not improving[entering]:
             return pivots, None
-        ratios = []
-        for i in range(m):
-            a = tableau[i, entering]
-            if a > _PIVOT_TOL:
-                ratios.append((tableau[i, -1] / a, basis[i], i))
-        if not ratios:
-            return pivots, entering  # unbounded direction
-        # Bland: among minimal ratios leave the smallest basis index
-        ratios.sort(key=lambda t: (t[0], t[1]))
-        best_ratio = ratios[0][0]
-        leave_row = min(
-            (row for ratio, bidx, row in ratios if ratio <= best_ratio + _PIVOT_TOL * (1 + abs(best_ratio))),
-            key=lambda r: basis[r],
-        )
-        pivot = tableau[leave_row, entering]
-        tableau[leave_row] /= pivot
-        for i in range(tableau.shape[0]):
-            if i != leave_row and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leave_row]
-        basis[leave_row] = entering
+        col = tableau[:m, entering]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        if rows.size == 0:
+            return pivots, entering
+        ratios = tableau[rows, -1] / col[rows]
+        # Bland: among the ratios within a relative window of the minimum,
+        # leave the row with the smallest basis index
+        best = ratios.min()
+        tied = rows[ratios <= best + _PIVOT_TOL * (1 + abs(best))]
+        _pivot(tableau, basis, tied[np.argmin(basis[tied])], entering)
         pivots += 1
         if pivots > limit:
             raise IterationLimit(f"simplex exceeded {limit} pivots")
@@ -286,12 +301,13 @@ def simplex_lp(problem: LPProblem, config: SolverConfig = DEFAULT_CONFIG) -> Sim
     tableau[:m, :n] = a
     tableau[:m, n : n + m] = np.eye(m)
     tableau[:m, -1] = b
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     tableau[-1, :] = -tableau[:m, :].sum(axis=0)
     tableau[-1, n : n + m] = 0.0
-    pivots, unbounded = _simplex_phase(tableau, basis, n, limit, 0)
-    if unbounded is not None:
-        raise IterationLimit("phase-1 reported an unbounded direction; inconsistent input")
+    # the phase-1 objective is bounded below by 0, so a column reported as
+    # an unbounded direction can only be a reduced cost rounded just past
+    # the tolerance; the feasibility test below decides either way
+    pivots, _ = _simplex_phase(tableau, basis, limit, 0)
     phase1_value = -tableau[-1, -1]
     if phase1_value > 1e-8 * max(1.0, float(np.max(np.abs(b)) if b.size else 1.0)):
         return SimplexResult("Infeasible", np.full(n, np.nan), np.nan, np.full(m, np.nan), pivots)
@@ -300,34 +316,27 @@ def simplex_lp(problem: LPProblem, config: SolverConfig = DEFAULT_CONFIG) -> Sim
     drop_rows = []
     for i in range(m):
         if basis[i] >= n:
-            found = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > _PIVOT_TOL:
-                    found = j
-                    break
-            if found < 0:
+            candidates = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
+            if candidates.size == 0:
                 drop_rows.append(i)  # redundant constraint
                 continue
-            pivot = tableau[i, found]
-            tableau[i] /= pivot
-            for k in range(tableau.shape[0]):
-                if k != i and tableau[k, found] != 0.0:
-                    tableau[k] -= tableau[k, found] * tableau[i]
-            basis[i] = found
+            _pivot(tableau, basis, i, candidates[0])
             pivots += 1
     keep = [i for i in range(m) if i not in drop_rows]
     rows = keep + [m]
     tableau = tableau[np.ix_(rows, list(range(n)) + [n + m])]
-    basis = [basis[i] for i in keep]
+    basis = basis[keep]
     m2 = len(keep)
 
     # phase 2
     tableau[-1, :-1] = c
     tableau[-1, -1] = 0.0
+    # row by row on purpose: c_B @ tableau would sum in another order and
+    # change the bits of the reduced costs
     for i in range(m2):
         if c[basis[i]] != 0.0:
             tableau[-1] -= c[basis[i]] * tableau[i]
-    pivots, unbounded = _simplex_phase(tableau, basis, n, limit, pivots)
+    pivots, unbounded = _simplex_phase(tableau, basis, limit, pivots)
     if unbounded is not None:
         return SimplexResult("Unbounded", np.full(n, np.nan), -np.inf, np.full(m, np.nan), pivots)
 

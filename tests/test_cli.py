@@ -242,6 +242,19 @@ class TestLassoCommand:
         assert verdict["premise_ok"] is False
         assert verdict["holds"] is None
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_response_rejected(self, bad, tmp_path, capsys):
+        x = np.random.default_rng(3).standard_normal((20, 3))
+        design = write_csv(tmp_path / "x.csv", x)
+        ypath = tmp_path / "y.csv"
+        ypath.write_text(",".join(["1.0"] * 19 + [bad]) + "\n")
+        out = tmp_path / "report.json"
+        rc = main(["lasso", "--design", design, "--y", str(ypath),
+                   "--lambda", "0.5", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: InvalidParameter: Y must be finite\n"
+        assert not out.exists()
+
     def test_design_without_truth_gives_no_verdict(self, tmp_path):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((20, 3))
@@ -266,6 +279,22 @@ class TestRecover:
         assert report["result"]["max_abs_error"] <= 1e-6
         np.testing.assert_allclose(report["result"]["beta_lp"],
                                    [1.0, 0.0, 1.0, 0.0, 0.0], atol=1e-6)
+
+
+class TestNonFiniteTruth:
+    @pytest.mark.parametrize("argv", [
+        ["recover"],
+        ["lasso", "--S", "0", "--lambda", "0.1"],
+    ])
+    def test_rejected(self, argv, tmp_path, capsys):
+        gram = write_csv(tmp_path / "g.csv", np.eye(3))
+        bpath = tmp_path / "b.csv"
+        bpath.write_text("1.0,nan,0.0\n")
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--gram", gram, "--beta0", str(bpath), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: InvalidParameter: beta0 must be finite\n"
+        assert not out.exists()
 
 
 class TestImplicationsCommand:

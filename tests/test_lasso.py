@@ -21,6 +21,7 @@ from lasso_audit import (
     lambda0_bound,
     lambda0_of_data,
     oracle_verdict,
+    sample_gaussian_design,
     selection_report,
     solve_noiseless,
     solve_noisy,
@@ -239,6 +240,17 @@ class TestBasisPursuit:
             checked += 1
         assert checked >= 3
 
+    def test_phase1_rounding_does_not_abort(self):
+        # phase 1 ends here on a reduced cost of about -2e-10 in a column with
+        # no positive entry while its objective is already ~1e-14; that is not
+        # an unbounded direction but rounding past the pivot tolerance
+        _, g = sample_gaussian_design(48, 80, GramMatrix(np.eye(80)), 70_000 + 48 * 3 + 15)
+        beta0 = np.zeros(80)
+        beta0[[0, 1]] = (1.0, -1.0)
+        blp, recovered = basis_pursuit_recover(g, beta0)
+        assert recovered
+        np.testing.assert_allclose(blp, beta0, atol=1e-6)
+
     def test_zero_gram(self):
         g = GramMatrix(np.zeros((2, 2)))
         blp, recovered = basis_pursuit_recover(g, [1.0, 0.0])
@@ -274,6 +286,15 @@ class TestNoise:
             NoisyProblem(X=np.eye(3), Y=np.ones(3), beta0=np.ones(2))
         with pytest.raises(InvalidParameter):
             NoisyProblem(X=np.eye(3), Y=np.ones(3), epsilon=np.ones(2))
+
+    @pytest.mark.parametrize("field", ["X", "Y", "beta0", "epsilon"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        arrays = {"X": np.eye(3), "Y": np.ones(3), "beta0": np.ones(3), "epsilon": np.zeros(3)}
+        arrays[field] = arrays[field].copy()
+        arrays[field].flat[1] = bad
+        with pytest.raises(InvalidParameter, match=f"^{field} must be finite$"):
+            NoisyProblem(**arrays)
 
 
 class TestSolveNoisy:

@@ -8,6 +8,7 @@ import pytest
 
 from lasso_audit import (
     DEFAULT_CONFIG,
+    GramMatrix,
     LPProblem,
     SolverConfig,
     coordinate_descent_lasso,
@@ -16,8 +17,15 @@ from lasso_audit import (
     simplex_lp,
     soft_threshold,
 )
-from lasso_audit.errors import InvalidParameter, MaxItersExceeded, ZeroDiagonal
-from lasso_audit.solvers import kkt_residual_quadratic, lipschitz_estimate
+from lasso_audit.errors import InvalidParameter, IterationLimit, MaxItersExceeded, ZeroDiagonal
+from lasso_audit.experiments import equicorrelation_entries, sample_gaussian_design
+from lasso_audit.solvers import (
+    _PIVOT_TOL,
+    SimplexResult,
+    _pivot,
+    kkt_residual_quadratic,
+    lipschitz_estimate,
+)
 
 
 class TestSolverConfig:
@@ -335,3 +343,200 @@ class TestSimplex:
                             a_eq=np.array([[1.0, 1.0, 1.0]]),
                             b_eq=np.array([1.0]))
         assert simplex_lp(problem).pivots >= 1
+
+    def test_non_finite_input_rejected(self):
+        good = dict(c=np.ones(2), a_eq=np.ones((1, 2)), b_eq=np.ones(1))
+        LPProblem(**good)
+        for name, bad in (("c", np.array([1.0, np.nan])),
+                          ("a_eq", np.array([[1.0, np.inf]])),
+                          ("b_eq", np.array([-np.inf]))):
+            with pytest.raises(InvalidParameter, match="finite"):
+                LPProblem(**{**good, name: bad})
+
+
+def _loop_simplex_phase(tableau, basis, n_real, limit, pivots, ties):
+    """Element-by-element Bland pivoting: the reference the vectorized
+    solver must match bit for bit.  Appends to ties every ratio test whose
+    window held more than one row."""
+    m = tableau.shape[0] - 1
+    while True:
+        costs = tableau[-1, :-1]
+        entering = -1
+        for j in range(costs.shape[0]):
+            if costs[j] < -_PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return pivots, None
+        ratios = []
+        for i in range(m):
+            a = tableau[i, entering]
+            if a > _PIVOT_TOL:
+                ratios.append((tableau[i, -1] / a, basis[i], i))
+        if not ratios:
+            return pivots, entering  # unbounded direction
+        # Bland: among minimal ratios leave the smallest basis index
+        ratios.sort(key=lambda t: (t[0], t[1]))
+        best_ratio = ratios[0][0]
+        window = [row for ratio, bidx, row in ratios
+                  if ratio <= best_ratio + _PIVOT_TOL * (1 + abs(best_ratio))]
+        if len(window) > 1:
+            ties.append(pivots)
+        leave_row = min(window, key=lambda r: basis[r])
+        pivot = tableau[leave_row, entering]
+        tableau[leave_row] /= pivot
+        for i in range(tableau.shape[0]):
+            if i != leave_row and tableau[i, entering] != 0.0:
+                tableau[i] -= tableau[i, entering] * tableau[leave_row]
+        basis[leave_row] = entering
+        pivots += 1
+        if pivots > limit:
+            raise IterationLimit(f"simplex exceeded {limit} pivots")
+
+
+def _loop_simplex_lp(problem, ties, config=DEFAULT_CONFIG):
+    """Two-phase simplex with per-element loops: the reference for simplex_lp.
+
+    Phase 1 follows simplex_lp's rule: a reported direction ends the phase
+    and the feasibility test decides.
+    """
+    a = problem.a_eq.copy()
+    b = problem.b_eq.copy()
+    c = problem.c.copy()
+    m, n = a.shape
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    limit = max(config.max_iters, 10_000)
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n : n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    basis = list(range(n, n + m))
+    tableau[-1, :] = -tableau[:m, :].sum(axis=0)
+    tableau[-1, n : n + m] = 0.0
+    pivots, _ = _loop_simplex_phase(tableau, basis, n, limit, 0, ties)
+    phase1_value = -tableau[-1, -1]
+    if phase1_value > 1e-8 * max(1.0, float(np.max(np.abs(b)) if b.size else 1.0)):
+        return SimplexResult("Infeasible", np.full(n, np.nan), np.nan, np.full(m, np.nan), pivots)
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= n:
+            found = -1
+            for j in range(n):
+                if abs(tableau[i, j]) > _PIVOT_TOL:
+                    found = j
+                    break
+            if found < 0:
+                drop_rows.append(i)
+                continue
+            pivot = tableau[i, found]
+            tableau[i] /= pivot
+            for k in range(tableau.shape[0]):
+                if k != i and tableau[k, found] != 0.0:
+                    tableau[k] -= tableau[k, found] * tableau[i]
+            basis[i] = found
+            pivots += 1
+    keep = [i for i in range(m) if i not in drop_rows]
+    rows = keep + [m]
+    tableau = tableau[np.ix_(rows, list(range(n)) + [n + m])]
+    basis = [basis[i] for i in keep]
+    m2 = len(keep)
+    tableau[-1, :-1] = c
+    tableau[-1, -1] = 0.0
+    for i in range(m2):
+        if c[basis[i]] != 0.0:
+            tableau[-1] -= c[basis[i]] * tableau[i]
+    pivots, unbounded = _loop_simplex_phase(tableau, basis, n, limit, pivots, ties)
+    if unbounded is not None:
+        return SimplexResult("Unbounded", np.full(n, np.nan), -np.inf, np.full(m, np.nan), pivots)
+    x = np.zeros(n)
+    for i in range(m2):
+        x[basis[i]] = tableau[i, -1]
+    objective = float(c @ x)
+    duals = np.zeros(m)
+    if m2 > 0:
+        bmat = a[np.ix_(keep, basis)]
+        try:
+            y = np.linalg.solve(bmat.T, c[basis])
+        except np.linalg.LinAlgError:
+            y = np.full(m2, np.nan)
+        for pos, i in enumerate(keep):
+            duals[i] = -y[pos] if flip[i] else y[pos]
+    return SimplexResult("Optimal", x, objective, duals, pivots)
+
+
+def _basis_pursuit_lp(entries, beta0):
+    """The LP basis_pursuit_recover solves, for a Gram given by its entries."""
+    vals, vecs = np.linalg.eigh(entries)
+    v_r = vecs[:, vals > 1e-10 * max(float(vals[-1]), 1e-300)]
+    return LPProblem(c=np.ones(2 * entries.shape[0]),
+                     a_eq=np.concatenate([v_r.T, -v_r.T], axis=1), b_eq=v_r.T @ beta0)
+
+
+class TestSimplexMatchesLoopReference:
+    """The vectorized pivots do the loops' floating-point work in the loops'
+    order, so status, pivot count and every bit of x, duals and objective
+    agree with the element-by-element reference."""
+
+    @staticmethod
+    def assert_identical(problem):
+        ties = []
+        want = _loop_simplex_lp(problem, ties)
+        got = simplex_lp(problem)
+        assert got.status == want.status
+        assert got.pivots == want.pivots
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.duals.tobytes() == want.duals.tobytes()
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        return ties
+
+    def test_rank_deficient_basis_pursuit(self):
+        beta0 = np.zeros(30)
+        beta0[[0, 1]] = (1.0, -1.0)
+        eye = GramMatrix(np.eye(30))
+        for seed in range(30):
+            _, gram = sample_gaussian_design(18, 30, eye, 500 + seed)
+            self.assert_identical(_basis_pursuit_lp(gram.entries, beta0))
+
+    def test_ratio_ties_broken_by_basis_index(self):
+        # duplicated columns and equicorrelation give equal ratios, so the
+        # smallest-basis-index rule picks the leaving row
+        rng = np.random.default_rng(67)
+        ties = []
+        for _ in range(10):
+            a = rng.standard_normal((3, 4))
+            a = np.concatenate([a, a], axis=1)
+            b = a @ np.abs(rng.standard_normal(8))
+            c = np.abs(np.tile(rng.standard_normal(4), 2))
+            ties += self.assert_identical(LPProblem(c=c, a_eq=a, b_eq=b))
+        x = rng.standard_normal((6, 5))
+        beta0 = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        ties += self.assert_identical(_basis_pursuit_lp(np.tile(x.T @ x / 6, (2, 2)), beta0))
+        beta0 = np.zeros(12)
+        beta0[[0, 1]] = (1.0, -1.0)
+        ties += self.assert_identical(_basis_pursuit_lp(equicorrelation_entries(12, 0.3), beta0))
+        assert ties
+
+    def test_pivot_skips_rows_with_zero_coefficient(self):
+        # updating row 1 would compute -0.0 - 0.0 * -0.5 = +0.0 and lose the
+        # sign a row-by-row elimination keeps
+        tableau = np.array([[2.0, -1.0, 4.0], [0.0, -0.0, 1.0], [1.0, 3.0, 0.0]])
+        basis = np.array([5, 6])
+        _pivot(tableau, basis, 0, 0)
+        assert np.signbit(tableau[1, 1])
+        assert tableau.tolist() == [[1.0, -0.5, 2.0], [0.0, -0.0, 1.0], [0.0, 3.5, -2.0]]
+        assert basis.tolist() == [0, 6]
+
+    def test_phase_outcomes(self):
+        cases = [
+            ([-1.0, -1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], "Optimal"),
+            ([1.0], [[-1.0]], [-1.0], "Optimal"),
+            ([1.0], [[1.0]], [-1.0], "Infeasible"),
+            ([-1.0, 0.0], [[1.0, -1.0]], [0.0], "Unbounded"),
+            ([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], "Optimal"),
+        ]
+        for c, a, b, status in cases:
+            problem = LPProblem(c=np.array(c), a_eq=np.array(a), b_eq=np.array(b))
+            self.assert_identical(problem)
+            assert simplex_lp(problem).status == status
