@@ -13,7 +13,6 @@ from .core import (
     DEFAULT_SUBSET_CAP,
     BoundedValue,
     Certificate,
-    ChunkPartition,
     ConeSpec,
     GramMatrix,
     PerturbationPair,
@@ -34,11 +33,9 @@ from .errors import (
     CapExceeded,
     DenominatorNonPositive,
     InvalidParameter,
-    IterationLimit,
     MaxItersExceeded,
     MissingInput,
     MissingNoise,
-    NonpositiveDenominator,
     ParseError,
     SingularBlock,
     SingularUniformEigenvalue,

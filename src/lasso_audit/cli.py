@@ -159,7 +159,6 @@ class RunConfig:
     cap_signs: int = DEFAULT_SIGN_CAP
     tol: float = 1e-9
     out: Optional[str] = None
-    threads: int = 1
     experiment: str = "concentration"
     kind: Optional[str] = None
     p: Optional[int] = None
@@ -523,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--tol", dest="tol", type=float, default=1e-9)
         cmd.add_argument("--out", dest="out", default=None,
                          help="output path (default: stdout)")
-        cmd.add_argument("--threads", dest="threads", type=int, default=1,
-                         help="worker cap (accepted for interface stability)")
         cmd.add_argument("--experiment", dest="experiment",
                          choices=("concentration", "noise"), default="concentration")
         cmd.add_argument("--kind", dest="kind", default=None,
@@ -557,7 +554,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cap_signs=args.cap_signs,
         tol=args.tol,
         out=args.out,
-        threads=args.threads,
         experiment=args.experiment,
         kind=args.kind,
         p=args.p,

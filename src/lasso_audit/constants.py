@@ -40,6 +40,7 @@ from .core import (
     ConeSpec,
     GramMatrix,
     SubsetN,
+    _complement,
     block,
     check_superset_cap,
     enumerate_supersets,
@@ -51,7 +52,6 @@ from .errors import (
     CapExceeded,
     DenominatorNonPositive,
     InvalidParameter,
-    NonpositiveDenominator,
     SingularBlock,
     SingularUniformEigenvalue,
 )
@@ -325,13 +325,16 @@ def irrepresentable_uniform(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT
     return BoundedValue.exact(best, provenance=f"argmin nset={witness}, singular_skipped={singular}")
 
 
-def _sign_matrix(k: int) -> np.ndarray:
-    """All sign vectors in {+1,-1}^k; row g maps bit i of g to -1 when set."""
-    if k == 0:
-        return np.ones((1, 0))
-    g = np.arange(2 ** k, dtype=np.int64)
-    bits = (g[:, None] >> np.arange(k)[None, :]) & 1
-    return 1.0 - 2.0 * bits
+def _sign_chunks(k: int, chunk: int):
+    """{+1,-1}^k in counter order, emitted as (m, k) blocks of at most chunk
+    rows; bit i of the counter maps position i to -1 when set.  With
+    chunk = 2^k the single block holds every sign vector."""
+    total = 2 ** k
+    cols = np.arange(k)
+    for start in range(0, total, chunk):
+        g = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        bits = (g[:, None] >> cols[None, :]) & 1
+        yield 1.0 - 2.0 * bits
 
 
 def irrepresentable_signed(gram: GramMatrix, cone: ConeSpec, part: int,
@@ -356,7 +359,7 @@ def irrepresentable_signed(gram: GramMatrix, cone: ConeSpec, part: int,
     subset_total = sum(math.comb(p - s, k - s) for k in range(s, cone.N + 1))
     if subset_total > cap:
         raise CapExceeded(subset_total, cap, what="enlargement enumeration")
-    others = [j for j in range(p) if j not in set(cone.S)]
+    others = _complement(p, cone.S)
 
     def nsets_by_size():
         for k in range(s, cone.N + 1):
@@ -372,14 +375,14 @@ def irrepresentable_signed(gram: GramMatrix, cone: ConeSpec, part: int,
                 continue
             s21 = block(gram, nset, "21")
             m = s21 @ inv
-            signs = _sign_matrix(len(nset))
+            signs = next(_sign_chunks(len(nset), 2 ** len(nset)))
             worst = float(np.max(np.abs(m @ signs.T))) if m.shape[0] else 0.0
             if worst < limit:
                 return True, nset
         return False, None
 
     witness = {}
-    tau_s_rows = _sign_matrix(s)
+    tau_s_rows = next(_sign_chunks(s, 2 ** s))
     for row in tau_s_rows:
         tau_s = tuple(int(v) for v in row)
         found = None
@@ -393,7 +396,7 @@ def irrepresentable_signed(gram: GramMatrix, cone: ConeSpec, part: int,
             k = len(nset)
             pos_of = {j: i for i, j in enumerate(nset.members)}
             ext_positions = [pos_of[j] for j in nset.members if j not in set(cone.S)]
-            exts = _sign_matrix(k - s)
+            exts = next(_sign_chunks(k - s, 2 ** (k - s)))
             taus = np.zeros((exts.shape[0], k))
             for i, j in enumerate(cone.S):
                 taus[:, pos_of[j]] = tau_s[i]
@@ -419,7 +422,7 @@ def coherence(gram: GramMatrix, cone: ConeSpec, kind: str) -> BoundedValue:
     scale = float(np.max(np.diag(gram.entries)))
     if lam2 <= SINGULAR_RTOL * max(scale, 1.0):
         raise SingularUniformEigenvalue(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
-    outside = [j for j in range(gram.p) if j not in set(cone.S)]
+    outside = _complement(gram.p, cone.S)
     if not outside:
         return BoundedValue.exact(0.0, provenance="empty complement")
     cross = gram.entries[np.ix_(outside, s_idx)]
@@ -466,7 +469,7 @@ def block_norm_2q(gram: GramMatrix, nset: SubsetN, q, mode: str = "exact",
     if qv == 1.0:
         if 2 ** r > sign_cap:
             raise CapExceeded(2 ** r, sign_cap, what="sup-norm-ball vertex enumeration")
-        signs = _sign_matrix(r)
+        signs = next(_sign_chunks(r, 2 ** r))
         vals = np.linalg.norm(s12 @ signs.T, axis=0)
         return BoundedValue.exact(float(np.max(vals)), provenance="vertex enumeration")
     raise InvalidParameter("exact mode supports q in {1, 2, inf} only")
@@ -492,12 +495,12 @@ def alpha_constant(gram: GramMatrix, cone: ConeSpec, phi2_s2s_lower: float,
     evaluated with a certified lower bound for phi^2(S,2s), hence an upper bound."""
     cone.validate_p(gram.p)
     if not (phi2_s2s_lower > 0.0):
-        raise NonpositiveDenominator(f"phi^2(S,2s) lower bound {phi2_s2s_lower!r} must be positive")
+        raise DenominatorNonPositive(f"phi^2(S,2s) lower bound {phi2_s2s_lower!r} must be positive")
     theta_s = restricted_orthogonality(gram, cone.with_(N=cone.s), cap).estimate
     delta_s = restricted_isometry(gram, cone.s, cap).estimate
     lam2 = min_eigen_11(gram, SubsetN(cone.S))
     if lam2 <= 0.0:
-        raise NonpositiveDenominator(f"Lambda^2(S,s) = {lam2!r} must be positive")
+        raise DenominatorNonPositive(f"Lambda^2(S,s) = {lam2!r} must be positive")
     value = (math.sqrt(2.0) * theta_s + math.sqrt((1.0 + delta_s) * theta_s)) / (
         math.sqrt(phi2_s2s_lower) * math.sqrt(lam2)
     )

@@ -243,8 +243,7 @@ class SubsetN:
         return len(self.members)
 
     def complement(self, p: int) -> tuple:
-        inside = set(self.members)
-        return tuple(j for j in range(p) if j not in inside)
+        return tuple(_complement(p, self.members))
 
     def contains(self, other) -> bool:
         return set(other).issubset(self.members)
@@ -266,20 +265,10 @@ class PerturbationPair:
         object.__setattr__(self, "d_inf", d_infinity(self.sigma0, self.sigma1))
 
 
-@dataclass(frozen=True)
-class ChunkPartition:
-    """S-complement split into blocks of size s by descending magnitude.
-
-    chunks[0] holds the s largest magnitudes off S, chunks[1] the next s, and
-    so on; the final chunk may be short.  Ties break by ascending index.
-    """
-
-    cone: ConeSpec
-    chunks: tuple
-
-    @property
-    def nset(self) -> SubsetN:
-        return SubsetN(tuple(sorted(set(self.cone.S) | set(self.chunks[0]))) if self.chunks else self.cone.S)
+def _complement(p: int, members) -> list:
+    """The indices 0..p-1 outside members, ascending."""
+    inside = set(members)
+    return [j for j in range(p) if j not in inside]
 
 
 def _as_vector(beta, p=None) -> np.ndarray:
@@ -379,18 +368,8 @@ def cone_membership(beta, cone: ConeSpec, nset: SubsetN = None, variant: str = "
 def tail_order(beta, cone: ConeSpec) -> list:
     """Indices of S^c sorted by descending |beta_j|, ties by ascending index."""
     beta = _as_vector(beta)
-    comp = [j for j in range(beta.shape[0]) if j not in set(cone.S)]
+    comp = _complement(beta.shape[0], cone.S)
     return sorted(comp, key=lambda j: (-abs(beta[j]), j))
-
-
-def chunk_tail(beta, cone: ConeSpec) -> ChunkPartition:
-    """Partition S^c into size-s blocks by descending magnitude of beta."""
-    beta = _as_vector(beta)
-    cone.validate_p(beta.shape[0])
-    order = tail_order(beta, cone)
-    s = cone.s
-    chunks = tuple(tuple(sorted(order[i : i + s])) for i in range(0, len(order), s))
-    return ChunkPartition(cone=cone, chunks=chunks)
 
 
 def top_nset(beta, cone: ConeSpec) -> SubsetN:
@@ -432,7 +411,7 @@ def enumerate_supersets(cone: ConeSpec, p: int, cap: int = DEFAULT_SUBSET_CAP):
     Raises CapExceeded up front when C(p-s, N-s) exceeds the cap.
     """
     check_superset_cap(cone, p, cap)
-    others = [j for j in range(p) if j not in set(cone.S)]
+    others = _complement(p, cone.S)
 
     def _gen():
         for extra in itertools.combinations(others, cone.N - cone.s):

@@ -35,15 +35,12 @@ class CapExceeded(AuditError):
 
 
 class MaxItersExceeded(AuditError):
-    """Iterative solver hit its iteration budget; carries the best iterate found."""
+    """Iterative solver hit its iteration budget; carries the best iterate
+    found, or None for the simplex, which keeps none."""
 
     def __init__(self, message, best=None):
         self.best = best
         super().__init__(message)
-
-
-class IterationLimit(AuditError):
-    pass
 
 
 class ZeroDiagonal(AuditError):
@@ -63,10 +60,6 @@ class AllSubmatricesSingular(AuditError):
 
 
 class DenominatorNonPositive(AuditError):
-    pass
-
-
-class NonpositiveDenominator(AuditError):
     pass
 
 

@@ -22,9 +22,11 @@ import numpy as np
 
 from .constants import (
     DEFAULT_SIGN_CAP,
+    _sign_chunks,
     block_norm_2q,
     coherence,
     irrepresentable_uniform,
+    max_complement_norm,
     restricted_orthogonality,
     uniform_eigenvalue,
 )
@@ -36,6 +38,7 @@ from .core import (
     ConeSpec,
     GramMatrix,
     SubsetN,
+    _complement,
     cone_membership,
     derived_rng,
     enumerate_supersets,
@@ -65,22 +68,6 @@ _FAST_FEAS_RTOL = 1e-10
 _SEARCH_CHUNK = 8192
 
 
-def _sign_chunks(k: int, chunk: int):
-    """{+1,-1}^k in integer order, emitted as (m, k) blocks; bit i of the
-    counter maps position i to -1 when set."""
-    total = 2 ** k
-    cols = np.arange(k)
-    for start in range(0, total, chunk):
-        g = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = (g[:, None] >> cols[None, :]) & 1
-        yield 1.0 - 2.0 * bits
-
-
-def _comp_indices(p: int, S) -> list:
-    inside = set(S)
-    return [j for j in range(p) if j not in inside]
-
-
 def compatibility_constant(gram: GramMatrix, cone: ConeSpec, config: SolverConfig = DEFAULT_CONFIG,
                            sign_cap: int = DEFAULT_SIGN_CAP) -> BoundedValue:
     """phi^2_compat(L, S): min over the plain cone of s * beta'Sigma beta / ||beta_S||_1^2.
@@ -100,7 +87,7 @@ def compatibility_constant(gram: GramMatrix, cone: ConeSpec, config: SolverConfi
     if 2 ** max(s - 1, 0) > sign_cap:
         raise CapExceeded(2 ** (s - 1), sign_cap, what="compatibility sign enumeration")
     S = list(cone.S)
-    comp = _comp_indices(p, S)
+    comp = _complement(p, S)
     vals, vecs = np.linalg.eigh(gram.entries)
     lam_max = max(float(vals[-1]), 0.0)
     nonsingular = float(vals[0]) > SINGULAR_RTOL * max(lam_max, 0.0) and float(vals[0]) > 0.0
@@ -158,7 +145,7 @@ def _equality_tail_qp(gram: GramMatrix, cone: ConeSpec, tau: np.ndarray, config:
     blockwise projection is the exact projection."""
     p, s = gram.p, cone.s
     S = list(cone.S)
-    comp = _comp_indices(p, S)
+    comp = _complement(p, S)
     tau = np.asarray(tau, dtype=float)
 
     def projection(x):
@@ -184,7 +171,7 @@ def _equality_tail_qp(gram: GramMatrix, cone: ConeSpec, tau: np.ndarray, config:
 def _batch_restricted_ratio(entries: np.ndarray, cone: ConeSpec, B: np.ndarray) -> np.ndarray:
     """beta'Sigma beta / ||beta_nset||_2^2 for each row, nset = top enlargement."""
     S = list(cone.S)
-    comp = _comp_indices(entries.shape[0], S)
+    comp = _complement(entries.shape[0], S)
     qs = np.einsum("ij,ij->i", B @ entries, B)
     nsq = (B[:, S] ** 2).sum(axis=1)
     k = min(cone.N - cone.s, len(comp))
@@ -212,7 +199,7 @@ def _sample_cone_points(rng, cone: ConeSpec, p: int, m: int, variant: str) -> np
     scaled to a random fraction of the budget."""
     s = cone.s
     S = list(cone.S)
-    comp = _comp_indices(p, S)
+    comp = _complement(p, S)
     heads = rng.standard_normal((m, s))
     norms = np.linalg.norm(heads, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -242,7 +229,7 @@ def _project_to_cone(beta: np.ndarray, cone: ConeSpec, variant: str) -> np.ndarr
     """Rescale the tail onto the budget; heads are left untouched."""
     out = beta.copy()
     S = list(cone.S)
-    comp = _comp_indices(beta.shape[0], S)
+    comp = _complement(beta.shape[0], S)
     if not comp:
         return out
     head = out[S]
@@ -391,7 +378,7 @@ def evaluate_regression_ratio(gram: GramMatrix, cone: ConeSpec, beta, variant: s
 def _batch_regression_ratio(entries: np.ndarray, cone: ConeSpec, B: np.ndarray) -> np.ndarray:
     p = entries.shape[0]
     S = list(cone.S)
-    comp = _comp_indices(p, S)
+    comp = _complement(p, S)
     m = B.shape[0]
     mask = np.zeros((m, p), dtype=bool)
     mask[:, S] = True
@@ -422,7 +409,7 @@ def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverCon
     entries = gram.entries
     p, s = gram.p, cone.s
     S = list(cone.S)
-    comp = _comp_indices(p, S)
+    comp = _complement(p, S)
     S_sub = SubsetN(cone.S)
     sig11 = entries[np.ix_(S, S)]
     sig21 = entries[np.ix_(comp, S)] if comp else np.zeros((0, s))
@@ -440,7 +427,7 @@ def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverCon
             m_rows = sig21 @ inv
             signs.append(np.where(m_rows >= 0.0, 1.0, -1.0))
         if 2 ** s <= 4096:
-            signs.append(np.concatenate(list(_sign_chunks(s, 4096))))
+            signs.append(next(_sign_chunks(s, 2 ** s)))
         else:
             signs.append(np.where(rng.random((4096, s)) < 0.5, 1.0, -1.0))
         for T in signs:
@@ -532,10 +519,9 @@ def _rr_upper_routes(gram: GramMatrix, cone: ConeSpec, variant: str, cap: int, s
                 if lam2 > tiny:
                     theta = restricted_orthogonality(gram, cone, min(cap, ROUTE_CAP)).estimate
                     routes["weak_rip"] = theta / lam2
-                    norms = {math.inf: 0.0, 2.0: 0.0, 1.0: 0.0}
+                    norms = {math.inf: 0.0, 1.0: 0.0}
                     row_sum = 0.0
-                    nsets = list(enumerate_supersets(cone, p, min(cap, ROUTE_CAP)))
-                    for nset in nsets:
+                    for nset in enumerate_supersets(cone, p, min(cap, ROUTE_CAP)):
                         for q in norms:
                             try:
                                 nrm = block_norm_2q(gram, nset, q, "exact", sign_cap).estimate
@@ -547,6 +533,7 @@ def _rr_upper_routes(gram: GramMatrix, cone: ConeSpec, variant: str, cap: int, s
                             if outside:
                                 sums = np.abs(gram.entries[np.ix_(outside, list(nset.members))]).sum(axis=0)
                                 row_sum = max(row_sum, float(np.sqrt(np.sum(sums ** 2))))
+                    norms[2.0] = max_complement_norm(gram, cone, min(cap, ROUTE_CAP))
                     for q, power in ((math.inf, 1.0), (2.0, math.sqrt(s)), (1.0, float(s))):
                         routes[f"chunked_q{'inf' if math.isinf(q) else int(q)}"] = (
                             math.sqrt(s) * norms[q] / (power * lam2)

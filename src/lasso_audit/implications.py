@@ -69,7 +69,6 @@ from .errors import (
     DenominatorNonPositive,
     InvalidParameter,
     MissingInput,
-    NonpositiveDenominator,
     SingularBlock,
     SingularUniformEigenvalue,
 )
@@ -93,7 +92,7 @@ _DIRECTION_NOTE = "certified endpoints: lower on the >=-side, upper on the <=-si
 
 # errors that mean "could not evaluate on this instance", turned into skips
 _SKIP_ERRORS = (CapExceeded, AllSubmatricesSingular, SingularUniformEigenvalue,
-                DenominatorNonPositive, NonpositiveDenominator, SingularBlock)
+                DenominatorNonPositive, SingularBlock)
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ def _get_alpha(edge_id, inputs) -> BoundedValue:
         raise MissingInput(edge_id, "alpha")
     phi_low = inputs.get(edge_id, "phi_lower_2s")
     if not float(phi_low.estimate) > 0.0:
-        raise NonpositiveDenominator("no positive certified phi^2(S,2s) lower bound")
+        raise DenominatorNonPositive("no positive certified phi^2(S,2s) lower bound")
     alpha = alpha_constant(inputs.gram, inputs.cone.with_(N=inputs.cone.s),
                            float(phi_low.estimate), inputs.cap)
     inputs.cache["alpha"] = alpha
@@ -429,7 +428,7 @@ def _edge_e10(edge_id, inputs):
         return _skip(edge_id, f"premise 1 - delta_s - theta_ss - theta_s2s > 0 fails ({denom!r})")
     try:
         alpha = _get_alpha(edge_id, inputs)
-    except NonpositiveDenominator as exc:
+    except DenominatorNonPositive as exc:
         return _skip(edge_id, str(exc))
     lhs = float(alpha.upper)
     rhs = math.sqrt(2.0) * (theta_ss + math.sqrt(theta_ss)) / denom
@@ -444,7 +443,7 @@ def _edge_e11(edge_id, inputs):
         return _skip(edge_id, "requires 2s <= p")
     try:
         alpha = _get_alpha(edge_id, inputs)
-    except NonpositiveDenominator as exc:
+    except DenominatorNonPositive as exc:
         return _skip(edge_id, str(exc))
     lhs = float(alpha.upper)
     if not lhs < 1.0:

@@ -22,6 +22,7 @@ from .core import (
     ConeSpec,
     GramMatrix,
     SubsetN,
+    _complement,
     block,
     d_infinity,
     inverse_11,
@@ -39,6 +40,7 @@ from .solvers import (
     DEFAULT_CONFIG,
     LPProblem,
     SolverConfig,
+    _stationarity_residual,
     coordinate_descent_lasso,
     simplex_lp,
 )
@@ -222,15 +224,12 @@ def kkt_residual(gram: GramMatrix, beta0_or_correlation, lam: float, beta,
     given = np.asarray(beta0_or_correlation, dtype=float).ravel()
     corr = given if is_correlation else gram.entries @ given
     grad = 2.0 * (gram.entries @ beta - corr)
-    active = beta != 0.0
+    residual = _stationarity_residual(grad, lam, beta)
     if lam == 0.0:
-        residual = float(np.max(np.abs(grad))) if grad.size else 0.0
         return residual, np.zeros_like(beta)
     tau = np.clip(-grad / lam, -1.0, 1.0)
+    active = beta != 0.0
     tau[active] = np.sign(beta[active])
-    res_active = np.abs(grad + lam * np.sign(beta)) * active
-    res_inactive = np.maximum(np.abs(grad) - lam, 0.0) * ~active
-    residual = float(np.max(res_active + res_inactive)) if beta.size else 0.0
     return residual, tau
 
 
@@ -262,9 +261,7 @@ def antiprojection_identity_check(gram: GramMatrix, solution: LassoSolution, nse
     support lies inside nset and Sigma_11(nset) is invertible.  Returns
     (lhs, rhs, gap).
     """
-    p = gram.p
-    members = set(nset.members)
-    comp = [j for j in range(p) if j not in members]
+    comp = _complement(gram.p, nset.members)
     inv = inverse_11(gram, nset)
     head_idx = list(nset.members)
     tau_head = solution.tau_star[head_idx]
@@ -399,7 +396,7 @@ def oracle_verdict(gram: GramMatrix, solution: LassoSolution, cone: ConeSpec, la
     s = cone.s
     diff = solution.beta_star - beta0
     pred = float(diff @ gram.entries @ diff)
-    comp = [j for j in range(gram.p) if j not in set(cone.S)]
+    comp = _complement(gram.p, cone.S)
     tail_l1 = float(np.abs(solution.beta_star[comp]).sum()) if comp else 0.0
     lhs = pred + lam * tail_l1
     phi2 = max(float(phi_lower.estimate), 0.0)
@@ -506,7 +503,7 @@ def solve_noisy(noisy: NoisyProblem, lam: float, config: SolverConfig = DEFAULT_
     s = cone.s
     diff = beta - noisy.beta0
     pred = float(diff @ gram.entries @ diff)
-    comp = [j for j in range(gram.p) if j not in set(support)]
+    comp = _complement(gram.p, support)
     tail_l1 = float(np.abs(beta[comp]).sum()) if comp else 0.0
     lhs = pred + (lam - lam0) * tail_l1
     phi_low = certified_lower_phi(gram, cone, target="compatibility", config=config)

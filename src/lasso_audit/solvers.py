@@ -15,16 +15,12 @@ data, on which Bland's ratio order is undefined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    InvalidParameter,
-    IterationLimit,
-    MaxItersExceeded,
-    ZeroDiagonal,
-)
+from .errors import InvalidParameter, MaxItersExceeded, ZeroDiagonal
 
 _PIVOT_TOL = 1e-10
 
@@ -33,20 +29,19 @@ _PIVOT_TOL = 1e-10
 class SolverConfig:
     max_iters: int = 100_000
     tol: float = 1e-9
-    restarts: int = 16
     samples: int = 100_000
     seed: int = 0
-    step_rule: str = "fixed_inverse_lipschitz"  # or "backtracking"
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.tol <= 0 or self.restarts < 1 or self.samples < 0:
+        # a NaN tol never stops coordinate descent and an infinite one stops
+        # it after one sweep
+        if self.max_iters < 1 or not (0.0 < self.tol < math.inf) or self.samples < 0:
             raise InvalidParameter("invalid solver configuration")
-        if self.step_rule not in ("fixed_inverse_lipschitz", "backtracking"):
-            raise InvalidParameter(f"unknown step rule {self.step_rule!r}")
 
-    def reduced(self, restarts=2, samples=20_000) -> "SolverConfig":
-        """Cheaper search profile for large instances; certified bounds are unaffected."""
-        return replace(self, restarts=restarts, samples=samples)
+    def reduced(self) -> "SolverConfig":
+        """Cheaper search profile for large instances (fewer cone samples);
+        certified bounds are unaffected."""
+        return replace(self, samples=20_000)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -114,25 +109,16 @@ def projected_gradient_qp(quadratic, linear, projection, config: SolverConfig = 
     residual = np.inf
     for _ in range(config.max_iters):
         grad = 2.0 * (q @ x) + c
-        if config.step_rule == "backtracking":
-            step = 1.0 / lip
-            for _ in range(60):
-                cand = projection(x - step * grad)
-                if value(cand) <= fx + 1e-14 * max(1.0, abs(fx)):
-                    break
-                step /= 2.0
-            nxt = cand
-        else:
+        nxt = projection(x - grad / lip)
+        fn = value(nxt)
+        doublings = 0
+        # fixed step is only valid when lip >= 2 lambda_max; recover if the
+        # power-iteration estimate was low
+        while fn > fx + 1e-12 * max(1.0, abs(fx)) and doublings < 60:
+            lip *= 2.0
             nxt = projection(x - grad / lip)
             fn = value(nxt)
-            doublings = 0
-            # fixed step is only valid when lip >= 2 lambda_max; recover if the
-            # power-iteration estimate was low
-            while fn > fx + 1e-12 * max(1.0, abs(fx)) and doublings < 60:
-                lip *= 2.0
-                nxt = projection(x - grad / lip)
-                fn = value(nxt)
-                doublings += 1
+            doublings += 1
         residual = float(np.max(np.abs(x - nxt)))
         x = nxt
         fx = value(x)
@@ -152,17 +138,13 @@ def soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
-def kkt_residual_quadratic(q, c, lam, beta) -> float:
-    """Sup-norm violation of the stationarity conditions of
-    beta'Q beta - 2 c'beta + lam * ||beta||_1."""
-    grad = 2.0 * (q @ beta - c)
-    res = 0.0
-    for j in range(beta.shape[0]):
-        if beta[j] != 0.0:
-            res = max(res, abs(grad[j] + lam * np.sign(beta[j])))
-        else:
-            res = max(res, max(0.0, abs(grad[j]) - lam))
-    return float(res)
+def _stationarity_residual(grad, lam: float, beta) -> float:
+    """Sup-norm violation of the stationarity conditions of f(beta) + lam ||beta||_1
+    given grad = the gradient of f at beta: |grad_j + lam sign(beta_j)| on the
+    active coordinates, max(0, |grad_j| - lam) on the others, 0 when p = 0."""
+    violation = np.where(beta != 0.0, np.abs(grad + lam * np.sign(beta)),
+                         np.maximum(np.abs(grad) - lam, 0.0))
+    return float(violation.max(initial=0.0))
 
 
 def coordinate_descent_lasso(quadratic, correlation, lam: float, config: SolverConfig = DEFAULT_CONFIG,
@@ -195,11 +177,7 @@ def coordinate_descent_lasso(quadratic, correlation, lam: float, config: SolverC
             if new != old:
                 beta[j] = new
                 g += q[:, j] * (new - old)
-        grad = 2.0 * (g - c)
-        active = beta != 0.0
-        res_active = np.abs(grad[active] + lam * np.sign(beta[active])).max() if active.any() else 0.0
-        res_zero = np.maximum(np.abs(grad[~active]) - lam, 0.0).max() if (~active).any() else 0.0
-        residual = float(max(res_active, res_zero))
+        residual = _stationarity_residual(2.0 * (g - c), lam, beta)
         if best is None or residual < best[1]:
             best = (beta.copy(), residual, sweep)
         if residual <= config.tol:
@@ -282,7 +260,7 @@ def _simplex_phase(tableau, basis, limit, pivots):
         _pivot(tableau, basis, tied[np.argmin(basis[tied])], entering)
         pivots += 1
         if pivots > limit:
-            raise IterationLimit(f"simplex exceeded {limit} pivots")
+            raise MaxItersExceeded(f"simplex exceeded {limit} pivots")
 
 
 def simplex_lp(problem: LPProblem, config: SolverConfig = DEFAULT_CONFIG) -> SimplexResult:

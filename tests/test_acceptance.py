@@ -3,8 +3,8 @@
 Each test exercises one published claim on its stated instance family at the
 stated tolerance and prints a single [PASS]/[FAIL] line on the terminal.
 Budgeted tests also assert their wall-clock limit.  Large instances run the
-reduced solver profile (fewer restarts, fewer cone samples); certified
-endpoints are unaffected by the profile, only searched endpoints are.
+reduced solver profile (fewer cone samples); certified endpoints are
+unaffected by the profile, only searched endpoints are.
 """
 
 import math

@@ -33,7 +33,6 @@ from lasso_audit.errors import (
     CapExceeded,
     DenominatorNonPositive,
     InvalidParameter,
-    NonpositiveDenominator,
     SingularUniformEigenvalue,
 )
 from lasso_audit import constants
@@ -370,6 +369,27 @@ class TestBlockNorm2q:
             block_norm_2q(GramMatrix(np.eye(30)), SubsetN((0,)), 1, sign_cap=4)
 
 
+def sign_matrix_reference(k):
+    """All of {+1,-1}^k by the closed formula the generator must reproduce:
+    row g maps bit i of g to -1 when set."""
+    if k == 0:
+        return np.ones((1, 0))
+    g = np.arange(2 ** k, dtype=np.int64)
+    bits = (g[:, None] >> np.arange(k)[None, :]) & 1
+    return 1.0 - 2.0 * bits
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_sign_chunks_match_formula(k):
+    want = sign_matrix_reference(k)
+    for chunk in (1, 7, 2 ** k):
+        blocks = list(constants._sign_chunks(k, chunk))
+        assert all(len(b) <= chunk for b in blocks)
+        got = np.concatenate(blocks)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_restricted_diagonal_holds():
     g = equicorr(3, 0.5)
     # largest admissible shift on coordinate 0 alone is 1 / (Sigma^{-1})_00 = 2/3
@@ -399,10 +419,10 @@ class TestAlphaConstant:
 
     def test_guards(self):
         g = equicorr(4, 0.1)
-        with pytest.raises(NonpositiveDenominator):
+        with pytest.raises(DenominatorNonPositive):
             alpha_constant(g, ConeSpec(S=(0,), L=1.0, N=1), 0.0)
         ones = GramMatrix(np.ones((3, 3)))
-        with pytest.raises(NonpositiveDenominator):
+        with pytest.raises(DenominatorNonPositive):
             alpha_constant(ones, ConeSpec(S=(0, 1), L=1.0, N=2), 1.0)
 
 

@@ -22,7 +22,7 @@ from lasso_audit import (
     superset_count,
     top_nset,
 )
-from lasso_audit.core import chunk_tail, tail_order
+from lasso_audit.core import tail_order
 from lasso_audit.errors import CapExceeded, InvalidParameter, SingularBlock
 
 from conftest import random_gram
@@ -250,13 +250,10 @@ def test_tail_order_ties_break_by_index():
     assert tail_order(beta, cone) == [0, 1, 3]
 
 
-def test_top_nset_and_chunks():
+def test_top_nset():
     cone = ConeSpec(S=(2,), L=1.0, N=2)
     beta = np.array([0.5, -0.5, 1.0, 0.2])
     assert top_nset(beta, cone).members == (0, 2)
-    part = chunk_tail(beta, cone)
-    assert part.nset.members == (0, 2)
-    assert [c for c in part.chunks] == [(0,), (1,), (3,)]
 
 
 def test_d_infinity():

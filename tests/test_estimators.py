@@ -15,14 +15,19 @@ from lasso_audit import (
     ConeSpec,
     GramMatrix,
     SolverConfig,
+    block_norm_2q,
     certified_lower_phi,
     compatibility_constant,
+    enumerate_supersets,
     evaluate_regression_ratio,
     evaluate_restricted_ratio,
     restricted_eigenvalue,
     restricted_regression,
+    uniform_eigenvalue,
 )
 from lasso_audit.errors import CapExceeded, InvalidParameter
+from lasso_audit.estimators import _rr_upper_routes
+from lasso_audit.experiments import random_psd_entries
 
 from conftest import random_gram
 
@@ -239,3 +244,21 @@ class TestCertifiedLowerPhi:
         g = GramMatrix(np.eye(3))
         with pytest.raises(InvalidParameter):
             certified_lower_phi(g, ConeSpec(S=(0,), L=1.0, N=1), target="sparse")
+
+
+@pytest.mark.parametrize("p,s", [(8, 2), (10, 3), (12, 2), (14, 3), (16, 2)])
+def test_chunked_q2_route_matches_loop(p, s):
+    """chunked_q2 takes the largest spectral norm of Sigma[nset, nset^c] from
+    the enumeration kernel; the per-superset SVD loop it replaced is the
+    reference, and the route value must be the same float."""
+    for seed in range(4):
+        gram = GramMatrix(random_psd_entries(p, 300 + 10 * p + seed, 0.1))
+        cone = ConeSpec(S=tuple(range(0, 2 * s, 2)), L=1.0, N=2 * s)
+        loop = 0.0
+        for nset in enumerate_supersets(cone, p):
+            loop = max(loop, block_norm_2q(gram, nset, 2.0, "exact").estimate)
+        lam2 = uniform_eigenvalue(gram, cone).estimate
+        want = math.sqrt(s) * loop / (math.sqrt(s) * lam2)
+        for variant in ("plain", "adaptive"):
+            _, note = _rr_upper_routes(gram, cone, variant, 10 ** 6, 2 ** 20)
+            assert f"chunked_q2={want!r}," in note

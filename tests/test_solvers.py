@@ -17,13 +17,14 @@ from lasso_audit import (
     simplex_lp,
     soft_threshold,
 )
-from lasso_audit.errors import InvalidParameter, IterationLimit, MaxItersExceeded, ZeroDiagonal
+from lasso_audit.errors import InvalidParameter, MaxItersExceeded, ZeroDiagonal
 from lasso_audit.experiments import equicorrelation_entries, sample_gaussian_design
+from lasso_audit.lasso import kkt_residual
 from lasso_audit.solvers import (
     _PIVOT_TOL,
     SimplexResult,
     _pivot,
-    kkt_residual_quadratic,
+    _stationarity_residual,
     lipschitz_estimate,
 )
 
@@ -32,21 +33,21 @@ class TestSolverConfig:
     def test_defaults(self):
         assert DEFAULT_CONFIG.max_iters == 100_000
         assert DEFAULT_CONFIG.tol == 1e-9
-        assert DEFAULT_CONFIG.step_rule == "fixed_inverse_lipschitz"
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
             SolverConfig(max_iters=0)
         with pytest.raises(InvalidParameter):
             SolverConfig(tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # NaN would run coordinate descent to max_iters, inf stop it after one sweep
         with pytest.raises(InvalidParameter):
-            SolverConfig(restarts=0)
-        with pytest.raises(InvalidParameter):
-            SolverConfig(step_rule="newton")
+            SolverConfig(tol=tol)
 
     def test_reduced_profile(self):
         cfg = DEFAULT_CONFIG.reduced()
-        assert cfg.restarts == 2
         assert cfg.samples == 20_000
         assert cfg.tol == DEFAULT_CONFIG.tol  # accuracy untouched
 
@@ -137,15 +138,6 @@ class TestProjectedGradientQP:
         np.testing.assert_allclose(x, np.full(n, 0.25), atol=1e-7)
         assert fx == pytest.approx(0.25, abs=1e-9)
 
-    def test_backtracking_agrees(self):
-        q = np.array([[2.0, 0.5], [0.5, 1.0]])
-        c = np.array([1.0, -3.0])
-        cfg = SolverConfig(step_rule="backtracking")
-        xa, fa, _ = projected_gradient_qp(q, c, lambda v: np.maximum(v, 0.0))
-        xb, fb, _ = projected_gradient_qp(q, c, lambda v: np.maximum(v, 0.0), cfg)
-        assert fa == pytest.approx(fb, abs=1e-7)
-        np.testing.assert_allclose(xa, xb, atol=1e-5)
-
     def test_iteration_limit_carries_best(self):
         cfg = SolverConfig(max_iters=2, tol=1e-15)
         q = np.diag([1.0, 100.0])
@@ -195,6 +187,50 @@ def lasso_enumeration_oracle(q, c, lam):
     return best, best_val
 
 
+def _loop_kkt_residual(q, c, lam, beta):
+    """Per-element sup-norm violation of the stationarity conditions of
+    beta'Q beta - 2 c'beta + lam ||beta||_1: the reference for
+    solvers._stationarity_residual."""
+    grad = 2.0 * (q @ beta - c)
+    res = 0.0
+    for j in range(beta.shape[0]):
+        if beta[j] != 0.0:
+            res = max(res, abs(grad[j] + lam * np.sign(beta[j])))
+        else:
+            res = max(res, max(0.0, abs(grad[j]) - lam))
+    return float(res)
+
+
+class TestStationarityResidual:
+    """The one KKT residual, used by coordinate descent and lasso.kkt_residual,
+    against the per-element loop: equal floats, not approximately equal."""
+
+    def test_equals_loop_reference(self):
+        rng = np.random.default_rng(71)
+        for trial in range(200):
+            p = int(rng.integers(1, 9))
+            a = rng.standard_normal((p + 2, p))
+            gram = GramMatrix(a.T @ a / (p + 2) + 0.05 * np.eye(p))
+            q = gram.entries
+            c = rng.standard_normal(p)
+            beta = rng.standard_normal(p)  # trial % 4 == 3: every coordinate active
+            if trial % 4 == 0:
+                beta[:] = 0.0
+            elif trial % 4 == 1:
+                beta[rng.random(p) < 0.5] = 0.0
+            elif trial % 4 == 2:
+                beta[rng.random(p) < 0.5] = -0.0
+            # lam = 0 meets every pattern above (trials 0, 5, 10, 15, ...)
+            lam = 0.0 if trial % 5 == 0 else float(rng.choice([0.1, 0.7, 3.0]))
+            want = _loop_kkt_residual(q, c, lam, beta)
+            assert _stationarity_residual(2.0 * (q @ beta - c), lam, beta) == want
+            got, _ = kkt_residual(gram, c, lam, beta, is_correlation=True)
+            assert got == want
+
+    def test_empty_vector(self):
+        assert _stationarity_residual(np.zeros(0), 0.5, np.zeros(0)) == 0.0
+
+
 class TestCoordinateDescent:
     def test_identity_soft_threshold_closed_form(self):
         c = np.array([1.0, -0.4, 0.1])
@@ -223,8 +259,9 @@ class TestCoordinateDescent:
         c = np.array([0.8, -0.6])
         lam = 0.4
         oracle_beta, _ = lasso_enumeration_oracle(q, c, lam)
-        assert kkt_residual_quadratic(q, c, lam, oracle_beta) <= 1e-8
-        assert kkt_residual_quadratic(q, c, lam, oracle_beta + 0.1) > 1e-3
+        assert _stationarity_residual(2.0 * (q @ oracle_beta - c), lam, oracle_beta) <= 1e-8
+        bad = oracle_beta + 0.1
+        assert _stationarity_residual(2.0 * (q @ bad - c), lam, bad) > 1e-3
 
     def test_warm_start(self):
         q = np.array([[1.0, 0.2], [0.2, 1.0]])
@@ -391,7 +428,7 @@ def _loop_simplex_phase(tableau, basis, n_real, limit, pivots, ties):
         basis[leave_row] = entering
         pivots += 1
         if pivots > limit:
-            raise IterationLimit(f"simplex exceeded {limit} pivots")
+            raise MaxItersExceeded(f"simplex exceeded {limit} pivots")
 
 
 def _loop_simplex_lp(problem, ties, config=DEFAULT_CONFIG):
