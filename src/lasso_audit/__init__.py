@@ -21,7 +21,6 @@ from .core import (
     cone_membership,
     d_infinity,
     derived_rng,
-    enumerate_supersets,
     inverse_11,
     min_eigen_11,
     superset_count,

@@ -10,18 +10,28 @@ at nset = S and at all |nset| = N; for eigenvalue-type quantities the
 intermediate sizes are dominated by eigenvalue interlacing, and for the
 leverage minimum this evaluation set is the documented convention.
 
-Lambda^2(S, N), delta_N, theta(S, N), theta_{s,N} and the largest spectral
-norm of Sigma[nset, nset^c] share one enumeration kernel (_first_best).  It
-builds stacked index arrays of the index sets nset, or of the pairs
-(nset, mset) with mset drawn from the complement of nset, in lexicographic
-order; it evaluates each chunk with one stacked eigvalsh (the
-Sigma[nset, nset] blocks) or one stacked singular-value call (the
-Sigma[nset, mset] blocks) and keeps the first argmin or argmax, so values
-and witnesses are those of a plain per-subset loop.  A chunk gathers at most
+Every enumeration of index sets runs on one kernel, _index_chunks: stacked
+index arrays of the index sets nset (the enlargements of a base, or all sets
+of one size), or of the pairs (nset, mset) with mset drawn from the
+complement of nset, in lexicographic order.  A chunk gathers at most
 _CHUNK_ENTRIES Gram entries (128 kB), so memory does not grow with the
-enumeration size.  Results are memoized on the GramMatrix, keyed by
-(quantity, S, N); caps are checked before the memo is consulted, so a cached
-value never bypasses a smaller cap.  Composite constants (rip_constant)
+enumeration size.  Its users:
+
+* Lambda^2(S, N), delta_N, theta(S, N) and theta_{s,N} keep the first argmin
+  or argmax of one stacked eigvalsh (Sigma[nset, nset]) or singular-value
+  call (Sigma[nset, mset]) per chunk (_first_best);
+* the leverage constants (irrepresentable_uniform, irrepresentable_signed
+  parts 2 and 3) take Sigma_21 Sigma_11^{-1} from one stacked eigh per chunk
+  (_leverage_chunks) and visit each nset once for every sign vector;
+* block_norm_maxima takes the maxima of the q = inf, 2 and 1 norms and the
+  row-sum norm of Sigma[nset, nset^c] in one pass.
+
+Values and witnesses are those of a plain per-subset loop; sign-vector
+products are formed one nset at a time, in that loop's shapes.  Values are
+memoized on the GramMatrix, keyed by (quantity, S, N) (not the witness
+mappings of irrepresentable_signed); every cap is checked before the memo is
+consulted and before any block is formed, so a cached value never bypasses a
+smaller cap.  Composite constants (rip_constant)
 check the costs of all their parts before enumerating any of them.
 """
 
@@ -30,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +54,6 @@ from .core import (
     _complement,
     block,
     check_superset_cap,
-    enumerate_supersets,
-    inverse_11,
     min_eigen_11,
 )
 from .errors import (
@@ -52,7 +61,6 @@ from .errors import (
     CapExceeded,
     DenominatorNonPositive,
     InvalidParameter,
-    SingularBlock,
     SingularUniformEigenvalue,
 )
 
@@ -82,8 +90,8 @@ def _complements(nsets: np.ndarray, p: int) -> np.ndarray:
 
 
 def _supersets(p: int, base: tuple, n: int, rows: int):
-    """The size-n supersets of base, lexicographic in the added indices (the
-    order of enumerate_supersets), as stacked ascending (r, n) arrays."""
+    """The size-n supersets of base, lexicographic in the added indices, as
+    stacked ascending (r, n) arrays."""
     base = np.asarray(base, dtype=np.intp).reshape(1, -1)
     for extra in _combinations(_complements(base, p)[0], n - base.size, rows):
         stacked = np.broadcast_to(base, (len(extra), base.size))
@@ -214,15 +222,50 @@ def restricted_orthogonality(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAUL
     return gram.memoized(("restricted_orthogonality", cone.S, cone.N), compute)
 
 
-def max_complement_norm(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> float:
-    """The largest spectral norm of Sigma[nset, nset^c] over the size-N
-    enlargements nset of S (0 when N = p)."""
+class BlockNormMaxima(NamedTuple):
+    """Maxima over the size-N enlargements nset of S of norms of the cross
+    block Sigma_12(nset) = Sigma[nset, nset^c]; all 0 when N = p."""
+
+    col: float  # largest column 2-norm (q = inf)
+    spectral: float  # largest singular value (q = 2)
+    vertex: float  # the q = 1 norm, exact or its column-norm-sum bound
+    row_sum: float  # l2 norm of the row l1 norms
+
+
+def block_norm_maxima(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP,
+                      sign_cap: int = DEFAULT_SIGN_CAP) -> BlockNormMaxima:
+    """The block-norm maxima of BlockNormMaxima in one pass of the kernel.
+
+    The q = 1 norm is block_norm_2q's: exact by vertex enumeration when the
+    2^(p-N) sign vectors fit sign_cap, otherwise the column-norm sum, an
+    upper bound.  p - N is the same for every nset, so the choice is made
+    once and is part of the memo key.
+    """
     check_superset_cap(cone, gram.p, cap)
-    if cone.N == gram.p:
-        return 0.0
-    best, _ = _first_best(gram, [(cone.S, cone.N, gram.p - cone.N)],
-                          _largest_singular_value, True, 0.0)
-    return best
+    r = gram.p - cone.N
+    vertices = 2 ** r <= sign_cap
+
+    def compute():
+        if r == 0:
+            return BlockNormMaxima(0.0, 0.0, 0.0, 0.0)
+        best = np.zeros(4)
+        signs = next(_sign_chunks(r, 2 ** r)) if vertices else None
+        entries = gram.entries
+        for nsets, comps in _index_chunks(gram.p, cone.S, cone.N, r):
+            cross = entries[nsets[:, :, None], comps[:, None, :]]
+            cols = np.linalg.norm(cross, axis=1)
+            if vertices:
+                vertex = [np.max(np.linalg.norm(c @ signs.T, axis=0)) for c in cross]
+            else:
+                vertex = np.sum(cols, axis=1)
+            # summed down Sigma[nset^c, nset], in the order a per-set loop adds
+            row_l1 = np.abs(entries[comps[:, :, None], nsets[:, None, :]]).sum(axis=1)
+            spectral = _largest_singular_value(np.linalg.svd(cross, compute_uv=False))
+            best = np.maximum(best, [np.max(cols), np.max(spectral), np.max(vertex),
+                                     np.max(np.sqrt(np.sum(row_l1 ** 2, axis=1)))])
+        return BlockNormMaxima(*best.tolist())
+
+    return gram.memoized(("block_norm_maxima", cone.S, cone.N, vertices), compute)
 
 
 def theta_uniform_plan(p: int, s_size: int, n_size: int, cap: int = DEFAULT_SUBSET_CAP):
@@ -283,46 +326,55 @@ def weak_rip_constant(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSE
     return BoundedValue.exact(theta / lam2, provenance=f"theta={theta!r}, lambda2={lam2!r}")
 
 
-def _candidate_nsets(gram: GramMatrix, cone: ConeSpec, cap: int):
-    """nset = S followed by all size-N supersets, lexicographically."""
-    yield SubsetN(cone.S)
-    if cone.N > cone.s:
-        yield from enumerate_supersets(cone, gram.p, cap)
+def _leverage_chunks(gram: GramMatrix, plan):
+    """Sigma_21 Sigma_11^{-1} over the index sets of plan, a sequence of
+    (base, n) as in _index_chunks, chunk by chunk in kernel order.
 
-
-def _max_row_l1(gram: GramMatrix, nset: SubsetN) -> float:
-    """max over tau in the sup-norm ball of ||Sigma_21 Sigma_11^{-1} tau||_inf,
-    which a convexity argument reduces to the largest row l1 norm."""
-    inv = inverse_11(gram, nset)
-    s21 = block(gram, nset, "21")
-    if s21.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(s21 @ inv), axis=1)))
+    Yields (nsets, lev, skipped): the chunk's nonsingular index sets, their
+    stacked leverage matrices (complement rows ascending) and the number of
+    singular sets left out.  Singularity and the inverse are those of
+    inverse_11, one stacked eigh per chunk.
+    """
+    entries = gram.entries
+    for base, n in plan:
+        for nsets, _ in _index_chunks(gram.p, base, n, 0):
+            vals, vecs = np.linalg.eigh(entries[nsets[:, :, None], nsets[:, None, :]])
+            ok = vals[:, 0] > SINGULAR_RTOL * np.maximum(vals[:, -1], 0.0)
+            nsets, vals, vecs = nsets[ok], vals[ok], vecs[ok]
+            inv = (vecs / vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+            comps = _complements(nsets, gram.p)
+            lev = entries[comps[:, :, None], nsets[:, None, :]] @ inv
+            yield nsets, lev, len(ok) - len(nsets)
 
 
 def irrepresentable_uniform(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
     """Uniform leverage constant: min over enlargements of the worst-case
-    sup-norm of Sigma_21 Sigma_11^{-1} tau over the unit sup-norm ball.
-    Singular Sigma_11 blocks are skipped; if every candidate is singular the
-    constant is undefined."""
+    sup-norm of Sigma_21 Sigma_11^{-1} tau over the unit sup-norm ball, which
+    a convexity argument reduces to the largest row l1 norm.  Evaluated at
+    nset = S and at every |nset| = N.  Singular Sigma_11 blocks are skipped;
+    if every candidate is singular the constant is undefined."""
     cone.validate_p(gram.p)
-    best = math.inf
-    witness = None
-    singular = 0
-    total = 0
-    for nset in _candidate_nsets(gram, cone, cap):
-        total += 1
-        try:
-            val = _max_row_l1(gram, nset)
-        except SingularBlock:
-            singular += 1
-            continue
-        if val < best:
-            best = val
-            witness = nset.members
-    if singular == total:
-        raise AllSubmatricesSingular(f"all {total} candidate Sigma_11 blocks are singular")
-    return BoundedValue.exact(best, provenance=f"argmin nset={witness}, singular_skipped={singular}")
+    sizes = [cone.s]
+    if cone.N > cone.s:
+        check_superset_cap(cone, gram.p, cap)
+        sizes.append(cone.N)
+
+    def compute():
+        best, witness, singular, total = math.inf, None, 0, 0
+        for nsets, lev, skipped in _leverage_chunks(gram, [(cone.S, n) for n in sizes]):
+            singular += skipped
+            total += skipped + len(nsets)
+            if len(nsets) == 0:
+                continue
+            worst = np.max(np.sum(np.abs(lev), axis=2), axis=1, initial=0.0)
+            i = int(np.argmin(worst))
+            if worst[i] < best:
+                best, witness = float(worst[i]), tuple(nsets[i].tolist())
+        if singular == total:
+            raise AllSubmatricesSingular(f"all {total} candidate Sigma_11 blocks are singular")
+        return BoundedValue.exact(best, provenance=f"argmin nset={witness}, singular_skipped={singular}")
+
+    return gram.memoized(("irrepresentable_uniform", cone.S, cone.N), compute)
 
 
 def _sign_chunks(k: int, chunk: int):
@@ -348,7 +400,9 @@ def irrepresentable_signed(gram: GramMatrix, cone: ConeSpec, part: int,
             sign extension with ||Sigma_21 Sigma_11^{-1} tau||_inf <= 1;
             returns (holds, {tau_S: (nset, tau)}) or (False, failing tau_S).
 
-    All enlargement sizes s..N are enumerated (smallest first, lexicographic).
+    All enlargement sizes s..N are enumerated (smallest first, lexicographic),
+    each once for every tau_S; a tau_S keeps its first nset and, within it,
+    its first extension in counter order.
     """
     cone.validate_p(gram.p)
     if part not in (2, 3):
@@ -359,57 +413,39 @@ def irrepresentable_signed(gram: GramMatrix, cone: ConeSpec, part: int,
     subset_total = sum(math.comb(p - s, k - s) for k in range(s, cone.N + 1))
     if subset_total > cap:
         raise CapExceeded(subset_total, cap, what="enlargement enumeration")
-    others = _complement(p, cone.S)
-
-    def nsets_by_size():
-        for k in range(s, cone.N + 1):
-            for extra in itertools.combinations(others, k - s):
-                yield SubsetN(tuple(sorted(cone.S + extra)))
+    plan = [(cone.S, k) for k in range(s, cone.N + 1)]
+    rows = ((nset, m) for nsets, lev, _ in _leverage_chunks(gram, plan) for nset, m in zip(nsets, lev))
 
     if part == 2:
         limit = math.inf if cone.L == 0 else 1.0 / cone.L
-        for nset in nsets_by_size():
-            try:
-                inv = inverse_11(gram, nset)
-            except SingularBlock:
-                continue
-            s21 = block(gram, nset, "21")
-            m = s21 @ inv
+        for nset, m in rows:
             signs = next(_sign_chunks(len(nset), 2 ** len(nset)))
-            worst = float(np.max(np.abs(m @ signs.T))) if m.shape[0] else 0.0
-            if worst < limit:
-                return True, nset
+            if np.max(np.abs(m @ signs.T), initial=0.0) < limit:
+                return True, SubsetN(tuple(nset.tolist()))
         return False, None
 
-    witness = {}
     tau_s_rows = next(_sign_chunks(s, 2 ** s))
-    for row in tau_s_rows:
+    found = {}
+    for nset, m in rows:
+        in_s = np.isin(nset, cone.S)
+        exts = next(_sign_chunks(len(nset) - s, 2 ** (len(nset) - s)))
+        # taus[a, b]: tau_S row a on S, extension row b on the rest of nset
+        taus = np.empty((len(tau_s_rows), len(exts), len(nset)))
+        taus[:, :, in_s] = tau_s_rows[:, None, :]
+        taus[:, :, ~in_s] = exts[None, :, :]
+        hits = np.max(np.abs(m @ np.swapaxes(taus, 1, 2)), axis=1, initial=0.0) <= 1.0
+        for a in np.nonzero(np.any(hits, axis=1))[0].tolist():
+            if a not in found:
+                found[a] = (SubsetN(tuple(nset.tolist())),
+                            tuple(int(v) for v in taus[a, np.argmax(hits[a])]))
+        if len(found) == len(tau_s_rows):
+            break
+    witness = {}
+    for a, row in enumerate(tau_s_rows):
         tau_s = tuple(int(v) for v in row)
-        found = None
-        for nset in nsets_by_size():
-            try:
-                inv = inverse_11(gram, nset)
-            except SingularBlock:
-                continue
-            s21 = block(gram, nset, "21")
-            m = s21 @ inv
-            k = len(nset)
-            pos_of = {j: i for i, j in enumerate(nset.members)}
-            ext_positions = [pos_of[j] for j in nset.members if j not in set(cone.S)]
-            exts = next(_sign_chunks(k - s, 2 ** (k - s)))
-            taus = np.zeros((exts.shape[0], k))
-            for i, j in enumerate(cone.S):
-                taus[:, pos_of[j]] = tau_s[i]
-            for i, pos in enumerate(ext_positions):
-                taus[:, pos] = exts[:, i]
-            vals = np.max(np.abs(m @ taus.T), axis=0) if m.shape[0] else np.zeros(exts.shape[0])
-            hits = np.nonzero(vals <= 1.0)[0]
-            if hits.size:
-                found = (nset, tuple(int(v) for v in taus[int(hits[0])]))
-                break
-        if found is None:
+        if a not in found:
             return False, {"failing_tau_S": tau_s}
-        witness[tau_s] = found
+        witness[tau_s] = found[a]
     return True, witness
 
 

@@ -5,8 +5,10 @@ Conventions used across the package:
 * Index sets are 0-based, strictly ascending tuples of ints.
 * Coefficient vectors are plain float arrays of length p; block extraction
   keeps ascending index order in both dimensions.
-* A Gram matrix is symmetric positive semidefinite; rank-deficient inputs
-  are first-class, so positive-definiteness is never assumed.
+* A Gram matrix is symmetric positive semidefinite, checked at construction
+  by one eigenvalue decomposition (smallest eigenvalue at least -1e-9 times
+  the entry scale); rank-deficient inputs are first-class, so
+  positive-definiteness is never assumed.
 * Submatrices are declared singular iff lambda_min <= 1e-10 * lambda_max.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,9 +25,6 @@ from .errors import CapExceeded, InvalidParameter, SingularBlock
 
 DEFAULT_SUBSET_CAP = 10 ** 6
 SINGULAR_RTOL = 1e-10
-
-_PSD_PROBES = 1000
-_PSD_TOL = -1e-9
 
 
 def derived_rng(seed, *stream) -> np.random.Generator:
@@ -121,8 +119,10 @@ class GramMatrix:
 
     Symmetry is enforced at construction (asymmetry beyond 1e-12 of the entry
     scale is rejected, below that the matrix is symmetrized).  Positive
-    semidefiniteness is spot-checked on 1000 seeded random unit vectors, not
-    proven; rank-deficient matrices pass by design.
+    semidefiniteness is checked on the full spectrum: a smallest eigenvalue
+    below -1e-9 times the entry scale is rejected, so rank-deficient matrices
+    (eigenvalues at rounding level around 0) pass.  The spectrum is kept as
+    the memoized spectrum().
 
     Derived quantities that several callers need (enumerated constants, the
     full spectrum) are memoized per instance; the memo takes no part in
@@ -146,15 +146,15 @@ class GramMatrix:
         sym = (raw + raw.T) / 2.0
         if float(np.min(np.diag(sym))) < -1e-12 * scale:
             raise InvalidParameter("Gram matrix has a negative diagonal entry")
-        probes = derived_rng(0, "gram-psd-probe", sym.shape[0]).standard_normal(
-            (_PSD_PROBES, sym.shape[0])
-        )
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        quad = np.einsum("ij,ij->i", probes @ sym, probes)
-        if float(np.min(quad)) < _PSD_TOL * scale:
-            raise InvalidParameter("Gram matrix failed the PSD spot check")
+        spectrum = np.linalg.eigvalsh(sym)
+        if float(spectrum[0]) < -1e-9 * scale:
+            raise InvalidParameter(
+                f"Gram matrix is not PSD: smallest eigenvalue {float(spectrum[0])!r} "
+                f"is below -1e-9 * {scale!r}")
         sym.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "entries", sym)
+        self._memo["spectrum"] = spectrum
 
     @property
     def p(self) -> int:
@@ -170,13 +170,8 @@ class GramMatrix:
         return self._memo[key]
 
     def spectrum(self) -> np.ndarray:
-        """All eigenvalues in ascending order (read-only, memoized)."""
-        def compute():
-            vals = np.linalg.eigvalsh(self.entries)
-            vals.setflags(write=False)
-            return vals
-
-        return self.memoized("spectrum", compute)
+        """All eigenvalues in ascending order (read-only), from the PSD check."""
+        return self._memo["spectrum"]
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -403,18 +398,3 @@ def check_superset_cap(cone: ConeSpec, p: int, cap: int = DEFAULT_SUBSET_CAP) ->
     count = superset_count(cone, p)
     if count > cap:
         raise CapExceeded(count, cap, what=f"superset enumeration (p={p}, s={cone.s}, N={cone.N})")
-
-
-def enumerate_supersets(cone: ConeSpec, p: int, cap: int = DEFAULT_SUBSET_CAP):
-    """All size-N supersets of S in deterministic lexicographic order.
-
-    Raises CapExceeded up front when C(p-s, N-s) exceeds the cap.
-    """
-    check_superset_cap(cone, p, cap)
-    others = _complement(p, cone.S)
-
-    def _gen():
-        for extra in itertools.combinations(others, cone.N - cone.s):
-            yield SubsetN(tuple(sorted(cone.S + extra)))
-
-    return _gen()

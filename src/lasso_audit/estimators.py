@@ -24,9 +24,9 @@ from .constants import (
     DEFAULT_SIGN_CAP,
     _sign_chunks,
     block_norm_2q,
+    block_norm_maxima,
     coherence,
     irrepresentable_uniform,
-    max_complement_norm,
     restricted_orthogonality,
     uniform_eigenvalue,
 )
@@ -41,7 +41,6 @@ from .core import (
     _complement,
     cone_membership,
     derived_rng,
-    enumerate_supersets,
     min_eigen_11,
     inverse_11,
     superset_count,
@@ -519,27 +518,13 @@ def _rr_upper_routes(gram: GramMatrix, cone: ConeSpec, variant: str, cap: int, s
                 if lam2 > tiny:
                     theta = restricted_orthogonality(gram, cone, min(cap, ROUTE_CAP)).estimate
                     routes["weak_rip"] = theta / lam2
-                    norms = {math.inf: 0.0, 1.0: 0.0}
-                    row_sum = 0.0
-                    for nset in enumerate_supersets(cone, p, min(cap, ROUTE_CAP)):
-                        for q in norms:
-                            try:
-                                nrm = block_norm_2q(gram, nset, q, "exact", sign_cap).estimate
-                            except CapExceeded:
-                                nrm = block_norm_2q(gram, nset, q, "column_bound").estimate
-                            norms[q] = max(norms[q], nrm)
-                        if variant == "plain":
-                            outside = list(nset.complement(p))
-                            if outside:
-                                sums = np.abs(gram.entries[np.ix_(outside, list(nset.members))]).sum(axis=0)
-                                row_sum = max(row_sum, float(np.sqrt(np.sum(sums ** 2))))
-                    norms[2.0] = max_complement_norm(gram, cone, min(cap, ROUTE_CAP))
-                    for q, power in ((math.inf, 1.0), (2.0, math.sqrt(s)), (1.0, float(s))):
-                        routes[f"chunked_q{'inf' if math.isinf(q) else int(q)}"] = (
-                            math.sqrt(s) * norms[q] / (power * lam2)
-                        )
+                    maxima = block_norm_maxima(gram, cone, min(cap, ROUTE_CAP), sign_cap)
+                    for name, norm, power in (("chunked_qinf", maxima.col, 1.0),
+                                              ("chunked_q2", maxima.spectral, math.sqrt(s)),
+                                              ("chunked_q1", maxima.vertex, float(s))):
+                        routes[name] = math.sqrt(s) * norm / (power * lam2)
                     if variant == "plain":
-                        routes["row_sum"] = row_sum / (math.sqrt(s) * lam2)
+                        routes["row_sum"] = maxima.row_sum / (math.sqrt(s) * lam2)
         except CapExceeded:
             pass
 

@@ -43,10 +43,10 @@ import numpy as np
 from .constants import (
     alpha_constant,
     block_norm_2q,
+    block_norm_maxima,
     coherence,
     irrepresentable_signed,
     irrepresentable_uniform,
-    max_complement_norm,
     restricted_isometry,
     rip_constant,
     theta_uniform,
@@ -61,7 +61,6 @@ from .core import (
     GramMatrix,
     PerturbationPair,
     SubsetN,
-    enumerate_supersets,
 )
 from .errors import (
     AllSubmatricesSingular,
@@ -231,18 +230,10 @@ class _Inputs:
             return float(block_norm_2q(gram, SubsetN(cone.S), math.inf,
                                        sign_cap=self.sign_cap).estimate)
         if key == "max_norm_2s_2inf":
-            return _max_column_norm(gram, cone.with_(N=2 * s), route_cap)
+            return block_norm_maxima(gram, cone.with_(N=2 * s), route_cap, self.sign_cap).col
         if key == "max_norm_2s_22":
-            return max_complement_norm(gram, cone.with_(N=2 * s), route_cap)
+            return block_norm_maxima(gram, cone.with_(N=2 * s), route_cap, self.sign_cap).spectral
         raise InvalidParameter(f"unknown input key {key!r}")
-
-
-def _max_column_norm(gram: GramMatrix, cone: ConeSpec, cap: int) -> float:
-    """max over the size-N enlargements nset of ||Sigma_12(nset)||_{2,inf}."""
-    worst = 0.0
-    for nset in enumerate_supersets(cone, gram.p, cap):
-        worst = max(worst, float(block_norm_2q(gram, nset, math.inf).estimate))
-    return worst
 
 
 def _get_alpha(edge_id, inputs) -> BoundedValue:

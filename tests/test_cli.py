@@ -133,6 +133,16 @@ class TestAnalyze:
         assert rc == 1
         assert "error: ParseError" in capsys.readouterr().err
 
+    def test_indefinite_gram_is_a_clean_error(self, tmp_path, capsys):
+        q, _ = np.linalg.qr(np.random.default_rng(10).standard_normal((10, 10)))
+        m = (q * np.r_[np.ones(9), -0.05]) @ q.T
+        gram = write_csv(tmp_path / "g.csv", (m + m.T) / 2.0)
+        rc = main(["analyze", "--gram", gram, "--S", "0,1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: InvalidParameter: Gram matrix is not PSD" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_modulo_wall_time(self, tmp_path):
         gram = write_csv(tmp_path / "g.csv", np.eye(5))
         out = tmp_path / "report.json"

@@ -36,7 +36,8 @@ from lasso_audit.errors import (
     SingularUniformEigenvalue,
 )
 from lasso_audit import constants
-from lasso_audit.implications import check_all, check_edge
+from lasso_audit.implications import _Inputs, check_all, check_edge
+from lasso_audit.solvers import DEFAULT_CONFIG
 
 from conftest import random_gram
 
@@ -501,7 +502,7 @@ def kernel_constants(entries, S, N, s_uniform, n_uniform):
         "theta_uniform": theta_uniform(g, s_uniform, n_uniform),
     }
     out = {k: (bv.estimate, bv.provenance) for k, bv in got.items()}
-    out["max_complement_norm"] = constants.max_complement_norm(g, cone)
+    out["max_complement_norm"] = constants.block_norm_maxima(g, cone).spectral
     return out
 
 
@@ -605,5 +606,49 @@ class TestCostFirstCaps:
         for fn in computed:
             first = fn(10 ** 6)
             assert fn(10 ** 6) is first
+            with pytest.raises(CapExceeded):
+                fn(10)
+
+    @staticmethod
+    def counting_solves(monkeypatch):
+        return [counting(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
+
+    def test_leverage_and_block_norm_caps_refuse_before_any_block(self, monkeypatch):
+        # p = 16, S = (1, 5, 9), N = 6: 286 size-N supersets, 378 enlargements
+        # of every size, 2^6 sign vectors; each cap below is one short
+        g = random_gram(np.random.default_rng(41), 16)
+        cone = ConeSpec(S=(1, 5, 9), L=1.0, N=6)
+        solves = self.counting_solves(monkeypatch)
+        refusals = [
+            (lambda: irrepresentable_uniform(g, cone, cap=10), "needs 286 items, cap is 10"),
+            (lambda: irrepresentable_uniform(g, cone, cap=285), "needs 286 items, cap is 285"),
+            (lambda: irrepresentable_signed(g, cone, part=2, cap=377), "needs 378 items"),
+            (lambda: irrepresentable_signed(g, cone, part=3, cap=377), "needs 378 items"),
+            (lambda: irrepresentable_signed(g, cone, part=3, sign_cap=63), "needs 64 items"),
+            (lambda: constants.block_norm_maxima(g, cone, cap=285), "needs 286 items"),
+        ]
+        for fn, text in refusals:
+            with pytest.raises(CapExceeded, match=text):
+                fn()
+        assert solves == [[], [], []]
+
+    def test_e2_skips_the_column_norm_maximum_before_any_block(self, monkeypatch):
+        g = random_gram(np.random.default_rng(43), 16)
+        inputs = _Inputs(g, ConeSpec(S=(1, 5, 9), L=1.0, N=3), DEFAULT_CONFIG, 285, 2 ** 20)
+        solves = self.counting_solves(monkeypatch)
+        for key in ("max_norm_2s_2inf", "max_norm_2s_22"):
+            with pytest.raises(CapExceeded, match="needs 286 items, cap is 285"):
+                inputs.get("E2", key)
+        assert solves == [[], [], []]
+
+    def test_memoized_leverage_values_still_obey_a_smaller_cap(self, monkeypatch):
+        g = random_gram(np.random.default_rng(37), 8)
+        cone = ConeSpec(S=(0, 4), L=1.0, N=4)
+        for fn in (lambda cap: irrepresentable_uniform(g, cone, cap),
+                   lambda cap: constants.block_norm_maxima(g, cone, cap)):
+            first = fn(10 ** 6)
+            solves = self.counting_solves(monkeypatch)
+            assert fn(10 ** 6) is first
+            assert solves == [[], [], []]
             with pytest.raises(CapExceeded):
                 fn(10)

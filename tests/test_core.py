@@ -16,16 +16,24 @@ from lasso_audit import (
     cone_membership,
     d_infinity,
     derived_rng,
-    enumerate_supersets,
     inverse_11,
     min_eigen_11,
+    sample_gaussian_design,
     superset_count,
     top_nset,
 )
-from lasso_audit.core import tail_order
+from lasso_audit.constants import _supersets
+from lasso_audit.core import check_superset_cap, tail_order
 from lasso_audit.errors import CapExceeded, InvalidParameter, SingularBlock
 
 from conftest import random_gram
+
+
+def indefinite_entries(p):
+    """Q diag(1, ..., 1, -0.05) Q' for a seeded orthogonal Q, symmetrized."""
+    q, _ = np.linalg.qr(np.random.default_rng(p).standard_normal((p, p)))
+    m = (q * np.r_[np.ones(p - 1), -0.05]) @ q.T
+    return (m + m.T) / 2.0
 
 
 class TestBoundedValue:
@@ -122,6 +130,30 @@ class TestGramMatrix:
         m = np.ones((3, 3))  # rank one
         g = GramMatrix(m)
         assert g.p == 3
+
+    @pytest.mark.parametrize("p", [10, 30, 60])
+    def test_rejects_one_small_negative_eigenvalue(self, p):
+        # 1000 random probe directions all miss the one negative eigenvalue
+        # of Q diag(1, ..., 1, -0.05) Q'; the spectrum does not
+        with pytest.raises(InvalidParameter, match="not PSD: smallest eigenvalue -0.0(5|49999)"):
+            GramMatrix(indefinite_entries(p))
+
+    def test_accepts_rank_deficient_sample_gram(self):
+        # X'X / n with n = 48 < p = 80, drawn as recover's inputs are
+        _, g = sample_gaussian_design(48, 80, GramMatrix(np.eye(80)), 70_000)
+        assert np.linalg.matrix_rank(g.entries) == 48
+        assert abs(float(g.spectrum()[0])) < 1e-12
+
+    def test_spectrum_comes_from_the_check(self, monkeypatch):
+        g = GramMatrix(random_gram(np.random.default_rng(3), 12).entries)
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *args: calls.append(1) or original(*args))
+        vals = g.spectrum()
+        assert calls == [] and g.spectrum() is vals
+        assert not vals.flags.writeable
+        assert vals.tobytes() == original(g.entries).tobytes()
 
     def test_entries_read_only(self, identity4):
         with pytest.raises(ValueError):
@@ -279,20 +311,22 @@ class TestSupersets:
         cone = ConeSpec(S=(0, 1), L=1.0, N=4)
         assert superset_count(cone, 6) == 6  # C(4, 2)
 
+    @staticmethod
+    def supersets(p, S, n, rows):
+        return [tuple(row) for chunk in _supersets(p, S, n, rows) for row in chunk.tolist()]
+
     def test_enumeration_lexicographic(self):
-        cone = ConeSpec(S=(1,), L=1.0, N=2)
-        got = [n.members for n in enumerate_supersets(cone, 4)]
-        assert got == [(0, 1), (1, 2), (1, 3)]
+        for rows in (1, 2, 10):
+            assert self.supersets(4, (1,), 2, rows) == [(0, 1), (1, 2), (1, 3)]
+            assert all(len(chunk) <= rows for chunk in _supersets(4, (1,), 2, rows))
 
     def test_includes_s_when_n_equals_s(self):
-        cone = ConeSpec(S=(0, 2), L=1.0, N=2)
-        got = [n.members for n in enumerate_supersets(cone, 4)]
-        assert got == [(0, 2)]
+        assert self.supersets(4, (0, 2), 2, 10) == [(0, 2)]
 
     def test_cap_raised_before_yielding(self):
         cone = ConeSpec(S=(0,), L=1.0, N=5)
         with pytest.raises(CapExceeded):
-            enumerate_supersets(cone, 20, cap=10)
+            check_superset_cap(cone, 20, cap=10)
 
 
 def test_random_gram_helper_is_valid():

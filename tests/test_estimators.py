@@ -5,6 +5,7 @@ routes, so the key soundness property is that the two always bracket the hand
 oracle whenever one exists.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,10 +16,10 @@ from lasso_audit import (
     ConeSpec,
     GramMatrix,
     SolverConfig,
+    SubsetN,
     block_norm_2q,
     certified_lower_phi,
     compatibility_constant,
-    enumerate_supersets,
     evaluate_regression_ratio,
     evaluate_restricted_ratio,
     restricted_eigenvalue,
@@ -255,7 +256,9 @@ def test_chunked_q2_route_matches_loop(p, s):
         gram = GramMatrix(random_psd_entries(p, 300 + 10 * p + seed, 0.1))
         cone = ConeSpec(S=tuple(range(0, 2 * s, 2)), L=1.0, N=2 * s)
         loop = 0.0
-        for nset in enumerate_supersets(cone, p):
+        others = [j for j in range(p) if j not in cone.S]
+        for extra in itertools.combinations(others, cone.N - s):
+            nset = SubsetN(tuple(sorted(cone.S + extra)))
             loop = max(loop, block_norm_2q(gram, nset, 2.0, "exact").estimate)
         lam2 = uniform_eigenvalue(gram, cone).estimate
         want = math.sqrt(s) * loop / (math.sqrt(s) * lam2)

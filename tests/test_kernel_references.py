@@ -1,0 +1,342 @@
+"""The leverage constants and the block-norm maxima against per-subset loops.
+
+irrepresentable_uniform, irrepresentable_signed (parts 2 and 3), the E2
+column-norm maximum and the block-norm routes of _rr_upper_routes used to
+walk their enlargements one subset at a time through inverse_11, block and
+block_norm_2q.  Those loops are kept here, enumerating with itertools, as the
+references the enumeration kernel must reproduce exactly: values, witnesses
+and provenance notes compare with ==, at several chunk sizes.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from lasso_audit import (
+    BoundedValue,
+    ConeSpec,
+    GramMatrix,
+    SubsetN,
+    block,
+    block_norm_2q,
+    coherence,
+    inverse_11,
+    irrepresentable_signed,
+    irrepresentable_uniform,
+    min_eigen_11,
+    restricted_orthogonality,
+    sample_gaussian_design,
+    superset_count,
+    uniform_eigenvalue,
+)
+from lasso_audit import constants
+from lasso_audit.constants import _sign_chunks, block_norm_maxima
+from lasso_audit.core import SINGULAR_RTOL
+from lasso_audit.errors import AllSubmatricesSingular, CapExceeded, SingularBlock
+from lasso_audit.estimators import ROUTE_CAP, _rr_upper_routes
+from lasso_audit.experiments import random_psd_entries
+
+# -- the per-subset loops ----------------------------------------------------
+
+
+def supersets(p, S, n):
+    others = [j for j in range(p) if j not in S]
+    for extra in itertools.combinations(others, n - len(S)):
+        yield SubsetN(tuple(sorted(tuple(S) + extra)))
+
+
+def loop_irrepresentable_uniform(gram, cone):
+    best, witness, singular, total = math.inf, None, 0, 0
+    candidates = [SubsetN(cone.S)]
+    if cone.N > cone.s:
+        candidates += list(supersets(gram.p, cone.S, cone.N))
+    for nset in candidates:
+        total += 1
+        try:
+            inv = inverse_11(gram, nset)
+        except SingularBlock:
+            singular += 1
+            continue
+        s21 = block(gram, nset, "21")
+        val = 0.0 if s21.shape[0] == 0 else float(np.max(np.sum(np.abs(s21 @ inv), axis=1)))
+        if val < best:
+            best, witness = val, nset.members
+    if singular == total:
+        raise AllSubmatricesSingular(f"all {total} candidate Sigma_11 blocks are singular")
+    return BoundedValue.exact(best, provenance=f"argmin nset={witness}, singular_skipped={singular}")
+
+
+def loop_irrepresentable_signed(gram, cone, part):
+    s = cone.s
+
+    def nsets_by_size():
+        for k in range(s, cone.N + 1):
+            yield from supersets(gram.p, cone.S, k)
+
+    if part == 2:
+        limit = math.inf if cone.L == 0 else 1.0 / cone.L
+        for nset in nsets_by_size():
+            try:
+                inv = inverse_11(gram, nset)
+            except SingularBlock:
+                continue
+            m = block(gram, nset, "21") @ inv
+            signs = next(_sign_chunks(len(nset), 2 ** len(nset)))
+            worst = float(np.max(np.abs(m @ signs.T))) if m.shape[0] else 0.0
+            if worst < limit:
+                return True, nset
+        return False, None
+
+    witness = {}
+    for row in next(_sign_chunks(s, 2 ** s)):
+        tau_s = tuple(int(v) for v in row)
+        found = None
+        for nset in nsets_by_size():
+            try:
+                inv = inverse_11(gram, nset)
+            except SingularBlock:
+                continue
+            m = block(gram, nset, "21") @ inv
+            k = len(nset)
+            pos_of = {j: i for i, j in enumerate(nset.members)}
+            ext_positions = [pos_of[j] for j in nset.members if j not in set(cone.S)]
+            exts = next(_sign_chunks(k - s, 2 ** (k - s)))
+            taus = np.zeros((exts.shape[0], k))
+            for i, j in enumerate(cone.S):
+                taus[:, pos_of[j]] = tau_s[i]
+            for i, pos in enumerate(ext_positions):
+                taus[:, pos] = exts[:, i]
+            vals = np.max(np.abs(m @ taus.T), axis=0) if m.shape[0] else np.zeros(exts.shape[0])
+            hits = np.nonzero(vals <= 1.0)[0]
+            if hits.size:
+                found = (nset, tuple(int(v) for v in taus[int(hits[0])]))
+                break
+        if found is None:
+            return False, {"failing_tau_S": tau_s}
+        witness[tau_s] = found
+    return True, witness
+
+
+def loop_max_column_norm(gram, cone):
+    worst = 0.0
+    for nset in supersets(gram.p, cone.S, cone.N):
+        worst = max(worst, float(block_norm_2q(gram, nset, math.inf).estimate))
+    return worst
+
+
+def loop_block_norms(gram, cone, sign_cap):
+    """The per-superset loop of _rr_upper_routes: q = inf and q = 1 (exact,
+    else the column bound), the row sum, and the q = 2 maximum."""
+    norms = {math.inf: 0.0, 1.0: 0.0}
+    row_sum = spectral = 0.0
+    for nset in supersets(gram.p, cone.S, cone.N):
+        for q in norms:
+            try:
+                nrm = block_norm_2q(gram, nset, q, "exact", sign_cap).estimate
+            except CapExceeded:
+                nrm = block_norm_2q(gram, nset, q, "column_bound").estimate
+            norms[q] = max(norms[q], nrm)
+        outside = list(nset.complement(gram.p))
+        if outside:
+            sums = np.abs(gram.entries[np.ix_(outside, list(nset.members))]).sum(axis=0)
+            row_sum = max(row_sum, float(np.sqrt(np.sum(sums ** 2))))
+        spectral = max(spectral, block_norm_2q(gram, nset, 2.0, "exact").estimate)
+    norms[2.0] = spectral
+    return norms, row_sum
+
+
+def loop_rr_upper_routes(gram, cone, variant, cap, sign_cap):
+    routes = {}
+    p, s = gram.p, cone.s
+    S_sub = SubsetN(cone.S)
+    lam2_s = min_eigen_11(gram, S_sub)
+    maxdiag = float(np.max(np.diag(gram.entries)))
+    tiny = SINGULAR_RTOL * max(maxdiag, 1.0)
+    try:
+        lam2_n = lam2_s if cone.N == s else uniform_eigenvalue(gram, cone, min(cap, ROUTE_CAP)).estimate
+        if lam2_n > tiny:
+            routes["cauchy_schwarz"] = math.sqrt(s) * math.sqrt(maxdiag) / math.sqrt(lam2_n)
+    except CapExceeded:
+        pass
+    if cone.N == s and lam2_s > tiny:
+        routes["column_norm"] = math.sqrt(s) * block_norm_2q(gram, S_sub, math.inf, "exact").estimate / lam2_s
+        routes["mutual"] = coherence(gram, cone, "mutual").estimate
+        routes["cumulative"] = coherence(gram, cone, "cumulative").estimate
+    if cone.N == 2 * s and cone.N <= p:
+        try:
+            if superset_count(cone, p) + 1 <= min(cap, ROUTE_CAP):
+                lam2 = uniform_eigenvalue(gram, cone, min(cap, ROUTE_CAP)).estimate
+                if lam2 > tiny:
+                    theta = restricted_orthogonality(gram, cone, min(cap, ROUTE_CAP)).estimate
+                    routes["weak_rip"] = theta / lam2
+                    norms, row_sum = loop_block_norms(gram, cone, sign_cap)
+                    for q, power in ((math.inf, 1.0), (2.0, math.sqrt(s)), (1.0, float(s))):
+                        routes[f"chunked_q{'inf' if math.isinf(q) else int(q)}"] = (
+                            math.sqrt(s) * norms[q] / (power * lam2)
+                        )
+                    if variant == "plain":
+                        routes["row_sum"] = row_sum / (math.sqrt(s) * lam2)
+        except CapExceeded:
+            pass
+    if not routes:
+        return math.inf, "no applicable route"
+    best = min(routes, key=routes.get)
+    note = f"route={best}; " + ", ".join(f"{k}={v!r}" for k, v in sorted(routes.items()))
+    return routes[best], note
+
+
+# -- instances ---------------------------------------------------------------
+
+
+def equicorr_entries(p, rho):
+    sigma = np.full((p, p), rho)
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
+
+
+def rank_deficient_entries():
+    # X'X / n with n = 4 < p = 10: every Sigma_11 block of size 5 or more is
+    # singular and skipped
+    return sample_gaussian_design(4, 10, GramMatrix(np.eye(10)), 5)[1].entries
+
+
+def coupled_entries(p, a):
+    # identity, with coordinate 2 correlated a with coordinates 0 and 1: on
+    # S = (0, 1) the leverage row of coordinate 2 is (a, a), and every sign
+    # extension on S + {2} has leverage 0
+    sigma = np.eye(p)
+    sigma[2, :2] = sigma[:2, 2] = a
+    return sigma
+
+
+def loaded_entries(p, seed, k):
+    # coordinates 3..k-1 load on coordinates 0, 1 and 2, the rest are weakly
+    # correlated; rescaled to unit diagonal
+    w = np.eye(p)
+    w[3:k, :3] = 1.0
+    sigma = w @ w.T + random_psd_entries(p, seed, 0.0)
+    d = np.sqrt(np.diag(sigma))
+    return sigma / np.outer(d, d)
+
+
+def zero_column_entries():
+    # coordinate 0 is identically zero, so Sigma_11 is the zero block at S = (0,)
+    sigma = random_psd_entries(6, 4, 0.0)
+    sigma[0, :] = sigma[:, 0] = 0.0
+    return sigma
+
+
+INSTANCES = {
+    "random_psd_8": (lambda: random_psd_entries(8, 1, 0.0), [((1, 4), 4), ((0, 3, 7), 5)]),
+    "random_psd_12": (lambda: random_psd_entries(12, 2, 0.0), [((1, 6), 4), ((0, 3, 11), 5)]),
+    # the uniform minimum sits at a size-8 set, whose rows sum 8 terms: there
+    # numpy's pairwise order and a sequential one round differently
+    "loaded_12": (lambda: loaded_entries(12, 8, 8), [((0, 1, 2), 8)]),
+    "random_psd_16": (lambda: random_psd_entries(16, 3, 0.0), [((1, 8), 4), ((0, 3, 15), 6)]),
+    "equicorrelation_ties": (lambda: equicorr_entries(9, 0.3), [((2, 5), 4), ((0, 4, 8), 6)]),
+    "rank_deficient": (rank_deficient_entries, [((0, 5), 4), ((1, 2, 7), 5)]),
+    # tau_S = (1, 1) needs the enlargement, where both extensions hit; at
+    # N = 4 every superset of S + {2} ties at uniform leverage 0
+    "coupled": (lambda: coupled_entries(5, 0.6), [((0, 1), 3), ((0, 1), 4)]),
+    # leverage exactly 1 at tau_S = (1, 1): a hit for part 3, not for part 2
+    "coupled_boundary": (lambda: coupled_entries(5, 0.5), [((0, 1), 3)]),
+    "zero_column": (zero_column_entries, [((0,), 2), ((0, 3), 3)]),
+}
+CHUNKS = [1, 7, constants._CHUNK_ENTRIES]
+PART2_L = (0.0, 0.5, 1.0, 3.0)
+
+
+def cases():
+    for name, (make, cones) in INSTANCES.items():
+        for S, N in cones:
+            yield pytest.param(make, S, N, id=f"{name}-S{'_'.join(map(str, S))}-N{N}")
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the audit error it raised."""
+    try:
+        return fn(*args)
+    except AllSubmatricesSingular as exc:
+        return type(exc), str(exc)
+
+
+def leverage(uniform, signed, entries, S, N):
+    """The uniform constant, part 3 and part 2 at each L of PART2_L, each on a
+    fresh GramMatrix so that no memo is shared."""
+    out = [outcome(uniform, GramMatrix(entries), ConeSpec(S, 1.0, N)),
+           signed(GramMatrix(entries), ConeSpec(S, 1.0, N), 3)]
+    return out + [signed(GramMatrix(entries), ConeSpec(S, L, N), 2) for L in PART2_L]
+
+
+@pytest.mark.parametrize("make, S, N", cases())
+def test_leverage_constants_match_loops(make, S, N, monkeypatch):
+    entries = make()
+    want = leverage(loop_irrepresentable_uniform, loop_irrepresentable_signed, entries, S, N)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(constants, "_CHUNK_ENTRIES", chunk)
+        assert leverage(irrepresentable_uniform, irrepresentable_signed, entries, S, N) == want
+
+
+def test_references_reach_every_branch():
+    # the instances above fail and pass each condition, skip singular blocks
+    # and certify some tau_S only on an enlargement
+    seen = set()
+    for make, cones in INSTANCES.values():
+        for S, N in cones:
+            uniform, (ok3, info), *part2 = leverage(
+                loop_irrepresentable_uniform, loop_irrepresentable_signed, make(), S, N)
+            seen |= {("part2", ok) for ok, _ in part2} | {("part3", ok3)}
+            if ok3:
+                seen.add(("enlarged", any(len(nset) > len(S) for nset, _ in info.values())))
+            if isinstance(uniform, BoundedValue):
+                seen.add(("skipped", not uniform.provenance.endswith("singular_skipped=0")))
+    assert seen >= {("part2", True), ("part2", False), ("part3", True), ("part3", False),
+                    ("enlarged", True), ("skipped", True), ("skipped", False)}
+
+
+@pytest.mark.parametrize("make, S, N", cases())
+def test_block_norm_maxima_match_loops(make, S, N, monkeypatch):
+    entries = make()
+    p = entries.shape[0]
+    for n_size in sorted({N, 2 * len(S)} & set(range(len(S), p + 1))):
+        cone = ConeSpec(S, 1.0, n_size)
+        column = loop_max_column_norm(GramMatrix(entries), cone)
+        # the default sign cap, and one too small for 2^(p-N) vertices
+        for sign_cap in (constants.DEFAULT_SIGN_CAP, 2):
+            norms, row_sum = loop_block_norms(GramMatrix(entries), cone, sign_cap)
+            want = (norms[math.inf], norms[2.0], norms[1.0], row_sum)
+            assert want[0] == column
+            for chunk in CHUNKS:
+                monkeypatch.setattr(constants, "_CHUNK_ENTRIES", chunk)
+                assert block_norm_maxima(GramMatrix(entries), cone, sign_cap=sign_cap) == want
+
+
+@pytest.mark.parametrize("make, S, N", cases())
+def test_rr_upper_routes_match_loop(make, S, N, monkeypatch):
+    entries = make()
+    cone = ConeSpec(S, 1.0, 2 * len(S))
+    if cone.N > entries.shape[0]:
+        pytest.skip("2s > p")
+    for variant in ("plain", "adaptive"):
+        for sign_cap in (constants.DEFAULT_SIGN_CAP, 2):
+            want = loop_rr_upper_routes(GramMatrix(entries), cone, variant, 10 ** 6, sign_cap)
+            for chunk in CHUNKS:
+                monkeypatch.setattr(constants, "_CHUNK_ENTRIES", chunk)
+                got = _rr_upper_routes(GramMatrix(entries), cone, variant, 10 ** 6, sign_cap)
+                assert got == want
+
+
+def test_block_norm_maxima_full_enlargement_is_zero():
+    gram = GramMatrix(random_psd_entries(5, 4, 0.0))
+    assert block_norm_maxima(gram, ConeSpec((0, 2), 1.0, 5)) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_block_norm_maxima_memo_keeps_the_q1_choice():
+    gram = GramMatrix(random_psd_entries(8, 1, 0.0))
+    cone = ConeSpec((1, 4), 1.0, 4)
+    exact = block_norm_maxima(gram, cone).vertex
+    bound = block_norm_maxima(gram, cone, sign_cap=2).vertex
+    assert bound > exact
+    assert block_norm_maxima(gram, cone).vertex == exact
