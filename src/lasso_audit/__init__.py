@@ -22,7 +22,6 @@ from .core import (
     d_infinity,
     derived_rng,
     inverse_11,
-    min_eigen_11,
     superset_count,
     top_nset,
 )
@@ -72,6 +71,8 @@ from .estimators import (
     compatibility_constant,
     evaluate_regression_ratio,
     evaluate_restricted_ratio,
+    lower_phi_routes,
+    regression_upper,
     restricted_eigenvalue,
     restricted_regression,
 )

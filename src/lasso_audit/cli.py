@@ -41,6 +41,7 @@ from .errors import AuditError, InvalidParameter, ParseError
 from .estimators import (
     certified_lower_phi,
     compatibility_constant,
+    lower_phi_routes,
     restricted_eigenvalue,
     restricted_regression,
 )
@@ -222,6 +223,8 @@ def _cone_for(config: RunConfig, p: int) -> ConeSpec:
 
 def _beta0_for(config: RunConfig, p: int) -> np.ndarray:
     """--beta0 file when given, else the indicator vector of S."""
+    if config.s_members and max(config.s_members) >= p:
+        raise InvalidParameter(f"S index {max(config.s_members)} out of range for p={p}")
     if config.beta0_path is not None:
         beta0 = load_vector_csv(config.beta0_path)
         if beta0.shape != (p,):
@@ -293,8 +296,7 @@ def condition_report(gram: GramMatrix, cone: ConeSpec,
         if 2 * s > p:
             raise InvalidParameter("alpha needs 2s <= p")
         phi2s = certified_lower_phi(gram, cone.with_(L=1.0, N=2 * s),
-                                    target="restricted_eigenvalue", variant="plain",
-                                    config=config, cap=cap)
+                                    target="restricted_eigenvalue", variant="plain", cap=cap)
         return alpha_constant(gram, cone.with_(N=s), float(phi2s.estimate), cap)
 
     attempt("alpha", alpha)
@@ -306,17 +308,14 @@ def condition_report(gram: GramMatrix, cone: ConeSpec,
             lambda: restricted_regression(gram, cone, "adaptive", config, cap, sign_cap))
 
     def phi_routes():
-        per_route = {}
-        for name in ("lambda_min", "uniform_leverage", "regression@" + str(s),
-                     "regression@" + str(cone.N), "regression@" + str(min(2 * s, p)),
-                     "weak_rip"):
-            bv = certified_lower_phi(gram, cone, target="compatibility", variant="plain",
-                                     config=config, cap=cap, routes=(name,))
-            if bv.provenance != "route=none":
-                per_route[name] = float(bv.estimate)
-        report.witnesses["phi_lower_routes"] = per_route
-        return certified_lower_phi(gram, cone, target="compatibility", variant="plain",
-                                   config=config, cap=cap)
+        found = lower_phi_routes(gram, cone, "compatibility", "plain", cap)
+        # found holds the regression routes by ascending N', the order
+        # certified_lower_phi breaks ties in; the report lists regression@N
+        # before regression@min(2s, p), which differs when N > 2s
+        names = ("lambda_min", "uniform_leverage", f"regression@{s}", f"regression@{cone.N}",
+                 f"regression@{min(2 * s, p)}", "weak_rip")
+        report.witnesses["phi_lower_routes"] = {name: found[name] for name in names if name in found}
+        return certified_lower_phi(gram, cone, "compatibility", "plain", cap)
 
     attempt("phi_lower_routes", phi_routes)
     return report
@@ -339,16 +338,11 @@ def _cmd_lasso(config: RunConfig):
         if config.y_path is None:
             raise InvalidParameter("--design requires --y with the response vector")
         y = load_vector_csv(config.y_path)
-        beta0 = None
-        epsilon = None
-        if config.beta0_path is not None:
-            beta0 = load_vector_csv(config.beta0_path)
-            if beta0.shape[0] != x.shape[1]:
-                raise InvalidParameter(
-                    f"beta0 has length {beta0.shape[0]}, expected {x.shape[1]}")
+        beta0 = None if config.beta0_path is None else load_vector_csv(config.beta0_path)
+        problem = NoisyProblem(x, y, beta0=beta0)
+        if beta0 is not None:
             # with a known truth the realized noise is determined by the data
-            epsilon = y - x @ beta0
-        problem = NoisyProblem(x, y, beta0=beta0, epsilon=epsilon)
+            problem = replace(problem, epsilon=problem.Y - problem.X @ problem.beta0)
         solution, verdict = solve_noisy(problem, config.lam, solver)
         result = {
             "solution": solution.to_json_dict(),
@@ -365,13 +359,12 @@ def _cmd_lasso(config: RunConfig):
     cone = ConeSpec(support, config.big_l,
                     config.n_set if config.n_set is not None else len(support))
     cone.validate_p(gram.p)
-    phi_lower = certified_lower_phi(gram, cone, target="compatibility",
-                                    config=solver, cap=config.cap_subsets)
+    phi_lower = certified_lower_phi(gram, cone, target="compatibility", cap=config.cap_subsets)
     phi_2s = None
     if 2 * cone.s <= gram.p:
         phi_2s = certified_lower_phi(gram, cone.with_(L=1.0, N=2 * cone.s),
                                      target="restricted_eigenvalue", variant="plain",
-                                     config=solver, cap=config.cap_subsets)
+                                     cap=config.cap_subsets)
     verdict = oracle_verdict(gram, solution, cone, config.lam, phi_lower, phi_2s)
     return {"solution": solution.to_json_dict(), "verdict": verdict.to_json_dict()}, 0
 
@@ -400,6 +393,9 @@ def _cmd_implications(config: RunConfig):
 def _cmd_montecarlo(config: RunConfig):
     if config.n_samples is None or config.p is None:
         raise InvalidParameter("command 'montecarlo' requires --n and --p")
+    if config.n_samples < 1 or config.p < 1:
+        raise InvalidParameter(
+            f"--n and --p must be at least 1, got n={config.n_samples}, p={config.p}")
     if config.experiment == "concentration":
         if config.gram_path is not None:
             population = _load_gram(config)

@@ -54,7 +54,7 @@ from .core import (
     _complement,
     block,
     check_superset_cap,
-    min_eigen_11,
+    superset_count,
 )
 from .errors import (
     AllSubmatricesSingular,
@@ -237,13 +237,13 @@ def block_norm_maxima(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSE
     """The block-norm maxima of BlockNormMaxima in one pass of the kernel.
 
     The q = 1 norm is block_norm_2q's: exact by vertex enumeration when the
-    2^(p-N) sign vectors fit sign_cap, otherwise the column-norm sum, an
-    upper bound.  p - N is the same for every nset, so the choice is made
-    once and is part of the memo key.
+    2^(p-N) sign vectors of all the supersets together fit sign_cap,
+    otherwise the column-norm sum, an upper bound.  The choice is made once,
+    before any work, and is part of the memo key.
     """
     check_superset_cap(cone, gram.p, cap)
     r = gram.p - cone.N
-    vertices = 2 ** r <= sign_cap
+    vertices = superset_count(cone, gram.p) * 2 ** r <= sign_cap
 
     def compute():
         if r == 0:
@@ -454,7 +454,7 @@ def coherence(gram: GramMatrix, cone: ConeSpec, kind: str) -> BoundedValue:
     cone.validate_p(gram.p)
     s = cone.s
     s_idx = list(cone.S)
-    lam2 = min_eigen_11(gram, SubsetN(cone.S))
+    lam2 = uniform_eigenvalue(gram, cone.with_(N=s)).estimate
     scale = float(np.max(np.diag(gram.entries)))
     if lam2 <= SINGULAR_RTOL * max(scale, 1.0):
         raise SingularUniformEigenvalue(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
@@ -534,7 +534,7 @@ def alpha_constant(gram: GramMatrix, cone: ConeSpec, phi2_s2s_lower: float,
         raise DenominatorNonPositive(f"phi^2(S,2s) lower bound {phi2_s2s_lower!r} must be positive")
     theta_s = restricted_orthogonality(gram, cone.with_(N=cone.s), cap).estimate
     delta_s = restricted_isometry(gram, cone.s, cap).estimate
-    lam2 = min_eigen_11(gram, SubsetN(cone.S))
+    lam2 = uniform_eigenvalue(gram, cone.with_(N=cone.s)).estimate
     if lam2 <= 0.0:
         raise DenominatorNonPositive(f"Lambda^2(S,s) = {lam2!r} must be positive")
     value = (math.sqrt(2.0) * theta_s + math.sqrt((1.0 + delta_s) * theta_s)) / (

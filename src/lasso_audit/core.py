@@ -297,14 +297,6 @@ def block(gram: GramMatrix, nset: SubsetN, which: str) -> np.ndarray:
     raise InvalidParameter(f"unknown block selector {which!r}")
 
 
-def min_eigen_11(gram: GramMatrix, nset: SubsetN) -> float:
-    """Smallest eigenvalue of Sigma_11(nset)."""
-    sub = block(gram, nset, "11")
-    if sub.shape[0] == 0:
-        raise InvalidParameter("empty subset has no eigenvalues")
-    return float(np.linalg.eigvalsh(sub)[0])
-
-
 def inverse_11(gram: GramMatrix, nset: SubsetN) -> np.ndarray:
     """Inverse of Sigma_11(nset) via symmetric eigendecomposition.
 

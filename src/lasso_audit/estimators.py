@@ -12,6 +12,14 @@ Minima are bracketed from above by feasible points and from below by
 certified closed-form routes; maxima the other way around.  The returned
 BoundedValue always encloses the true optimum up to the documented
 projected-gradient margin.
+
+Each certified closed-form bound has one entry point:
+
+* lower_phi_routes: every applicable lower-bound route for the
+  compatibility constant or phi^2(L, S, N), by name; certified_lower_phi
+  takes the best of them;
+* regression_upper: the upper bound for the restricted regression constant,
+  which restricted_regression pairs with its feasible-point search.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .core import (
     _complement,
     cone_membership,
     derived_rng,
-    min_eigen_11,
     inverse_11,
     superset_count,
     top_nset,
@@ -320,8 +327,7 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     refined = _refine_ratio(entries, cone, variant, best_beta)
     best_val = min(best_val, float(_batch_restricted_ratio(entries, cone, refined[None, :])[0]))
 
-    low = certified_lower_phi(gram, cone, target="restricted_eigenvalue", variant=variant,
-                              config=config, cap=cap)
+    low = certified_lower_phi(gram, cone, target="restricted_eigenvalue", variant=variant, cap=cap)
     lower = min(low.estimate, best_val)
     return BoundedValue.interval(
         best_val, lower, best_val,
@@ -490,60 +496,70 @@ def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverCon
     return best, "spike-and-greedy plus random cone search"
 
 
-def _rr_upper_routes(gram: GramMatrix, cone: ConeSpec, variant: str, cap: int, sign_cap: int):
-    """Certified upper bounds for the regression ratio at L = 1."""
-    routes = {}
+def regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str = "plain",
+                     cap: int = DEFAULT_SUBSET_CAP, sign_cap: int = DEFAULT_SIGN_CAP) -> BoundedValue:
+    """Certified upper bound for the restricted regression constant at L = 1.
+
+    The constant scales linearly in L, so cone.L is not read.  The bound is
+    the least of the closed-form routes that apply, each divided by
+    Lambda^2(S, N) and so only applicable when that is numerically positive:
+
+    * cauchy_schwarz: sqrt(s) sqrt(max_j Sigma_jj) / Lambda(S, N);
+    * at N = s: column_norm (sqrt(s) times the largest column 2-norm of
+      Sigma_21(S)) and the mutual and cumulative coherence constants;
+    * at N = 2s: weak_rip (theta(S, 2s)), the chunked q = inf, 2 and 1
+      block-norm maxima and, for the plain variant, row_sum.
+
+    Enumerations above min(cap, ROUTE_CAP) are skipped.  With no applicable
+    route the bound is inf, noted "no applicable route".
+    """
+    cone.validate_p(gram.p)
+    if variant not in ("plain", "adaptive"):
+        raise InvalidParameter(f"unknown cone variant {variant!r}")
     p, s = gram.p, cone.s
-    S_sub = SubsetN(cone.S)
-    lam2_s = min_eigen_11(gram, S_sub)
+    route_cap = min(cap, ROUTE_CAP)
     maxdiag = float(np.max(np.diag(gram.entries)))
-    tiny = SINGULAR_RTOL * max(maxdiag, 1.0)
-
     try:
-        lam2_n = lam2_s if cone.N == s else uniform_eigenvalue(gram, cone, min(cap, ROUTE_CAP)).estimate
-        if lam2_n > tiny:
-            routes["cauchy_schwarz"] = math.sqrt(s) * math.sqrt(maxdiag) / math.sqrt(lam2_n)
+        lam2 = uniform_eigenvalue(gram, cone, route_cap).estimate
     except CapExceeded:
-        pass
-
-    if cone.N == s and lam2_s > tiny:
-        routes["column_norm"] = math.sqrt(s) * block_norm_2q(gram, S_sub, math.inf, "exact").estimate / lam2_s
-        routes["mutual"] = coherence(gram, cone, "mutual").estimate
-        routes["cumulative"] = coherence(gram, cone, "cumulative").estimate
-
-    if cone.N == 2 * s and cone.N <= p:
-        try:
-            if superset_count(cone, p) + 1 <= min(cap, ROUTE_CAP):
-                lam2 = uniform_eigenvalue(gram, cone, min(cap, ROUTE_CAP)).estimate
-                if lam2 > tiny:
-                    theta = restricted_orthogonality(gram, cone, min(cap, ROUTE_CAP)).estimate
-                    routes["weak_rip"] = theta / lam2
-                    maxima = block_norm_maxima(gram, cone, min(cap, ROUTE_CAP), sign_cap)
-                    for name, norm, power in (("chunked_qinf", maxima.col, 1.0),
-                                              ("chunked_q2", maxima.spectral, math.sqrt(s)),
-                                              ("chunked_q1", maxima.vertex, float(s))):
-                        routes[name] = math.sqrt(s) * norm / (power * lam2)
-                    if variant == "plain":
-                        routes["row_sum"] = maxima.row_sum / (math.sqrt(s) * lam2)
-        except CapExceeded:
-            pass
-
+        lam2 = 0.0
+    routes = {}
+    if lam2 > SINGULAR_RTOL * max(maxdiag, 1.0):
+        routes["cauchy_schwarz"] = math.sqrt(s) * math.sqrt(maxdiag) / math.sqrt(lam2)
+        if cone.N == s:
+            column = block_norm_2q(gram, SubsetN(cone.S), math.inf, "exact").estimate
+            routes["column_norm"] = math.sqrt(s) * column / lam2
+            routes["mutual"] = coherence(gram, cone, "mutual").estimate
+            routes["cumulative"] = coherence(gram, cone, "cumulative").estimate
+        elif cone.N == 2 * s and superset_count(cone, p) + 1 <= route_cap:
+            # theta(S, 2s) enumerates far more pairs than the maxima do sets
+            try:
+                routes["weak_rip"] = restricted_orthogonality(gram, cone, route_cap).estimate / lam2
+            except CapExceeded:
+                pass
+            maxima = block_norm_maxima(gram, cone, route_cap, sign_cap)
+            for name, norm, power in (("chunked_qinf", maxima.col, 1.0),
+                                      ("chunked_q2", maxima.spectral, math.sqrt(s)),
+                                      ("chunked_q1", maxima.vertex, float(s))):
+                routes[name] = math.sqrt(s) * norm / (power * lam2)
+            if variant == "plain":
+                routes["row_sum"] = maxima.row_sum / (math.sqrt(s) * lam2)
     if not routes:
-        return math.inf, "no applicable route"
+        return BoundedValue.certified_upper(math.inf, provenance="no applicable route")
     best = min(routes, key=routes.get)
     note = f"route={best}; " + ", ".join(f"{k}={v!r}" for k, v in sorted(routes.items()))
-    return routes[best], note
+    return BoundedValue.certified_upper(routes[best], provenance=note)
 
 
 def restricted_regression(gram: GramMatrix, cone: ConeSpec, variant: str = "plain",
                           config: SolverConfig = DEFAULT_CONFIG, cap: int = DEFAULT_SUBSET_CAP,
-                          sign_cap: int = DEFAULT_SIGN_CAP, search: bool = True) -> BoundedValue:
+                          sign_cap: int = DEFAULT_SIGN_CAP) -> BoundedValue:
     """The restricted regression constant as an Interval.
 
     The constant scales linearly in L (both the budget and the objective
     numerator are linear in the tail), so everything is computed at L = 1 and
-    rescaled.  search=False skips the feasible-point search and returns the
-    cheap certified upper bound with a trivial lower endpoint.
+    rescaled.  The lower endpoint is the best feasible value the search
+    finds, the upper endpoint regression_upper.
     """
     cone.validate_p(gram.p)
     if variant not in ("plain", "adaptive"):
@@ -551,93 +567,93 @@ def restricted_regression(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     if cone.L == 0.0:
         return BoundedValue.exact(0.0, provenance="L=0: empty tail budget")
     base = cone.with_(L=1.0)
-    upper, up_note = _rr_upper_routes(gram, base, variant, cap, sign_cap)
-    lower = 0.0
-    low_note = "search skipped"
-    if search:
-        lower, low_note = _rr_search(gram, base, variant, config)
-    lower = min(lower, upper)
-    estimate = lower if search else upper
-    bv = BoundedValue.interval(estimate, lower, upper,
-                               provenance=f"lower: {low_note}; upper: {up_note}")
+    upper = regression_upper(gram, base, variant, cap, sign_cap)
+    lower, low_note = _rr_search(gram, base, variant, config)
+    lower = min(lower, upper.upper)
+    bv = BoundedValue.interval(lower, lower, upper.upper,
+                               provenance=f"lower: {low_note}; upper: {upper.provenance}")
     return bv.scaled(cone.L)
 
 
-def certified_lower_phi(gram: GramMatrix, cone: ConeSpec, target: str = "compatibility",
-                        variant: str = "plain", config: SolverConfig = DEFAULT_CONFIG,
-                        cap: int = DEFAULT_SUBSET_CAP, routes=None) -> BoundedValue:
-    """Best certified closed-form lower bound for a cone-restricted minimum.
+def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibility",
+                     variant: str = "plain", cap: int = DEFAULT_SUBSET_CAP) -> dict:
+    """Every certified closed-form lower bound for a cone-restricted minimum
+    that applies, as {route: value}.
 
     target "compatibility" bounds the compatibility constant; target
     "restricted_eigenvalue" bounds phi^2(L, S, N) for the given cone (both
-    variants, since the adaptive cone contains the plain one).  Routes:
+    variants, since the adaptive cone contains the plain one).  Routes, in
+    this order:
 
     * lambda_min: the smallest eigenvalue of Sigma; applies only when Sigma is
       nonsingular.
     * uniform_leverage: (1 - L * leverage(S, s))^2 * Lambda^2(S, s), for the
       compatibility target.
-    * regression@N': (1 - L * regression_upper(1, S, N'))^2 * Lambda^2(S, N')
-      with N' in {s, N, 2s}, variant-matched; a lower bound for the target at
-      N <= N' by monotonicity, and for compatibility at any N'.
+    * regression@N': (1 - L * regression_upper(S, N'))^2 * Lambda^2(S, N')
+      with N' in {s, N, min(2s, p)} ascending, variant-matched; a lower bound
+      for the target at N <= N' by monotonicity, and for compatibility at any
+      N'.
     * weak_rip: (1 - L * theta/Lambda^2)^2 * Lambda^2 at N' = 2s, same
       applicability as regression@2s.
 
-    routes, when given, restricts which routes are attempted.  Routes whose
-    enumerations exceed the internal budget are skipped silently.  When no
-    route applies the result is the trivial lower 0 with certificate Estimate.
+    Routes whose enumerations exceed min(cap, ROUTE_CAP) are left out.
     """
     cone.validate_p(gram.p)
     if target not in ("compatibility", "restricted_eigenvalue"):
         raise InvalidParameter(f"unknown target {target!r}")
     p, s, L = gram.p, cone.s, cone.L
+    route_cap = min(cap, ROUTE_CAP)
     rr_variant = "adaptive" if (target == "restricted_eigenvalue" and variant == "adaptive") else "plain"
 
-    def want(name):
-        return routes is None or name in routes
-
     found = {}
-    if want("lambda_min"):
-        vals = gram.spectrum()
-        if float(vals[0]) > SINGULAR_RTOL * max(float(vals[-1]), 0.0) and float(vals[0]) > 0.0:
-            found["lambda_min"] = float(vals[0])
+    vals = gram.spectrum()
+    if float(vals[0]) > SINGULAR_RTOL * max(float(vals[-1]), 0.0) and float(vals[0]) > 0.0:
+        found["lambda_min"] = float(vals[0])
 
-    if want("uniform_leverage") and target == "compatibility":
+    if target == "compatibility":
         try:
             irr = irrepresentable_uniform(gram, cone.with_(N=s), cap).estimate
             if L * irr < 1.0:
-                found["uniform_leverage"] = (1.0 - L * irr) ** 2 * max(0.0, min_eigen_11(gram, SubsetN(cone.S)))
+                lam2_s = uniform_eigenvalue(gram, cone.with_(N=s)).estimate
+                found["uniform_leverage"] = (1.0 - L * irr) ** 2 * max(0.0, lam2_s)
         except (SingularBlock, AllSubmatricesSingular):
             pass
 
     for n_prime in sorted({s, cone.N, min(2 * s, p)}):
-        name = f"regression@{n_prime}"
-        if not want(name):
-            continue
         if target == "restricted_eigenvalue" and n_prime < cone.N:
             continue
+        c2 = cone.with_(N=n_prime)
         try:
-            c2 = cone.with_(N=n_prime)
-            lam2 = uniform_eigenvalue(gram, c2, min(cap, ROUTE_CAP)).estimate
-            if lam2 <= 0.0:
-                continue
-            ru = restricted_regression(gram, c2.with_(L=1.0), rr_variant, config,
-                                       cap=min(cap, ROUTE_CAP), search=False).upper
-            if L * ru < 1.0:
-                found[name] = (1.0 - L * ru) ** 2 * lam2
+            lam2 = uniform_eigenvalue(gram, c2, route_cap).estimate
         except CapExceeded:
             continue
+        if lam2 <= 0.0:
+            continue
+        ru = regression_upper(gram, c2, rr_variant, cap).upper
+        if L * ru < 1.0:
+            found[f"regression@{n_prime}"] = (1.0 - L * ru) ** 2 * lam2
 
-    if want("weak_rip") and 2 * s <= p and (target == "compatibility" or cone.N <= 2 * s):
+    if 2 * s <= p and (target == "compatibility" or cone.N <= 2 * s):
         try:
             c2 = cone.with_(N=2 * s)
-            lam2 = uniform_eigenvalue(gram, c2, min(cap, ROUTE_CAP)).estimate
-            theta = restricted_orthogonality(gram, c2, min(cap, ROUTE_CAP)).estimate
+            lam2 = uniform_eigenvalue(gram, c2, route_cap).estimate
+            theta = restricted_orthogonality(gram, c2, route_cap).estimate
             scale = max(float(np.max(np.diag(gram.entries))), 1.0)
             if lam2 > SINGULAR_RTOL * scale and L * theta / lam2 < 1.0:
                 found["weak_rip"] = (1.0 - L * theta / lam2) ** 2 * lam2
         except (CapExceeded, SingularUniformEigenvalue):
             pass
+    return found
 
+
+def certified_lower_phi(gram: GramMatrix, cone: ConeSpec, target: str = "compatibility",
+                        variant: str = "plain", cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
+    """Best certified closed-form lower bound for a cone-restricted minimum:
+    the largest value of lower_phi_routes, its note listing every route.
+    When no route applies the result is the trivial lower 0 with certificate
+    Estimate, noted "route=none".
+    """
+    found = lower_phi_routes(gram, cone, target, variant, cap)
     if not found:
         return BoundedValue(0.0, 0.0, math.inf, Certificate.ESTIMATE, provenance="route=none")
     best = max(found, key=found.get)

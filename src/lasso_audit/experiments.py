@@ -313,6 +313,7 @@ def concentration_experiment(n: int, p: int, population: GramMatrix, reps: int,
     t_values = [float(t) for t in t_list]
     if not t_values:
         raise InvalidParameter("t_list must be nonempty")
+    thresholds = [lambda_tilde(t, n, p) for t in t_values]
     pop = population.entries
     root = _psd_sqrt(pop)
     distances = np.empty(reps)
@@ -321,7 +322,6 @@ def concentration_experiment(n: int, p: int, population: GramMatrix, reps: int,
         x = z @ root
         sighat = x.T @ x / n
         distances[r] = float(np.max(np.abs(sighat - pop)))
-    thresholds = [lambda_tilde(t, n, p) for t in t_values]
     return _tail_verdicts("concentration", reps, t_values, thresholds, distances)
 
 
@@ -339,6 +339,7 @@ def noise_bound_experiment(n: int, p: int, reps: int, t_list,
     t_values = [float(t) for t in t_list]
     if not t_values:
         raise InvalidParameter("t_list must be nonempty")
+    thresholds = [lambda0_bound(t, n, p) for t in t_values]
     x = _box_muller(derived_rng(seed, "noise-bound", "design", n, p), (n, p))
     norms = np.sqrt(np.mean(x * x, axis=0))
     norms[norms == 0.0] = 1.0
@@ -347,5 +348,4 @@ def noise_bound_experiment(n: int, p: int, reps: int, t_list,
     for r in range(reps):
         eps = _box_muller(derived_rng(seed, "noise-bound", r), n)
         levels[r] = 2.0 * float(np.max(np.abs(x.T @ eps))) / n
-    thresholds = [lambda0_bound(t, n, p) for t in t_values]
     return _tail_verdicts("noise", reps, t_values, thresholds, levels)

@@ -75,6 +75,7 @@ from .estimators import (
     ROUTE_CAP,
     compatibility_constant,
     certified_lower_phi,
+    regression_upper,
     restricted_eigenvalue,
     restricted_regression,
 )
@@ -164,11 +165,11 @@ class _Inputs:
             return self.cache[key]
         if self.gram is None:
             raise MissingInput(edge_id, key)
-        value = self._build(key)
+        value = self._build(edge_id, key)
         self.cache[key] = value
         return value
 
-    def _build(self, key: str):
+    def _build(self, edge_id: str, key: str):
         gram, cone = self.gram, self.cone
         p, s = gram.p, cone.s
         route_cap = min(self.cap, ROUTE_CAP)
@@ -181,27 +182,30 @@ class _Inputs:
         if key == "irr_uniform_s":
             return irrepresentable_uniform(gram, cone.with_(N=s), self.cap)
         if key == "rr_plain_upper":
-            return restricted_regression(gram, cone.with_(L=1.0), "plain", self.config,
-                                         cap=route_cap, sign_cap=self.sign_cap, search=False)
+            return regression_upper(gram, cone, "plain", self.cap, self.sign_cap)
         if key == "rr_ad_upper_s":
-            return restricted_regression(gram, cone.with_(L=1.0, N=s), "adaptive", self.config,
-                                         cap=route_cap, sign_cap=self.sign_cap, search=False)
+            return regression_upper(gram, cone.with_(N=s), "adaptive", self.cap, self.sign_cap)
         if key == "rr_ad_upper_2s":
-            return restricted_regression(gram, cone.with_(L=1.0, N=2 * s), "adaptive", self.config,
-                                         cap=route_cap, sign_cap=self.sign_cap, search=False)
+            return regression_upper(gram, cone.with_(N=2 * s), "adaptive", self.cap, self.sign_cap)
         if key == "rr_ad_s":
             return restricted_regression(gram, cone.with_(L=1.0, N=s), "adaptive", self.config,
-                                         cap=route_cap, sign_cap=self.sign_cap, search=True)
+                                         cap=route_cap, sign_cap=self.sign_cap)
         if key == "phi_lower_plain":
             return certified_lower_phi(gram, cone, target="restricted_eigenvalue",
-                                       variant="plain", config=self.config, cap=self.cap)
+                                       variant="plain", cap=self.cap)
         if key == "phi_lower_plain_2s":
             return certified_lower_phi(gram, cone.with_(N=2 * s), target="restricted_eigenvalue",
-                                       variant="plain", config=self.config, cap=self.cap)
+                                       variant="plain", cap=self.cap)
         if key == "phi_lower_2s":
             return certified_lower_phi(gram, cone.with_(L=1.0, N=2 * s),
                                        target="restricted_eigenvalue", variant="plain",
-                                       config=self.config, cap=self.cap)
+                                       cap=self.cap)
+        if key == "alpha":
+            # alpha(S) fed with the certified phi^2(S,2s) lower bound
+            phi_low = self.get(edge_id, "phi_lower_2s")
+            if not float(phi_low.estimate) > 0.0:
+                raise DenominatorNonPositive("no positive certified phi^2(S,2s) lower bound")
+            return alpha_constant(gram, cone.with_(N=s), float(phi_low.estimate), self.cap)
         if key == "phi_compat":
             return compatibility_constant(gram, cone, self.config, self.sign_cap)
         if key == "phi_re":
@@ -234,21 +238,6 @@ class _Inputs:
         if key == "max_norm_2s_22":
             return block_norm_maxima(gram, cone.with_(N=2 * s), route_cap, self.sign_cap).spectral
         raise InvalidParameter(f"unknown input key {key!r}")
-
-
-def _get_alpha(edge_id, inputs) -> BoundedValue:
-    """alpha(S) fed with the certified phi^2(S,2s) lower bound; cached."""
-    if "alpha" in inputs.cache:
-        return inputs.cache["alpha"]
-    if inputs.gram is None:
-        raise MissingInput(edge_id, "alpha")
-    phi_low = inputs.get(edge_id, "phi_lower_2s")
-    if not float(phi_low.estimate) > 0.0:
-        raise DenominatorNonPositive("no positive certified phi^2(S,2s) lower bound")
-    alpha = alpha_constant(inputs.gram, inputs.cone.with_(N=inputs.cone.s),
-                           float(phi_low.estimate), inputs.cap)
-    inputs.cache["alpha"] = alpha
-    return alpha
 
 
 def check_edge(edge_id: str, gram: Optional[GramMatrix], cone: ConeSpec,
@@ -418,7 +407,7 @@ def _edge_e10(edge_id, inputs):
     if denom <= 0.0:
         return _skip(edge_id, f"premise 1 - delta_s - theta_ss - theta_s2s > 0 fails ({denom!r})")
     try:
-        alpha = _get_alpha(edge_id, inputs)
+        alpha = inputs.get(edge_id, "alpha")
     except DenominatorNonPositive as exc:
         return _skip(edge_id, str(exc))
     lhs = float(alpha.upper)
@@ -433,7 +422,7 @@ def _edge_e11(edge_id, inputs):
     if gram is not None and 2 * s > gram.p:
         return _skip(edge_id, "requires 2s <= p")
     try:
-        alpha = _get_alpha(edge_id, inputs)
+        alpha = inputs.get(edge_id, "alpha")
     except DenominatorNonPositive as exc:
         return _skip(edge_id, str(exc))
     lhs = float(alpha.upper)

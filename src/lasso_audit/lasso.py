@@ -280,8 +280,7 @@ def _leq(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + _VERDICT_RTOL * max(1.0, abs(rhs))
 
 
-def selection_report(gram_or_noisy, solution: LassoSolution, cone: ConeSpec,
-                     beta0, config: SolverConfig = DEFAULT_CONFIG) -> SelectionReport:
+def selection_report(gram_or_noisy, solution: LassoSolution, cone: ConeSpec, beta0) -> SelectionReport:
     """Check the three variable-selection claims against one solved instance.
 
     Part 1: the uniform leverage condition (value < 1/L) forces
@@ -331,7 +330,7 @@ def selection_report(gram_or_noisy, solution: LassoSolution, cone: ConeSpec,
         part2_irr = bool(ok)
     except (CapExceeded,):
         pass
-    phi_low = certified_lower_phi(gram, cone, target="compatibility", config=config)
+    phi_low = certified_lower_phi(gram, cone, target="compatibility")
     part2_threshold = (lam * s / phi_low.estimate) if phi_low.estimate > 0 else math.inf
     part2_beta = beta_min > part2_threshold
     part2_conclusion = s_subset and len(star_set) <= n_size
@@ -506,7 +505,7 @@ def solve_noisy(noisy: NoisyProblem, lam: float, config: SolverConfig = DEFAULT_
     comp = _complement(gram.p, support)
     tail_l1 = float(np.abs(beta[comp]).sum()) if comp else 0.0
     lhs = pred + (lam - lam0) * tail_l1
-    phi_low = certified_lower_phi(gram, cone, target="compatibility", config=config)
+    phi_low = certified_lower_phi(gram, cone, target="compatibility")
     phi2 = max(float(phi_low.estimate), 0.0)
     rhs = 4.0 * lam * lam * s / phi2 if phi2 > 0 else math.inf
     phi0 = lam * math.sqrt(s) / math.sqrt(lhs) if lhs > 0 else math.inf
@@ -540,8 +539,8 @@ class ApproximationVerdict:
 
 
 def approximation_verdict(noisy: NoisyProblem, population: GramMatrix,
-                          solution: LassoSolution, lambda_tilde: Optional[float] = None,
-                          config: SolverConfig = DEFAULT_CONFIG) -> ApproximationVerdict:
+                          solution: LassoSolution,
+                          lambda_tilde: Optional[float] = None) -> ApproximationVerdict:
     """Check the Gram-approximation implication on one noisy instance."""
     if noisy.beta0 is None:
         raise InvalidParameter("a truth vector is required")
@@ -556,7 +555,7 @@ def approximation_verdict(noisy: NoisyProblem, population: GramMatrix,
     support = tuple(int(j) for j in np.nonzero(noisy.beta0)[0]) or (0,)
     cone = ConeSpec(S=support, L=big_l, N=len(support))
     s = cone.s
-    phi_low = certified_lower_phi(population, cone, target="compatibility", config=config)
+    phi_low = certified_lower_phi(population, cone, target="compatibility")
     phi_pop = math.sqrt(max(float(phi_low.estimate), 0.0))
     margin = (big_l + 1.0) * math.sqrt(tilde * s)
     premise_distance = dist <= tilde * (1.0 + _VERDICT_RTOL)

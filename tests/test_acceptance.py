@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lasso_audit import (
+    BoundedValue,
     ConeSpec,
     GramMatrix,
     NoisyProblem,
@@ -31,6 +32,7 @@ from lasso_audit import (
     irrepresentable_signed,
     irrepresentable_uniform,
     lambda0_bound,
+    lower_phi_routes,
     noise_bound_experiment,
     oracle_verdict,
     perturbation_transfer,
@@ -139,12 +141,10 @@ def test_criterion_04_oracle_inequality_suite(verdict):
         good = sol.kkt_residual <= 1e-9
         good = good and cone_membership(sol.beta_star - beta0, cone,
                                         variant="plain", atol=1e-9)
-        phi_low = certified_lower_phi(gram, cone, target="compatibility",
-                                      config=REDUCED, routes=("lambda_min",))
-        phi_2s = certified_lower_phi(gram, cone.with_(L=1.0, N=2 * s),
-                                     target="restricted_eigenvalue", variant="plain",
-                                     config=REDUCED, routes=("lambda_min",))
-        v = oracle_verdict(gram, sol, cone, lam, phi_low, phi_2s)
+        # the lambda_min route alone bounds phi^2_compat and phi^2(1, S, 2s);
+        # 0 (no certified bound) when Sigma is singular
+        phi_low = BoundedValue.certified_lower(lower_phi_routes(gram, cone).get("lambda_min", 0.0))
+        v = oracle_verdict(gram, sol, cone, lam, phi_low, phi_low)
         good = good and v.holds and v.l1_holds and v.l2_holds
         if not good:
             failures += 1
@@ -188,7 +188,7 @@ def test_criterion_06_exact_support_selection(verdict):
         beta0 = np.zeros(30)
         beta0[list(support)] = rng.choice([-1.0, 1.0], size=4) * mags
         sol = solve_noiseless(gram, beta0, 0.1, REDUCED)
-        rep = selection_report(gram, sol, ConeSpec(support, 1.0, 4), beta0, REDUCED)
+        rep = selection_report(gram, sol, ConeSpec(support, 1.0, 4), beta0)
         good = rep.s_star_equals_s
         if rep.s_subset_s_star:
             good = good and rep.part3_lhs is not None and rep.part3_lhs <= 1.0 + 1e-9
@@ -274,8 +274,7 @@ def test_criterion_09_perturbation_transfer(verdict):
         s = int(rng.integers(1, 3))
         support = tuple(sorted(rng.choice(p, size=s, replace=False).tolist()))
         cone = ConeSpec(support, 1.0, s)
-        phi0 = certified_lower_phi(pair.sigma0, cone, target="compatibility",
-                                   config=REDUCED)
+        phi0 = certified_lower_phi(pair.sigma0, cone, target="compatibility")
         moved = perturbation_transfer(pair, cone, phi0, "compat")
         direct = compatibility_constant(pair.sigma1, cone, REDUCED)
         if not moved.estimate <= direct.estimate + 1e-6:

@@ -265,6 +265,21 @@ class TestLassoCommand:
         assert capsys.readouterr().err == "error: InvalidParameter: Y must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("truth", [False, True])
+    def test_response_length_mismatch_rejected(self, truth, tmp_path, capsys):
+        x = np.random.default_rng(4).standard_normal((20, 3))
+        design = write_csv(tmp_path / "x.csv", x)
+        ypath = write_csv(tmp_path / "y.csv", [np.ones(19)])
+        argv = ["lasso", "--design", design, "--y", ypath, "--lambda", "0.5"]
+        if truth:
+            argv += ["--beta0", write_csv(tmp_path / "b.csv", [[1.0, 0.0, 0.0]])]
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidParameter: X must be n x p with Y of length n\n")
+        assert not out.exists()
+
     def test_design_without_truth_gives_no_verdict(self, tmp_path):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((20, 3))
@@ -304,6 +319,25 @@ class TestNonFiniteTruth:
         rc = main(argv + ["--gram", gram, "--beta0", str(bpath), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: InvalidParameter: beta0 must be finite\n"
+        assert not out.exists()
+
+
+class TestSupportOutOfRange:
+    @pytest.mark.parametrize("argv", [
+        ["recover"],
+        ["recover", "--beta0"],
+        ["lasso", "--lambda", "0.1"],
+        ["lasso", "--lambda", "0.1", "--beta0"],
+    ])
+    def test_rejected(self, argv, tmp_path, capsys):
+        gram = write_csv(tmp_path / "g.csv", np.eye(5))
+        if argv[-1] == "--beta0":
+            argv = argv + [write_csv(tmp_path / "b.csv", [[1.0, 0.0, 0.0, 0.0, 0.0]])]
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--gram", gram, "--S", "0,7", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidParameter: S index 7 out of range for p=5\n")
         assert not out.exists()
 
 
@@ -347,6 +381,34 @@ class TestMonteCarloCommand:
         rc = main(["montecarlo", "--experiment", "noise", "--reps", "150"])
         assert rc == 1
         assert "requires --n and --p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--experiment", "concentration", "--n", "-5", "--p", "3"],
+         "--n and --p must be at least 1, got n=-5, p=3"),
+        (["--experiment", "noise", "--n", "50", "--p", "-1"],
+         "--n and --p must be at least 1, got n=50, p=-1"),
+        (["--experiment", "noise", "--n", "0", "--p", "3"],
+         "--n and --p must be at least 1, got n=0, p=3"),
+        (["--experiment", "concentration", "--n", "0", "--p", "3"],
+         "--n and --p must be at least 1, got n=0, p=3"),
+        (["--experiment", "concentration", "--n", "50", "--p", "3", "--t", "-1"],
+         "need t >= 0, n >= 1, p >= 1, got t=-1.0, n=50, p=3"),
+        (["--experiment", "noise", "--n", "50", "--p", "3", "--t", "1,-1"],
+         "t, n, p must be positive"),
+    ])
+    def test_bad_sizes_rejected_before_any_rep(self, argv, message, tmp_path, capsys,
+                                               monkeypatch):
+        import lasso_audit.experiments as experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rep was drawn despite an invalid argument")
+
+        monkeypatch.setattr(experiments, "_box_muller", refuse)
+        out = tmp_path / "report.json"
+        rc = main(["montecarlo", "--reps", "150"] + argv + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: InvalidParameter: {message}\n"
+        assert not out.exists()
 
 
 class TestSeedResolution:

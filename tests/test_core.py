@@ -17,10 +17,10 @@ from lasso_audit import (
     d_infinity,
     derived_rng,
     inverse_11,
-    min_eigen_11,
     sample_gaussian_design,
     superset_count,
     top_nset,
+    uniform_eigenvalue,
 )
 from lasso_audit.constants import _supersets
 from lasso_audit.core import check_superset_cap, tail_order
@@ -230,9 +230,9 @@ def test_block_matches_ix_(equicorr4):
 
 
 def test_min_eigen_11_matches_numpy(equicorr4):
-    nset = SubsetN((0, 1, 2))
+    cone = ConeSpec((0, 1, 2), 1.0, 3)
     want = float(np.linalg.eigvalsh(equicorr4.entries[np.ix_([0, 1, 2], [0, 1, 2])])[0])
-    assert min_eigen_11(equicorr4, nset) == pytest.approx(want, abs=1e-14)
+    assert uniform_eigenvalue(equicorr4, cone).estimate == pytest.approx(want, abs=1e-14)
 
 
 def test_inverse_11_roundtrip_and_singular(equicorr4):

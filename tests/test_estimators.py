@@ -22,12 +22,17 @@ from lasso_audit import (
     compatibility_constant,
     evaluate_regression_ratio,
     evaluate_restricted_ratio,
+    lower_phi_routes,
+    regression_upper,
     restricted_eigenvalue,
+    restricted_orthogonality,
     restricted_regression,
     uniform_eigenvalue,
 )
+from lasso_audit import constants
+from lasso_audit.constants import block_norm_maxima
 from lasso_audit.errors import CapExceeded, InvalidParameter
-from lasso_audit.estimators import _rr_upper_routes
+from lasso_audit.estimators import ROUTE_CAP
 from lasso_audit.experiments import random_psd_entries
 
 from conftest import random_gram
@@ -151,15 +156,9 @@ class TestRestrictedRegression:
         g = equicorr(6, 0.3)
         cone1 = ConeSpec(S=(0, 1), L=1.0, N=2)
         cone3 = ConeSpec(S=(0, 1), L=3.0, N=2)
-        a = restricted_regression(g, cone1, search=False)
-        b = restricted_regression(g, cone3, search=False)
+        a = restricted_regression(g, cone1)
+        b = restricted_regression(g, cone3)
         assert b.upper == pytest.approx(3.0 * a.upper, rel=1e-12)
-
-    def test_search_false_keeps_trivial_lower(self):
-        g = equicorr(6, 0.3)
-        bv = restricted_regression(g, ConeSpec(S=(0, 1), L=1.0, N=2), search=False)
-        assert bv.lower == 0.0
-        assert bv.upper > 0.0
 
     def test_lower_never_exceeds_upper(self, fast_config):
         rng = np.random.default_rng(79)
@@ -210,9 +209,8 @@ class TestCertifiedLowerPhi:
 
     def test_route_restriction_honored(self):
         g = equicorr(5, 0.3)
-        bv = certified_lower_phi(g, ConeSpec(S=(0, 1), L=1.0, N=2), routes=("lambda_min",))
-        assert bv.provenance.startswith("route=lambda_min")
-        assert bv.estimate == pytest.approx(0.7, abs=1e-12)
+        routes = lower_phi_routes(g, ConeSpec(S=(0, 1), L=1.0, N=2))
+        assert routes["lambda_min"] == pytest.approx(0.7, abs=1e-12)
 
     def test_no_route_returns_trivial_estimate(self):
         g = GramMatrix(np.ones((2, 2)))
@@ -227,8 +225,7 @@ class TestCertifiedLowerPhi:
         for _ in range(4):
             g = random_gram(rng, 6)
             cone = ConeSpec(S=(0, 2), L=1.0, N=3)
-            low = certified_lower_phi(g, cone, target="restricted_eigenvalue",
-                                      config=fast_config)
+            low = certified_lower_phi(g, cone, target="restricted_eigenvalue")
             direct = restricted_eigenvalue(g, cone, "plain", fast_config)
             assert low.estimate <= direct.upper + 1e-9
 
@@ -237,7 +234,7 @@ class TestCertifiedLowerPhi:
         for _ in range(4):
             g = random_gram(rng, 5)
             cone = ConeSpec(S=(1, 3), L=1.0, N=2)
-            low = certified_lower_phi(g, cone, config=fast_config)
+            low = certified_lower_phi(g, cone)
             direct = compatibility_constant(g, cone, fast_config)
             assert low.estimate <= direct.upper + 1e-9
 
@@ -263,5 +260,48 @@ def test_chunked_q2_route_matches_loop(p, s):
         lam2 = uniform_eigenvalue(gram, cone).estimate
         want = math.sqrt(s) * loop / (math.sqrt(s) * lam2)
         for variant in ("plain", "adaptive"):
-            _, note = _rr_upper_routes(gram, cone, variant, 10 ** 6, 2 ** 20)
+            note = regression_upper(gram, cone, variant, 10 ** 6, 2 ** 20).provenance
             assert f"chunked_q2={want!r}," in note
+
+
+def test_block_norm_routes_kept_when_theta_exceeds_the_route_cap():
+    """At N = 2s the weak_rip route needs theta(S, 2s), here 34,320 pairs (over
+    ROUTE_CAP), while the block-norm maxima need 286 supersets: only weak_rip
+    is left out."""
+    gram = GramMatrix(random_psd_entries(16, 3))
+    cone = ConeSpec(S=(0, 3, 15), L=1.0, N=6)
+    with pytest.raises(CapExceeded):
+        restricted_orthogonality(gram, cone, ROUTE_CAP)
+    maxima = block_norm_maxima(gram, cone)
+    lam2 = uniform_eigenvalue(gram, cone).estimate
+    s = cone.s
+    want = {"chunked_qinf": math.sqrt(s) * maxima.col / lam2,
+            "chunked_q2": math.sqrt(s) * maxima.spectral / (math.sqrt(s) * lam2),
+            "chunked_q1": math.sqrt(s) * maxima.vertex / (s * lam2)}
+    row_sum = {"row_sum": maxima.row_sum / (math.sqrt(s) * lam2)}
+    for variant, listed in (("plain", {**want, **row_sum}), ("adaptive", want)):
+        bv = regression_upper(gram, cone, variant)
+        routes = {name: float(value) for name, value in
+                  (item.split("=") for item in bv.provenance.split("; ", 1)[1].split(", "))}
+        assert set(routes) == {"cauchy_schwarz"} | set(listed)
+        assert {name: routes[name] for name in listed} == listed
+        assert bv.upper == min(routes.values())
+
+
+def test_block_norm_q1_budget_counts_every_superset(monkeypatch):
+    """At p = 22, N = 6 each of the 969 supersets has 2^16 sign vectors,
+    63.5 million together, over the default sign cap: the q = 1 maximum is
+    the column-norm-sum bound and certified_lower_phi draws no sign vector."""
+    gram = GramMatrix(random_psd_entries(22, 5, 0.1))
+    cone = ConeSpec(S=(0, 1, 2), L=1.0, N=3)
+
+    def no_signs(*args):
+        raise AssertionError("sign vectors enumerated")
+
+    monkeypatch.setattr(constants, "_sign_chunks", no_signs)
+    certified_lower_phi(gram, cone)
+    c2 = cone.with_(N=6)
+    assert "chunked_q1=" in regression_upper(gram, c2).provenance
+    column_sums = [block_norm_2q(gram, SubsetN((0, 1, 2) + extra), 1, "column_bound").estimate
+                   for extra in itertools.combinations(range(3, 22), 3)]
+    assert block_norm_maxima(gram, c2).vertex == max(column_sums)

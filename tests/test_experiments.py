@@ -326,3 +326,20 @@ class TestNoiseBoundExperiment:
     def test_reps_floor(self):
         with pytest.raises(InvalidParameter):
             noise_bound_experiment(80, 6, 99, [1.0])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: concentration_experiment(0, 3, GramMatrix(np.eye(3)), 150, [1.0]),
+    lambda: concentration_experiment(50, 3, GramMatrix(np.eye(3)), 150, [1.0, -1.0]),
+    lambda: noise_bound_experiment(0, 3, 150, [1.0]),
+    lambda: noise_bound_experiment(50, 3, 150, [1.0, 0.0]),
+], ids=["concentration-n0", "concentration-t-1", "noise-n0", "noise-t0"])
+def test_thresholds_checked_before_any_rep(run, monkeypatch):
+    import lasso_audit.experiments as experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rep was drawn before the thresholds were checked")
+
+    monkeypatch.setattr(experiments, "_box_muller", refuse)
+    with pytest.raises(InvalidParameter):
+        run()

@@ -1,7 +1,7 @@
 """The leverage constants and the block-norm maxima against per-subset loops.
 
 irrepresentable_uniform, irrepresentable_signed (parts 2 and 3), the E2
-column-norm maximum and the block-norm routes of _rr_upper_routes used to
+column-norm maximum and the block-norm routes of regression_upper used to
 walk their enlargements one subset at a time through inverse_11, block and
 block_norm_2q.  Those loops are kept here, enumerating with itertools, as the
 references the enumeration kernel must reproduce exactly: values, witnesses
@@ -25,7 +25,7 @@ from lasso_audit import (
     inverse_11,
     irrepresentable_signed,
     irrepresentable_uniform,
-    min_eigen_11,
+    regression_upper,
     restricted_orthogonality,
     sample_gaussian_design,
     superset_count,
@@ -35,7 +35,7 @@ from lasso_audit import constants
 from lasso_audit.constants import _sign_chunks, block_norm_maxima
 from lasso_audit.core import SINGULAR_RTOL
 from lasso_audit.errors import AllSubmatricesSingular, CapExceeded, SingularBlock
-from lasso_audit.estimators import ROUTE_CAP, _rr_upper_routes
+from lasso_audit.estimators import ROUTE_CAP
 from lasso_audit.experiments import random_psd_entries
 
 # -- the per-subset loops ----------------------------------------------------
@@ -127,14 +127,17 @@ def loop_max_column_norm(gram, cone):
 
 
 def loop_block_norms(gram, cone, sign_cap):
-    """The per-superset loop of _rr_upper_routes: q = inf and q = 1 (exact,
-    else the column bound), the row sum, and the q = 2 maximum."""
+    """The per-superset loop of regression_upper: q = inf and q = 1 (exact
+    when the sign vectors of all the supersets fit sign_cap, else the column
+    bound), the row sum, and the q = 2 maximum."""
     norms = {math.inf: 0.0, 1.0: 0.0}
     row_sum = spectral = 0.0
+    # 2^(p-N) fits this exactly when count * 2^(p-N) fits sign_cap
+    per_set_cap = sign_cap // superset_count(cone, gram.p)
     for nset in supersets(gram.p, cone.S, cone.N):
         for q in norms:
             try:
-                nrm = block_norm_2q(gram, nset, q, "exact", sign_cap).estimate
+                nrm = block_norm_2q(gram, nset, q, "exact", per_set_cap).estimate
             except CapExceeded:
                 nrm = block_norm_2q(gram, nset, q, "column_bound").estimate
             norms[q] = max(norms[q], nrm)
@@ -151,7 +154,7 @@ def loop_rr_upper_routes(gram, cone, variant, cap, sign_cap):
     routes = {}
     p, s = gram.p, cone.s
     S_sub = SubsetN(cone.S)
-    lam2_s = min_eigen_11(gram, S_sub)
+    lam2_s = float(np.linalg.eigvalsh(gram.entries[np.ix_(cone.S, cone.S)])[0])
     maxdiag = float(np.max(np.diag(gram.entries)))
     tiny = SINGULAR_RTOL * max(maxdiag, 1.0)
     try:
@@ -164,22 +167,21 @@ def loop_rr_upper_routes(gram, cone, variant, cap, sign_cap):
         routes["column_norm"] = math.sqrt(s) * block_norm_2q(gram, S_sub, math.inf, "exact").estimate / lam2_s
         routes["mutual"] = coherence(gram, cone, "mutual").estimate
         routes["cumulative"] = coherence(gram, cone, "cumulative").estimate
-    if cone.N == 2 * s and cone.N <= p:
-        try:
-            if superset_count(cone, p) + 1 <= min(cap, ROUTE_CAP):
-                lam2 = uniform_eigenvalue(gram, cone, min(cap, ROUTE_CAP)).estimate
-                if lam2 > tiny:
-                    theta = restricted_orthogonality(gram, cone, min(cap, ROUTE_CAP)).estimate
-                    routes["weak_rip"] = theta / lam2
-                    norms, row_sum = loop_block_norms(gram, cone, sign_cap)
-                    for q, power in ((math.inf, 1.0), (2.0, math.sqrt(s)), (1.0, float(s))):
-                        routes[f"chunked_q{'inf' if math.isinf(q) else int(q)}"] = (
-                            math.sqrt(s) * norms[q] / (power * lam2)
-                        )
-                    if variant == "plain":
-                        routes["row_sum"] = row_sum / (math.sqrt(s) * lam2)
-        except CapExceeded:
-            pass
+    if cone.N == 2 * s and cone.N <= p and superset_count(cone, p) + 1 <= min(cap, ROUTE_CAP):
+        lam2 = uniform_eigenvalue(gram, cone, min(cap, ROUTE_CAP)).estimate
+        if lam2 > tiny:
+            try:
+                theta = restricted_orthogonality(gram, cone, min(cap, ROUTE_CAP)).estimate
+                routes["weak_rip"] = theta / lam2
+            except CapExceeded:
+                pass
+            norms, row_sum = loop_block_norms(gram, cone, sign_cap)
+            for q, power in ((math.inf, 1.0), (2.0, math.sqrt(s)), (1.0, float(s))):
+                routes[f"chunked_q{'inf' if math.isinf(q) else int(q)}"] = (
+                    math.sqrt(s) * norms[q] / (power * lam2)
+                )
+            if variant == "plain":
+                routes["row_sum"] = row_sum / (math.sqrt(s) * lam2)
     if not routes:
         return math.inf, "no applicable route"
     best = min(routes, key=routes.get)
@@ -303,8 +305,10 @@ def test_block_norm_maxima_match_loops(make, S, N, monkeypatch):
     for n_size in sorted({N, 2 * len(S)} & set(range(len(S), p + 1))):
         cone = ConeSpec(S, 1.0, n_size)
         column = loop_max_column_norm(GramMatrix(entries), cone)
-        # the default sign cap, and one too small for 2^(p-N) vertices
-        for sign_cap in (constants.DEFAULT_SIGN_CAP, 2):
+        # the default sign cap, the sign vectors of all supersets exactly and
+        # one short of them, and one too small for 2^(p-N) vertices
+        budget = superset_count(cone, p) * 2 ** (p - n_size)
+        for sign_cap in (constants.DEFAULT_SIGN_CAP, budget, budget - 1, 2):
             norms, row_sum = loop_block_norms(GramMatrix(entries), cone, sign_cap)
             want = (norms[math.inf], norms[2.0], norms[1.0], row_sum)
             assert want[0] == column
@@ -324,8 +328,8 @@ def test_rr_upper_routes_match_loop(make, S, N, monkeypatch):
             want = loop_rr_upper_routes(GramMatrix(entries), cone, variant, 10 ** 6, sign_cap)
             for chunk in CHUNKS:
                 monkeypatch.setattr(constants, "_CHUNK_ENTRIES", chunk)
-                got = _rr_upper_routes(GramMatrix(entries), cone, variant, 10 ** 6, sign_cap)
-                assert got == want
+                got = regression_upper(GramMatrix(entries), cone, variant, 10 ** 6, sign_cap)
+                assert (got.upper, got.provenance) == want
 
 
 def test_block_norm_maxima_full_enlargement_is_zero():
