@@ -334,6 +334,12 @@ def _cmd_lasso(config: RunConfig):
         raise InvalidParameter("command 'lasso' requires --lambda")
     solver = config.solver_config()
     if config.design_path is not None:
+        # the noisy form takes S from beta0 and computes L itself
+        ignored = [flag for flag, value in (("--gram", config.gram_path),
+                                            ("--S", config.s_members), ("--N", config.n_set))
+                   if value is not None]
+        if ignored:
+            raise InvalidParameter(f"lasso --design takes no {', '.join(ignored)}")
         x = load_matrix_csv(config.design_path)
         if config.y_path is None:
             raise InvalidParameter("--design requires --y with the response vector")
@@ -404,6 +410,8 @@ def _cmd_montecarlo(config: RunConfig):
         result = concentration_experiment(config.n_samples, config.p, population,
                                           config.reps, config.t_list, config.seed)
     elif config.experiment == "noise":
+        if config.gram_path is not None:
+            raise InvalidParameter("montecarlo --experiment noise takes no --gram")
         result = noise_bound_experiment(config.n_samples, config.p, config.reps,
                                         config.t_list, config.seed)
     else:
@@ -440,13 +448,50 @@ def _cmd_generate(config: RunConfig):
     return None, 0
 
 
+# flag -> (RunConfig field, argparse keywords); no flag has a parser default,
+# so a flag left out takes RunConfig's default
+_FLAGS = {
+    "--gram": ("gram_path", {"help": "dense CSV Gram matrix (row-major, no header)"}),
+    "--design": ("design_path", {"help": "dense CSV design matrix; rows are observations"}),
+    "--y": ("y_path", {"help": "response vector CSV (row or column)"}),
+    "--beta0": ("beta0_path",
+                {"help": "target coefficient vector CSV; default: indicator of S"}),
+    "--S": ("s_members", {"help": "comma-separated 0-based active indices"}),
+    "--L": ("big_l", {"type": float, "help": "cone constant L"}),
+    "--N": ("n_set", {"type": int, "help": "enlargement size N (default |S|)"}),
+    "--lambda": ("lam", {"type": float, "help": "l1 penalty level"}),
+    "--t": ("t_list", {"help": "comma-separated tail parameters"}),
+    "--reps": ("reps", {"type": int}),
+    "--seed": ("seed", {"type": int,
+                        "help": "root seed; falls back to LASSO_AUDIT_SEED, then 0"}),
+    "--cap-subsets": ("cap_subsets", {"type": int}),
+    "--cap-signs": ("cap_signs", {"type": int}),
+    "--tol": ("tol", {"type": float}),
+    "--out": ("out", {"help": "output path (default: stdout)"}),
+    "--experiment": ("experiment", {"choices": ("concentration", "noise")}),
+    "--kind": ("kind", {"help": "generator kind"}),
+    "--p": ("p", {"type": int}),
+    "--s": ("s_size", {"type": int}),
+    "--rho": ("rho", {"type": float}),
+    "--block-size": ("block_size", {"type": int}),
+    "--n": ("n_samples", {"type": int}),
+    "--jitter": ("jitter", {"type": float}),
+    "--noise-sd": ("noise_sd", {"type": float}),
+}
+
+_AUDIT_FLAGS = ("--gram", "--S", "--L", "--N", "--seed", "--cap-subsets", "--cap-signs", "--tol")
+
+# command -> (handler, the flags its code path reads besides --out)
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "lasso": _cmd_lasso,
-    "recover": _cmd_recover,
-    "implications": _cmd_implications,
-    "montecarlo": _cmd_montecarlo,
-    "generate": _cmd_generate,
+    "analyze": (_cmd_analyze, _AUDIT_FLAGS),
+    "lasso": (_cmd_lasso, ("--gram", "--design", "--y", "--beta0", "--S", "--L", "--N",
+                           "--lambda", "--cap-subsets", "--tol")),
+    "recover": (_cmd_recover, ("--gram", "--beta0", "--S")),
+    "implications": (_cmd_implications, _AUDIT_FLAGS),
+    "montecarlo": (_cmd_montecarlo,
+                   ("--experiment", "--gram", "--n", "--p", "--reps", "--t", "--seed")),
+    "generate": (_cmd_generate, ("--kind", "--p", "--s", "--rho", "--block-size", "--n",
+                                 "--seed", "--jitter", "--noise-sd")),
 }
 
 
@@ -459,7 +504,8 @@ def run(config: RunConfig) -> int:
     if config.command not in _COMMANDS:
         raise InvalidParameter(f"unknown command {config.command!r}")
     start = time.perf_counter()
-    result, code = _COMMANDS[config.command](config)
+    handler, _ = _COMMANDS[config.command]
+    result, code = handler(config)
     if result is None:
         return code
     envelope = {
@@ -488,78 +534,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Audit design-matrix conditions for l1-penalized least squares.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name)
-        cmd.add_argument("--gram", dest="gram", default=None,
-                         help="dense CSV Gram matrix (row-major, no header)")
-        cmd.add_argument("--design", dest="design", default=None,
-                         help="dense CSV design matrix; rows are observations")
-        cmd.add_argument("--y", dest="y", default=None,
-                         help="response vector CSV (row or column)")
-        cmd.add_argument("--beta0", dest="beta0", default=None,
-                         help="target coefficient vector CSV; default: indicator of S")
-        cmd.add_argument("--S", dest="s_members", default=None,
-                         help="comma-separated 0-based active indices")
-        cmd.add_argument("--L", dest="big_l", type=float, default=1.0,
-                         help="cone constant L (default 1)")
-        cmd.add_argument("--N", dest="n_set", type=int, default=None,
-                         help="enlargement size N (default |S|)")
-        cmd.add_argument("--lambda", dest="lam", type=float, default=None,
-                         help="l1 penalty level")
-        cmd.add_argument("--t", dest="t_list", default="1,2,4",
-                         help="comma-separated tail parameters")
-        cmd.add_argument("--reps", dest="reps", type=int, default=2000)
-        cmd.add_argument("--seed", dest="seed", type=int, default=None,
-                         help="root seed; falls back to LASSO_AUDIT_SEED, then 0")
-        cmd.add_argument("--cap-subsets", dest="cap_subsets", type=int,
-                         default=DEFAULT_SUBSET_CAP)
-        cmd.add_argument("--cap-signs", dest="cap_signs", type=int,
-                         default=DEFAULT_SIGN_CAP)
-        cmd.add_argument("--tol", dest="tol", type=float, default=1e-9)
-        cmd.add_argument("--out", dest="out", default=None,
-                         help="output path (default: stdout)")
-        cmd.add_argument("--experiment", dest="experiment",
-                         choices=("concentration", "noise"), default="concentration")
-        cmd.add_argument("--kind", dest="kind", default=None,
-                         help="generator kind for the generate command")
-        cmd.add_argument("--p", dest="p", type=int, default=None)
-        cmd.add_argument("--s", dest="s_size", type=int, default=None)
-        cmd.add_argument("--rho", dest="rho", type=float, default=None)
-        cmd.add_argument("--block-size", dest="block_size", type=int, default=None)
-        cmd.add_argument("--n", dest="n_samples", type=int, default=None)
-        cmd.add_argument("--jitter", dest="jitter", type=float, default=0.0)
-        cmd.add_argument("--noise-sd", dest="noise_sd", type=float, default=1.0)
+        for flag in flags + ("--out",):
+            dest, keywords = _FLAGS[flag]
+            cmd.add_argument(flag, dest=dest, **keywords)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        gram_path=args.gram,
-        design_path=args.design,
-        y_path=args.y,
-        beta0_path=args.beta0,
-        s_members=parse_index_list(args.s_members) if args.s_members else None,
-        big_l=args.big_l,
-        n_set=args.n_set,
-        lam=args.lam,
-        t_list=parse_float_list(args.t_list),
-        reps=args.reps,
-        seed=_resolve_seed(args.seed),
-        cap_subsets=args.cap_subsets,
-        cap_signs=args.cap_signs,
-        tol=args.tol,
-        out=args.out,
-        experiment=args.experiment,
-        kind=args.kind,
-        p=args.p,
-        s_size=args.s_size,
-        rho=args.rho,
-        block_size=args.block_size,
-        n_samples=args.n_samples,
-        jitter=args.jitter,
-        noise_sd=args.noise_sd,
-    )
+    """The given flags, converted; RunConfig supplies every other field."""
+    given = {field: value for field, value in vars(args).items() if value is not None}
+    if "s_members" in given:
+        given["s_members"] = parse_index_list(given["s_members"]) if given["s_members"] else None
+    if "t_list" in given:
+        given["t_list"] = parse_float_list(given["t_list"])
+    if "seed" in vars(args):
+        given["seed"] = _resolve_seed(args.seed)
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

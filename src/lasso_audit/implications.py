@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import (
+    DEFAULT_SIGN_CAP,
     alpha_constant,
     block_norm_2q,
     block_norm_maxima,
@@ -135,9 +136,15 @@ def _skip(edge_id: str, reason: str) -> ImplicationVerdict:
 
 
 def _verdict(edge_id: str, lhs: float, rhs: float, relation: str, note: str) -> ImplicationVerdict:
-    """relation 'ge' means lhs >= rhs must hold; 'le' means lhs <= rhs."""
-    scale = max(1.0, abs(lhs), abs(rhs))
+    """relation 'ge' means lhs >= rhs must hold; 'le' means lhs <= rhs.
+
+    An infinite endpoint is no bound at all, so a slack of -inf (or nan)
+    decides nothing and the edge is skipped.
+    """
     slack = (lhs - rhs) if relation == "ge" else (rhs - lhs)
+    if not slack > -math.inf:
+        return _skip(edge_id, f"{note}: no finite margin (lhs={lhs!r}, rhs={rhs!r})")
+    scale = max([1.0] + [abs(v) for v in (lhs, rhs) if math.isfinite(v)])
     holds = bool(slack >= -_EDGE_RTOL * scale)
     return ImplicationVerdict(edge_id, lhs, rhs, holds, slack,
                               f"{note}; {_DIRECTION_NOTE}")
@@ -242,7 +249,7 @@ class _Inputs:
 
 def check_edge(edge_id: str, gram: Optional[GramMatrix], cone: ConeSpec,
                reports=None, config: SolverConfig = DEFAULT_CONFIG,
-               cap: int = DEFAULT_SUBSET_CAP, sign_cap: int = 2 ** 20) -> ImplicationVerdict:
+               cap: int = DEFAULT_SUBSET_CAP, sign_cap: int = DEFAULT_SIGN_CAP) -> ImplicationVerdict:
     """Evaluate one edge of the implication graph on one instance.
 
     reports may supply precomputed inputs keyed by the names in _Inputs;
@@ -269,6 +276,12 @@ def _edge_e1(edge_id, inputs):
                     "phi^2 certified lower vs (1 - L * theta_rr upper)^2 * Lambda^2")
 
 
+def _finite_lhs(checks):
+    """Drop the sub-checks whose <=-side is infinite and so bounds nothing
+    (regression_upper returns inf when no route applies)."""
+    return [c for c in checks if math.isfinite(c[0])]
+
+
 def _edge_e2(edge_id, inputs):
     gram, cone = inputs.gram, inputs.cone
     s = cone.s
@@ -287,6 +300,9 @@ def _edge_e2(edge_id, inputs):
                            "at N=2s: q=inf block-norm form"))
     if not checks:
         return _skip(edge_id, "no applicable block-norm bound (singular or 2s > p)")
+    checks = _finite_lhs(checks)
+    if not checks:
+        return _skip(edge_id, "no finite theta_rr_adaptive upper bound")
     lhs, rhs, which = min(checks, key=lambda c: c[1] - c[0])
     return _verdict(edge_id, lhs, rhs, "le",
                     f"theta_rr_adaptive upper vs block-norm bound ({which})")
@@ -314,6 +330,9 @@ def _edge_e3(edge_id, inputs):
             checks.append((lhs_2s, worst / lam2_2s, "spectral: rr_ad(2s) <= max spectral norm / Lambda^2"))
     if not checks:
         return _skip(edge_id, "no applicable coherence bound (singular or 2s > p)")
+    checks = _finite_lhs(checks)
+    if not checks:
+        return _skip(edge_id, "no finite theta_rr_adaptive upper bound")
     lhs, rhs, which = min(checks, key=lambda c: (c[1] - c[0]) / max(1.0, abs(c[1])))
     return _verdict(edge_id, lhs, rhs, "le", f"coherence specializations (binding: {which})")
 
@@ -454,7 +473,7 @@ _EDGE_CHECKS = {
 
 
 def check_all(gram: GramMatrix, cone: ConeSpec, config: SolverConfig = DEFAULT_CONFIG,
-              cap: int = DEFAULT_SUBSET_CAP, sign_cap: int = 2 ** 20):
+              cap: int = DEFAULT_SUBSET_CAP, sign_cap: int = DEFAULT_SIGN_CAP):
     """Run every edge on one instance, sharing computed inputs.
 
     Returns one ImplicationVerdict per edge id; unavailable inputs (caps

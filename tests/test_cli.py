@@ -5,6 +5,8 @@ monkeypatching work; reports are validated against the published JSON schema
 and checked for byte-identical output modulo the wall_time_s field.
 """
 
+import argparse
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -22,6 +24,8 @@ from lasso_audit import (
     check_all,
 )
 from lasso_audit.cli import (
+    RunConfig,
+    build_parser,
     load_matrix_csv,
     load_vector_csv,
     main,
@@ -428,6 +432,14 @@ class TestSeedResolution:
         assert rc == 0
         assert read_report(out)["meta"]["seed"] == 3
 
+    def test_commands_without_seed_ignore_env(self, tmp_path, monkeypatch):
+        # recover reads no seed, so the report records the default, not 7
+        monkeypatch.setenv("LASSO_AUDIT_SEED", "7")
+        gram = write_csv(tmp_path / "g.csv", np.eye(3))
+        out = tmp_path / "report.json"
+        assert main(["recover", "--gram", gram, "--S", "0", "--out", str(out)]) == 0
+        assert read_report(out)["meta"]["seed"] == 0
+
     def test_bad_env_value(self, monkeypatch, capsys):
         monkeypatch.setenv("LASSO_AUDIT_SEED", "pi")
         rc = main(["montecarlo", "--experiment", "noise", "--n", "40", "--p", "2",
@@ -437,7 +449,8 @@ class TestSeedResolution:
 
 
 class TestInvalidArguments:
-    """Bad numbers are refused with exit 1 before any input is read or run."""
+    """Bad numbers and flags a command form ignores are refused with exit 1
+    before any input is read or run."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -463,6 +476,14 @@ class TestInvalidArguments:
          "--cap-subsets must be at least 1, got -5"),
         (["implications", "--gram", "g.csv", "--S", "0", "--cap-signs", "0"],
          "--cap-signs must be at least 1, got 0"),
+        (["lasso", "--design", "x.csv", "--y", "y.csv", "--lambda", "0.5", "--gram", "g.csv"],
+         "lasso --design takes no --gram"),
+        (["lasso", "--design", "x.csv", "--y", "y.csv", "--lambda", "0.5", "--S", "0"],
+         "lasso --design takes no --S"),
+        (["lasso", "--design", "x.csv", "--y", "y.csv", "--lambda", "0.5", "--N", "2"],
+         "lasso --design takes no --N"),
+        (["montecarlo", "--experiment", "noise", "--n", "40", "--p", "2", "--gram", "g.csv"],
+         "montecarlo --experiment noise takes no --gram"),
     ])
     def test_rejected_before_work(self, argv, message, tmp_path, capsys, no_work):
         out = tmp_path / "report.json"
@@ -471,3 +492,70 @@ class TestInvalidArguments:
         err = capsys.readouterr().err
         assert err == f"error: InvalidParameter: {message}\n"
         assert not out.exists()
+
+
+COMMAND_FLAGS = {
+    "analyze": {"--gram", "--S", "--L", "--N", "--seed", "--cap-subsets", "--cap-signs",
+                "--tol", "--out"},
+    "implications": {"--gram", "--S", "--L", "--N", "--seed", "--cap-subsets",
+                     "--cap-signs", "--tol", "--out"},
+    "lasso": {"--gram", "--design", "--y", "--beta0", "--S", "--L", "--N", "--lambda",
+              "--cap-subsets", "--tol", "--out"},
+    "recover": {"--gram", "--beta0", "--S", "--out"},
+    "montecarlo": {"--experiment", "--gram", "--n", "--p", "--reps", "--t", "--seed", "--out"},
+    "generate": {"--kind", "--p", "--s", "--rho", "--block-size", "--n", "--seed", "--jitter",
+                 "--noise-sd", "--out"},
+}
+
+
+def subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestFlagTable:
+    """Each command takes exactly the flags its code path reads."""
+
+    def test_each_command_takes_only_its_flags(self):
+        taken = {name: {flag for action in cmd._actions for flag in action.option_strings}
+                 - {"-h", "--help"} for name, cmd in subparsers().items()}
+        assert taken == COMMAND_FLAGS
+        assert sum(len(flags) for flags in taken.values()) == 51
+
+    def test_no_flag_has_a_parser_default(self):
+        for cmd in subparsers().values():
+            for action in cmd._actions:
+                if action.option_strings != ["-h", "--help"]:
+                    assert action.default is None, action.option_strings
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--gram", "g.csv", "--S", "0", "--lambda", "0.1"],
+        ["recover", "--gram", "g.csv", "--tol", "1e-6"],
+        ["lasso", "--gram", "g.csv", "--S", "0", "--lambda", "0.1", "--seed", "3"],
+        ["generate", "--kind", "identity", "--p", "3", "--S", "0"],
+    ])
+    def test_flag_outside_the_table_exits_2_before_any_read(self, argv, monkeypatch, capsys):
+        import lasso_audit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read despite an unknown flag")
+
+        monkeypatch.setattr(cli, "load_matrix_csv", refuse)
+        monkeypatch.setattr(cli, "generate", refuse)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_report_config_holds_every_field_with_its_default(self, tmp_path):
+        gram = write_csv(tmp_path / "g.csv", np.eye(3))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--gram", gram, "--S", "0", "--out", str(out)]) == 0
+        config = read_report(out)["meta"]["config"]
+        given = {"command": "analyze", "gram_path": gram, "s_members": [0], "out": str(out)}
+        fields = dataclasses.fields(RunConfig)
+        assert list(config) == [f.name for f in fields] and len(fields) == 25
+        for f in fields:
+            default = list(f.default) if isinstance(f.default, tuple) else f.default
+            assert config[f.name] == given.get(f.name, default), f.name

@@ -159,6 +159,47 @@ class TestCheckEdge:
         assert info.value.key == "gram"
 
 
+class TestInfiniteSide:
+    """An infinite certified endpoint is no bound and never reads as holding."""
+
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        # Lambda^2(S,2s) is positive but under regression_upper's singular
+        # threshold, so the certified theta_rr_adaptive(S,2s) upper is inf
+        sigma = np.eye(6)
+        sigma[0, 1] = sigma[1, 0] = 1.0 - 1e-11
+        sigma[0, 2] = sigma[2, 0] = sigma[1, 2] = sigma[2, 1] = 0.3
+        return check_all(GramMatrix(sigma), ConeSpec(S=(0,), L=1.0, N=1))
+
+    def test_no_verdict_rests_on_an_infinite_side(self, verdicts):
+        for v in verdicts:
+            if not v.skipped:
+                assert math.isfinite(v.lhs_value), v.edge_id
+                assert math.isfinite(v.rhs_value), v.edge_id
+                assert math.isfinite(v.slack), v.edge_id
+
+    def test_e2_e3_leave_out_the_infinite_n_2s_check(self, verdicts):
+        e2, e3 = verdicts[1], verdicts[2]
+        assert e2.holds is True and "at N=s" in e2.bound_direction_note
+        assert e3.holds is True and "spectral" not in e3.bound_direction_note
+
+    def test_all_infinite_upper_bounds_skip_e2(self):
+        inf_upper = BoundedValue.certified_upper(math.inf)
+        reports = {"lambda2_s": BoundedValue.exact(0.5), "rr_ad_upper_s": inf_upper,
+                   "norm_s_2inf": 1.0, "lambda2_2s": BoundedValue.exact(0.5),
+                   "rr_ad_upper_2s": inf_upper, "max_norm_2s_2inf": 1.0}
+        v = check_edge("E2", None, ConeSpec(S=(0, 1), L=1.0, N=2), reports=reports)
+        assert v.skipped
+        assert v.bound_direction_note == "skipped: no finite theta_rr_adaptive upper bound"
+
+    def test_infinite_le_side_skips_e5(self):
+        reports = {"rr_ad_upper_2s": BoundedValue.certified_upper(math.inf),
+                   "weak_rip_2s": BoundedValue.exact(0.5)}
+        v = check_edge("E5", None, ConeSpec(S=(0, 1), L=1.0, N=2), reports=reports)
+        assert v.skipped
+        assert "no finite margin" in v.bound_direction_note
+
+
 def test_tiny_cap_yields_skips_not_raises(fast_config):
     g = GramMatrix(np.eye(8))
     cone = ConeSpec(S=(0, 1), L=1.0, N=4)

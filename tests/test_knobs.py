@@ -6,15 +6,19 @@ config_from_args do not count (it only copies argparse values into the
 RunConfig), and RunConfig.to_json_dict walks __dict__ without reading any
 field by name.  The scan matches attribute names, not types: a field that
 shares its name with another attribute that is read passes.
+
+The parser must also map onto RunConfig one to one: every flag's dest is a
+field, and every field but the command is set by some command's flag.
 """
 
+import argparse
 import ast
 import dataclasses
 from pathlib import Path
 
 import pytest
 
-from lasso_audit.cli import RunConfig
+from lasso_audit.cli import RunConfig, build_parser
 from lasso_audit.solvers import SolverConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lasso_audit"
@@ -65,3 +69,19 @@ def test_scan_skips_class_bodies_and_copiers():
         "    return config.used\n"
     )
     assert _attribute_reads(tree) == {"used"}
+
+
+def _parser_dests():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for cmd in action.choices.values() for a in cmd._actions} - {"help"}
+
+
+def test_every_flag_sets_a_config_field():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert sorted(_parser_dests() - fields) == []
+
+
+def test_every_config_field_is_settable():
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+    assert sorted(fields - _parser_dests()) == []
