@@ -11,6 +11,7 @@ arrays of 0-based indices.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -67,7 +68,8 @@ _FLOAT_FMT = "%.17g"
 def save_matrix_csv(path_or_file, matrix) -> None:
     """Dense row-major CSV, no header, 17 significant digits per entry."""
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(_FLOAT_FMT % v for v in row) for row in arr]
+    row_fmt = ",".join([_FLOAT_FMT] * arr.shape[1])
+    lines = [row_fmt % tuple(row) for row in arr.tolist()]
     text = "\n".join(lines) + "\n"
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
@@ -76,16 +78,39 @@ def save_matrix_csv(path_or_file, matrix) -> None:
             fh.write(text)
 
 
+# np.loadtxt reads a file only when every byte is one of these; any other
+# byte (another line break, a control character, a non-ASCII digit, an
+# underscore) sends it to the per-cell loop, whose rules define a valid CSV
+_FAST_CSV_BYTES = b"0123456789eE+-.,nNaAiIfFtTyY \t\r\n"
+
+
 def load_matrix_csv(path: str) -> np.ndarray:
-    """Parse a dense numeric CSV; malformed cells report 1-based line/column."""
+    """Parse a dense numeric CSV; malformed cells report 1-based line/column.
+
+    Blank lines are skipped and each cell is parsed by float().  A file of
+    digits, signs, exponents, nan/inf spellings, commas and whitespace alone
+    is parsed by np.loadtxt; a file it refuses is parsed again cell by cell,
+    so the accepted files, the values and the messages are the loop's.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    # whitespace alone has no data row: np.loadtxt would warn and return an
+    # empty array, the loop names the file
+    if raw.strip() and not raw.translate(None, _FAST_CSV_BYTES):
+        try:
+            return np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     rows = []
     width = None
-    for lineno, line in enumerate(raw_lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -378,11 +403,12 @@ def _cmd_lasso(config: RunConfig):
 def _cmd_recover(config: RunConfig):
     gram = _load_gram(config)
     beta0 = _beta0_for(config, gram.p)
-    beta_lp, recovered = basis_pursuit_recover(gram, beta0, config.solver_config())
+    beta_lp, recovered, route = basis_pursuit_recover(gram, beta0, config.solver_config())
     return {
         "beta_lp": [float(v) for v in beta_lp],
         "recovered": bool(recovered),
         "max_abs_error": float(np.max(np.abs(beta_lp - beta0))),
+        "route": route,
     }, 0
 
 

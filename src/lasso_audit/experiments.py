@@ -21,16 +21,18 @@ from .core import GramMatrix, derived_rng
 from .errors import InvalidParameter
 from .lasso import NoisyProblem, lambda0_bound
 
-GENERATOR_KINDS = (
-    "identity",
-    "equicorrelation",
-    "toeplitz_geometric",
-    "block_equicorrelation",
-    "rank_one_cross",
-    "coupled_pair",
-    "random_psd",
-    "gaussian_design",
-)
+# kind -> the parameters generate reads for it; any other is refused
+_KIND_PARAMETERS = {
+    "identity": {"p"},
+    "equicorrelation": {"p", "rho"},
+    "toeplitz_geometric": {"p", "rho"},
+    "block_equicorrelation": {"p", "block_size", "rho"},
+    "rank_one_cross": {"p", "s", "rho", "b1", "b2"},
+    "coupled_pair": {"p", "s", "rho"},
+    "random_psd": {"p", "seed", "jitter", "normalize"},
+    "gaussian_design": {"n", "p", "seed", "population", "beta0", "noise_sd"},
+}
+GENERATOR_KINDS = tuple(_KIND_PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,13 @@ class GeneratorSpec:
         if self.kind not in GENERATOR_KINDS:
             raise InvalidParameter(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
+            )
+        reads = _KIND_PARAMETERS[self.kind]
+        unread = [key for key in self.parameters if key not in reads]
+        if unread:
+            raise InvalidParameter(
+                f"generator kind {self.kind!r} takes no parameter {unread[0]!r} "
+                f"(it reads {', '.join(sorted(reads))})"
             )
 
     @classmethod

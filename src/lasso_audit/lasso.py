@@ -417,16 +417,89 @@ def oracle_verdict(gram: GramMatrix, solution: LassoSolution, cone: ConeSpec, la
                          l2_error=l2_error, l2_bound=l2_bound, l2_holds=l2_holds)
 
 
-def basis_pursuit_recover(gram: GramMatrix, beta0, config: SolverConfig = DEFAULT_CONFIG):
-    """min ||beta||_1 subject to f_beta = f_{beta0}, via two-phase simplex.
+# unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0 ** -53
 
-    The constraint ||f_beta - f0|| = 0 is equivalent to V'(beta - beta0) = 0
-    with V spanning the eigenvectors of Sigma above the rank cutoff.  Returns
-    (beta_lp, recovered) with recovered = ||beta_lp - beta0||_inf <= 1e-6.
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): a dot product of length n computed in
+    floating point, in any summation order, is off by at most gamma_n |x|'|y|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+def _dual_certificate_bound(gram: GramMatrix, beta0: np.ndarray) -> float:
+    """A certified upper bound on max_{j not in S} |w_j|, where S = supp(beta0),
+    tau = sign(beta0_S) and w = Sigma_{.S} Sigma_SS^{-1} tau (Fuchs, IEEE TIT
+    2004); 0.0 when beta0 = 0, inf when Sigma_SS is singular.
+
+    w = Sigma z with z = Sigma_SS^{-1} tau on S and 0 elsewhere, and w_S =
+    tau.  For h in the kernel of Sigma, <w, h> = z' Sigma h = 0, so
+    ||beta0 + h||_1 >= ||beta0||_1 + (1 - max_{j not in S} |w_j|) ||h_{S^c}||_1,
+    and h_{S^c} = 0 forces h_S = 0 when Sigma_SS is nonsingular.  A bound
+    below one therefore proves beta0 the unique minimizer of ||beta||_1
+    subject to Sigma beta = Sigma beta0, which for a PSD Sigma is f_beta =
+    f_beta0.
+
+    The bound is |fl(Sigma_{jS} v)| for the computed v ~ Sigma_SS^{-1} tau plus
+    two errors: the rounding of that product, gamma_k |Sigma_{jS}| |v|, and
+    the residual r = Sigma_SS v - tau carried through Sigma_{jS} Sigma_SS^{-1},
+    at most ||Sigma_{jS}||_1 ||Sigma_SS^{-1}||_inf ||r||_inf.  |r| is bounded
+    by the computed residual plus its rounding.  With X the computed inverse
+    and rho an upper bound on ||I - X Sigma_SS||_inf, ||Sigma_SS^{-1}||_inf <=
+    ||X||_inf / (1 - rho), which is at most 2 ||X||_inf when rho <= 1/2 (inf
+    otherwise).  The two error terms are doubled to cover the rounding of the
+    bound's own arithmetic.
+    """
+    support = np.flatnonzero(beta0)
+    if support.size == 0:
+        return 0.0
+    try:
+        inv = inverse_11(gram, SubsetN(tuple(int(j) for j in support)))
+    except SingularBlock:
+        return math.inf
+    k = support.size
+    tau = np.sign(beta0[support])
+    cols = gram.entries[:, support]
+    head = cols[support]
+    abs_head, abs_inv = np.abs(head), np.abs(inv)
+    eye = np.eye(k)
+    rho = float(np.max((np.abs(eye - inv @ head)
+                        + _gamma(k + 1) * (eye + abs_inv @ abs_head)).sum(axis=1)))
+    if not rho <= 0.5:
+        return math.inf
+    v = inv @ tau
+    abs_v = np.abs(v)
+    residual = float(np.max(np.abs(head @ v - tau) + _gamma(k + 1) * (abs_head @ abs_v + 1.0)))
+    inv_norm = 2.0 * float(np.max(abs_inv.sum(axis=1)))
+    off = np.ones(gram.p, dtype=bool)
+    off[support] = False
+    abs_off = np.abs(cols[off])
+    bound = (np.abs(cols[off] @ v) + 2.0 * (_gamma(k) * (abs_off @ abs_v)
+                                            + abs_off.sum(axis=1) * (inv_norm * residual)))
+    return float(np.max(bound, initial=0.0))
+
+
+def basis_pursuit_recover(gram: GramMatrix, beta0, config: SolverConfig = DEFAULT_CONFIG):
+    """min ||beta||_1 subject to f_beta = f_{beta0}; returns (beta_lp,
+    recovered, route).
+
+    The dual certificate comes first: when _dual_certificate_bound proves
+    beta0 the unique minimizer, the result is (beta0, True,
+    "dual_certificate") and no LP is solved.  Otherwise the two-phase simplex
+    decides: the constraint ||f_beta - f0|| = 0 is equivalent to
+    V'(beta - beta0) = 0 with V spanning the eigenvectors of Sigma above the
+    rank cutoff, and recovered = ||beta_lp - beta0||_inf <= 1e-6 (route
+    "simplex").
     """
     beta0 = np.asarray(beta0, dtype=float).ravel()
     if beta0.shape[0] != gram.p:
         raise InvalidParameter("beta0 must have length p")
+    if not np.all(np.isfinite(beta0)):
+        raise InvalidParameter("beta0 must be finite")
+    if _dual_certificate_bound(gram, beta0) < 1.0:
+        return beta0.copy(), True, "dual_certificate"
     vals, vecs = np.linalg.eigh(gram.entries)
     lam_max = max(float(vals[-1]), 0.0)
     keep = vals > 1e-10 * max(lam_max, 1e-300)
@@ -434,7 +507,7 @@ def basis_pursuit_recover(gram: GramMatrix, beta0, config: SolverConfig = DEFAUL
     if v_r.shape[1] == 0:
         # Sigma is (numerically) zero: every beta is feasible, minimum is 0
         beta_lp = np.zeros(gram.p)
-        return beta_lp, bool(np.max(np.abs(beta_lp - beta0), initial=0.0) <= 1e-6)
+        return beta_lp, bool(np.max(np.abs(beta_lp - beta0), initial=0.0) <= 1e-6), "simplex"
     a_eq = np.concatenate([v_r.T, -v_r.T], axis=1)
     b_eq = v_r.T @ beta0
     c = np.ones(2 * gram.p)
@@ -443,7 +516,7 @@ def basis_pursuit_recover(gram: GramMatrix, beta0, config: SolverConfig = DEFAUL
         raise AuditError(f"basis pursuit LP finished with status {result.status}")
     beta_lp = result.x[:gram.p] - result.x[gram.p:]
     recovered = bool(np.max(np.abs(beta_lp - beta0), initial=0.0) <= 1e-6)
-    return beta_lp, recovered
+    return beta_lp, recovered, "simplex"
 
 
 def lambda0_of_data(noisy: NoisyProblem) -> float:

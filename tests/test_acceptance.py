@@ -217,7 +217,7 @@ def test_criterion_07_basis_pursuit_on_rank_deficient_designs(verdict):
         found += 1
         beta0 = np.zeros(12)
         beta0[[0, 1]] = (1.0, -1.0)
-        beta_lp, recovered = basis_pursuit_recover(gram, beta0, REDUCED)
+        beta_lp, recovered, _ = basis_pursuit_recover(gram, beta0, REDUCED)
         err = float(np.max(np.abs(beta_lp - beta0)))
         worst = max(worst, err)
         if not recovered:

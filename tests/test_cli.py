@@ -88,6 +88,159 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="expected a vector"):
             load_vector_csv(sq)
 
+    def test_invalid_utf8_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(ParseError, match=r"is not UTF-8 text \(byte 6\)"):
+            load_matrix_csv(str(path))
+        assert main(["analyze", "--gram", str(path), "--S", "0"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ParseError: {path} is not UTF-8 text (byte 6)\n")
+
+    def test_rows_written_as_one_format_each_match_the_per_entry_form(self, tmp_path):
+        rng = np.random.default_rng(29)
+        special = [0.0, -0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf, 1e308, 0.1]
+        mats = [rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-300, 300, (7, 4)),
+                np.array(special).reshape(3, 3), np.array(special), np.array([[-0.0]]),
+                rng.standard_normal((5, 1))]
+        for mat in mats:
+            arr = np.atleast_2d(mat)
+            want = "\n".join(",".join("%.17g" % v for v in row) for row in arr) + "\n"
+            path = tmp_path / "m.csv"
+            save_matrix_csv(str(path), mat)
+            assert path.read_bytes() == want.encode()
+
+
+def _loop_load_matrix_csv(path):
+    """The per-cell reader load_matrix_csv falls back to, as a reference:
+    every file it accepts, every value and every message must agree."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    rows = []
+    width = None
+    for lineno, line in enumerate(raw_lines, start=1):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ParseError(
+                f"row has {len(cells)} fields, expected {width}", lineno, len(cells)
+            )
+        row = []
+        for colno, cell in enumerate(cells, start=1):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise ParseError(f"not a number: {cell.strip()!r}", lineno, colno) from None
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{path} contains no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+# the bytes the fast path accepts, then characters that split lines or pass
+# float() in one reader and not the other
+_FAST_ALPHABET = list("0123456789eE+-.,nNaAiIfFtTyY \t\r\n")
+_HOSTILE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029",
+            "1_0", "\uff11", "\ufeff", "\n \n", "\n\t\n"]
+_WORDS = ["nan", "NaN", "-inf", "Infinity", "+nan", "1e999", "-0", "1.5e-3", "4.9e-324",
+          "1e", "--1", ".", ",", "\r\n"]
+
+
+def _fuzz_cell(rng):
+    if rng.random() < 0.6:
+        value = rng.choice([rng.uniform(-1e3, 1e3), rng.random() * 10.0 ** rng.randint(-320, 308),
+                            0.0, -0.0])
+        return rng.choice(["%.17g", "%r", "%e", "%.3f", "%E"]) % value
+    return rng.choice(["nan", "-inf", "inf", "NaN", "+Infinity", "-2.", ".5", "1E+5"])
+
+
+def _fuzz_text(rng):
+    """A matrix-shaped text with up to two edits, or a short random string."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_FAST_ALPHABET + _HOSTILE + _WORDS)
+                       for _ in range(rng.randint(0, 12)))
+    cols = rng.randint(1, 4)
+    lines = []
+    for _ in range(rng.randint(0, 4)):
+        lines.append(",".join(rng.choice(["", " ", "\t"]) + _fuzz_cell(rng)
+                              + rng.choice(["", " ", "\t"]) for _ in range(cols)))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", " ", "\t ", "\r"]))
+    text = rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["", "\n", "\r\n", "\n\n"])
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        pos = rng.randint(0, len(text))
+        if text and rng.random() < 0.5:
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + rng.choice(_FAST_ALPHABET + _HOSTILE + _WORDS) + text[pos:]
+    return text
+
+
+class TestCsvFastPath:
+    """load_matrix_csv hands files of digits, signs, exponents, nan/inf
+    spellings, commas and whitespace to np.loadtxt; its results must be
+    exactly the per-cell loop's."""
+
+    @staticmethod
+    def outcome(load, path):
+        try:
+            arr = load(path)
+        except ParseError as exc:
+            return "error", str(exc)
+        return "array", arr.shape, arr.dtype.str, arr.flags.c_contiguous, arr.tobytes()
+
+    def assert_same(self, path):
+        got = self.outcome(load_matrix_csv, path)
+        assert got == self.outcome(_loop_load_matrix_csv, path)
+        return got[0]
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "   \n\t\n", "1,2\n \n3,4\n", "1\x0b,2\n", "1\x1f,2\n", "1\x0c2\n",
+        "1\u20282\n", "1_0,2\n", "\uff11,2\n", "\ufeff1,2\n", "1\r2\r", "1,,2\n", "1,2\n3\n",
+        " 1 , 2 \n", "nan,-inf\r\n+Infinity,-0\n", "5", "1\n2\n3",
+    ])
+    def test_edge_cases_agree(self, text, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        self.assert_same(str(path))
+
+    def test_seeded_fuzz_agrees(self, tmp_path, monkeypatch):
+        import random
+
+        fast = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            arr = loadtxt(*args, **kwargs)
+            fast.append(arr.size > 0)
+            return arr
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        rng = random.Random(20)
+        path = str(tmp_path / "m.csv")
+        kinds = []
+        for _ in range(20_000):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(_fuzz_text(rng))
+            kinds.append(self.assert_same(path))
+        assert kinds.count("array") > 5_000 and kinds.count("error") > 5_000
+        assert sum(fast) > 3_000  # files the fast path answered
+
+    def test_fast_path_reads_a_plain_matrix(self, tmp_path, monkeypatch):
+        mat = np.random.default_rng(5).standard_normal((30, 20))
+        path = write_csv(tmp_path / "m.csv", mat)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        assert load_matrix_csv(path).tobytes() == mat.tobytes()
+        assert calls == [1]
+
 
 class TestArgParsing:
     def test_index_list_sorts_and_dedupes(self):
@@ -192,6 +345,20 @@ class TestGenerate:
         rc = main(["generate", "--kind", "wishart", "--p", "4"])
         assert rc == 1
         assert "unknown generator kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--kind", "identity", "--p", "2", "--rho", "0.5"], "rho"),
+        (["--kind", "equicorrelation", "--p", "4", "--rho", "0.5", "--s", "2"], "s"),
+        (["--kind", "toeplitz_geometric", "--p", "4", "--rho", "0.5", "--block-size", "2"],
+         "block_size"),
+        (["--kind", "random_psd", "--p", "4", "--n", "10"], "n"),
+    ])
+    def test_flag_the_kind_never_reads_is_refused(self, argv, unread, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["generate"] + argv + ["--out", str(out)]) == 1
+        kind = argv[1]
+        assert f"generator kind '{kind}' takes no parameter '{unread}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLassoCommand:
@@ -308,6 +475,19 @@ class TestRecover:
         assert report["result"]["max_abs_error"] <= 1e-6
         np.testing.assert_allclose(report["result"]["beta_lp"],
                                    [1.0, 0.0, 1.0, 0.0, 0.0], atol=1e-6)
+
+    def test_report_names_the_route(self, tmp_path):
+        gram = write_csv(tmp_path / "g.csv", np.eye(5))
+        out = tmp_path / "report.json"
+        assert main(["recover", "--gram", gram, "--S", "0,2", "--out", str(out)]) == 0
+        result = read_report(out)["result"]
+        assert result == {"beta_lp": [1.0, 0.0, 1.0, 0.0, 0.0], "recovered": True,
+                          "max_abs_error": 0.0, "route": "dual_certificate"}
+        ambiguous = write_csv(tmp_path / "r1.csv", np.ones((2, 2)))
+        beta0 = write_csv(tmp_path / "b.csv", [[2.0, -1.0]])
+        assert main(["recover", "--gram", ambiguous, "--beta0", beta0, "--out", str(out)]) == 0
+        result = read_report(out)["result"]
+        assert (result["recovered"], result["route"]) == (False, "simplex")
 
 
 class TestNonFiniteTruth:

@@ -148,6 +148,35 @@ class TestGeneratorSpec:
             with pytest.raises(InvalidParameter, match="rho"):
                 generate(GeneratorSpec("equicorrelation", {"p": 4, "rho": bad}))
 
+    @pytest.mark.parametrize("kind, params, unread", [
+        ("identity", {"p": 2, "rho": 0.5}, "rho"),
+        ("equicorrelation", {"p": 4, "rho": 0.5, "s": 2}, "s"),
+        ("toeplitz_geometric", {"p": 4, "rho": 0.5, "block_size": 2}, "block_size"),
+        ("coupled_pair", {"p": 6, "s": 3, "rho": 0.4, "seed": 1}, "seed"),
+        ("random_psd", {"p": 4, "seed": 1, "n": 10}, "n"),
+        ("gaussian_design", {"n": 10, "p": 3, "jitter": 0.1}, "jitter"),
+    ])
+    def test_parameter_the_kind_never_reads_is_refused(self, kind, params, unread):
+        message = f"generator kind '{kind}' takes no parameter '{unread}'"
+        with pytest.raises(InvalidParameter, match=message):
+            generate(GeneratorSpec(kind, params))
+        with pytest.raises(InvalidParameter, match=message):
+            generate(GeneratorSpec.from_dict({"kind": kind, **params}))
+
+    def test_every_parameter_a_kind_reads_is_accepted(self):
+        # the parameter sets the benchmark passes, and every optional one
+        eye = GramMatrix(np.eye(3))
+        specs = [
+            ("random_psd", {"p": 4, "seed": 2, "jitter": 0.1, "normalize": False}),
+            ("gaussian_design", {"n": 6, "p": 3, "seed": 1, "beta0": [1.0, 0.0, 0.0],
+                                 "population": eye, "noise_sd": 0.5}),
+            ("rank_one_cross", {"p": 4, "s": 2, "rho": 0.5, "b1": [0.6, 0.8],
+                                "b2": [1.0, 0.0]}),
+            ("block_equicorrelation", {"p": 4, "block_size": 2, "rho": 0.3}),
+        ]
+        for kind, params in specs:
+            generate(GeneratorSpec(kind, params))
+
 
 class TestGenerateDispatcher:
     def test_every_matrix_kind_constructs_a_valid_gram(self):

@@ -1,6 +1,7 @@
 """Penalized solves and the verdict layer around them."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from lasso_audit import (
     solve_noisy,
     soft_threshold,
 )
+from lasso_audit import lasso
 from lasso_audit.errors import InvalidParameter, MissingNoise
 
 from conftest import random_gram
@@ -209,14 +211,14 @@ class TestBasisPursuit:
             g = random_gram(rng, 5)
             beta0 = np.zeros(5)
             beta0[[0, 2]] = [1.0, -1.5]
-            blp, recovered = basis_pursuit_recover(g, beta0)
+            blp, recovered, _ = basis_pursuit_recover(g, beta0)
             assert recovered
             np.testing.assert_allclose(blp, beta0, atol=1e-8)
 
     def test_rank_one_ambiguity_not_recovered(self):
         g = GramMatrix(np.outer([1.0, 1.0], [1.0, 1.0]))
         beta0 = np.array([2.0, -1.0])
-        blp, recovered = basis_pursuit_recover(g, beta0)
+        blp, recovered, _ = basis_pursuit_recover(g, beta0)
         assert not recovered
         # the LP still found a strictly sparser representer of the same fit
         assert np.abs(blp).sum() <= np.abs(beta0).sum() + 1e-9
@@ -235,7 +237,7 @@ class TestBasisPursuit:
                 continue
             beta0 = np.zeros(8)
             beta0[[0, 1]] = [1.0, -1.0]
-            _, recovered = basis_pursuit_recover(g, beta0)
+            _, recovered, _ = basis_pursuit_recover(g, beta0)
             assert recovered
             checked += 1
         assert checked >= 3
@@ -247,15 +249,163 @@ class TestBasisPursuit:
         _, g = sample_gaussian_design(48, 80, GramMatrix(np.eye(80)), 70_000 + 48 * 3 + 15)
         beta0 = np.zeros(80)
         beta0[[0, 1]] = (1.0, -1.0)
-        blp, recovered = basis_pursuit_recover(g, beta0)
+        blp, recovered, _ = basis_pursuit_recover(g, beta0)
         assert recovered
         np.testing.assert_allclose(blp, beta0, atol=1e-6)
 
     def test_zero_gram(self):
         g = GramMatrix(np.zeros((2, 2)))
-        blp, recovered = basis_pursuit_recover(g, [1.0, 0.0])
+        blp, recovered, _ = basis_pursuit_recover(g, [1.0, 0.0])
         np.testing.assert_array_equal(blp, [0.0, 0.0])
         assert not recovered
+
+
+def _exact_dual_norm(entries, beta0):
+    """max_{j not in S} |Sigma_{jS} Sigma_SS^{-1} sign(beta0_S)| in exact
+    rational arithmetic on the float entries as given."""
+    support = [int(j) for j in np.flatnonzero(beta0)]
+    k = len(support)
+    a = [[Fraction(float(entries[i, j])) for j in support]
+         + [Fraction(int(np.sign(beta0[i])))] for i in support]
+    for col in range(k):  # Gauss-Jordan on [Sigma_SS | tau]
+        pivot = next(r for r in range(col, k) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    v = [row[k] for row in a]
+    return max((abs(sum(Fraction(float(entries[j, i])) * vi for i, vi in zip(support, v)))
+                for j in range(entries.shape[0]) if j not in support), default=Fraction(0))
+
+
+def _near_one_gram():
+    """p = 3, S = {0, 1}, tau = (1, -1): Sigma_SS has condition number about
+    2000 and Sigma_2S is close to (0.5, 0.5), so w_2 = 1 - 1e-14 comes out of
+    a cancellation between terms of size 500; its rounding alone is about
+    1e-13."""
+    rho = 0.999
+    d = (1.0 - rho) * (1.0 - 1e-14) / 2.0
+    sigma = np.array([[1.0, rho, 0.5 + d], [rho, 1.0, 0.5 - d], [0.5 + d, 0.5 - d, 1.0]])
+    return GramMatrix(sigma), np.array([1.0, -1.0, 0.0])
+
+
+class TestDualCertificate:
+    """basis_pursuit_recover proves recovery by Fuchs's dual certificate before it
+    runs the simplex, and runs the simplex whenever the proof is missing."""
+
+    @pytest.fixture
+    def simplex_calls(self, monkeypatch):
+        calls = []
+        simplex = lasso.simplex_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simplex(*args, **kwargs)
+
+        monkeypatch.setattr(lasso, "simplex_lp", counted)
+        return calls
+
+    @pytest.fixture
+    def no_simplex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simplex ran where the certificate holds")
+
+        monkeypatch.setattr(lasso, "simplex_lp", refuse)
+
+    def test_rank_deficient_instance_recovers_without_simplex(self, no_simplex):
+        # the recover instance whose LP used to stop at its iteration limit
+        _, g = sample_gaussian_design(48, 80, GramMatrix(np.eye(80)), 70_000 + 48 * 12 + 10)
+        beta0 = np.zeros(80)
+        beta0[[0, 1]] = (1.0, -1.0)
+        assert lasso._dual_certificate_bound(g, beta0) == pytest.approx(0.44, abs=0.01)
+        blp, recovered, route = basis_pursuit_recover(g, beta0)
+        assert (recovered, route) == (True, "dual_certificate")
+        assert blp.tobytes() == beta0.tobytes() and not np.shares_memory(blp, beta0)
+
+    def test_certified_verdicts_match_the_simplex(self, monkeypatch):
+        cases = []
+        for seed in range(40):
+            rng = derived_rng(seed, "dual-certificate-test")
+            _, g = sample_gaussian_design(10, 16, GramMatrix(np.eye(16)), 900 + seed)
+            beta0 = np.zeros(16)
+            support = rng.choice(16, size=int(rng.integers(1, 4)), replace=False)
+            beta0[support] = rng.choice([-2.0, 0.5, 1.0], size=support.size)
+            cases.append((g, beta0))
+        with monkeypatch.context() as m:
+            m.setattr(lasso, "_dual_certificate_bound", lambda gram, beta0: math.inf)
+            reference = [basis_pursuit_recover(g, b)[1:] for g, b in cases]
+        assert all(route == "simplex" for _, route in reference)
+
+        class SimplexRan(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise SimplexRan
+
+        monkeypatch.setattr(lasso, "simplex_lp", refuse)
+        certified = 0
+        for (g, beta0), (want, _) in zip(cases, reference):
+            try:
+                _, recovered, _ = basis_pursuit_recover(g, beta0)
+            except SimplexRan:
+                continue  # no certificate: the simplex decides, as above
+            assert recovered and want
+            certified += 1
+        assert 10 <= certified < len(cases)
+
+    def test_bound_is_sound_in_exact_arithmetic(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for trial in range(60):
+            p, k = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+            x = rng.standard_normal((int(rng.integers(2, 9)), p))
+            if trial % 3 == 0:  # nearly collinear support columns
+                x[:, 1] = x[:, 0] + 10.0 ** -rng.integers(3, 7) * rng.standard_normal(x.shape[0])
+            g = GramMatrix((x.T @ x + (x.T @ x).T) / 2.0)
+            beta0 = np.zeros(p)
+            beta0[:k] = rng.choice([-1.0, 1.0], size=k)
+            bound = lasso._dual_certificate_bound(g, beta0)
+            if math.isinf(bound):
+                continue
+            exact = _exact_dual_norm(g.entries, beta0)
+            assert exact <= Fraction(bound)
+            checked += 1
+        assert checked >= 30
+
+    def test_margin_rejects_a_dual_norm_just_below_one(self, simplex_calls):
+        g, beta0 = _near_one_gram()
+        exact = _exact_dual_norm(g.entries, beta0)
+        assert 1 - Fraction(1, 10 ** 13) < exact < 1
+        assert lasso._dual_certificate_bound(g, beta0) >= 1.0
+        _, _, route = basis_pursuit_recover(g, beta0)
+        assert route == "simplex" and simplex_calls
+
+    def test_singular_support_block_goes_to_the_simplex(self, simplex_calls):
+        g = GramMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        beta0 = np.array([1.0, 1.0, 0.0])
+        assert lasso._dual_certificate_bound(g, beta0) == math.inf
+        assert basis_pursuit_recover(g, beta0)[2] == "simplex" and simplex_calls
+
+    def test_rank_one_ambiguity_goes_to_the_simplex(self, simplex_calls):
+        g = GramMatrix(np.outer([1.0, 1.0], [1.0, 1.0]))
+        _, recovered, route = basis_pursuit_recover(g, np.array([2.0, -1.0]))
+        assert (recovered, route) == (False, "simplex") and simplex_calls
+
+    def test_zero_target_recovered_without_simplex(self, no_simplex):
+        for entries in (np.eye(3), np.zeros((3, 3))):
+            blp, recovered, route = basis_pursuit_recover(GramMatrix(entries), np.zeros(3))
+            assert (recovered, route) == (True, "dual_certificate")
+            np.testing.assert_array_equal(blp, 0.0)
+
+    def test_whole_support_needs_no_dual(self, no_simplex):
+        g = GramMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        assert basis_pursuit_recover(g, [1.0, -3.0])[1:] == (True, "dual_certificate")
+
+    def test_non_finite_target_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameter, match="beta0 must be finite"):
+                basis_pursuit_recover(GramMatrix(np.eye(2)), [bad, 0.0])
 
 
 class TestNoise:
