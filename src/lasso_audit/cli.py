@@ -47,6 +47,7 @@ from .estimators import (
     restricted_regression,
 )
 from .experiments import (
+    _KIND_PARAMETERS,
     GeneratorSpec,
     concentration_experiment,
     generate,
@@ -359,12 +360,6 @@ def _cmd_lasso(config: RunConfig):
         raise InvalidParameter("command 'lasso' requires --lambda")
     solver = config.solver_config()
     if config.design_path is not None:
-        # the noisy form takes S from beta0 and computes L itself
-        ignored = [flag for flag, value in (("--gram", config.gram_path),
-                                            ("--S", config.s_members), ("--N", config.n_set))
-                   if value is not None]
-        if ignored:
-            raise InvalidParameter(f"lasso --design takes no {', '.join(ignored)}")
         x = load_matrix_csv(config.design_path)
         if config.y_path is None:
             raise InvalidParameter("--design requires --y with the response vector")
@@ -436,8 +431,6 @@ def _cmd_montecarlo(config: RunConfig):
         result = concentration_experiment(config.n_samples, config.p, population,
                                           config.reps, config.t_list, config.seed)
     elif config.experiment == "noise":
-        if config.gram_path is not None:
-            raise InvalidParameter("montecarlo --experiment noise takes no --gram")
         result = noise_bound_experiment(config.n_samples, config.p, config.reps,
                                         config.t_list, config.seed)
     else:
@@ -568,9 +561,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unread_flags(given: dict) -> None:
+    """Refuse the given flags that the chosen form of a command never reads;
+    given holds the fields of the flags on the command line."""
+    command = given["command"]
+    if command == "lasso" and "design_path" in given:
+        # the noisy form takes S from beta0, computes L itself and bounds
+        # phi^2 at the default cap
+        form, unread = "lasso --design", ("--gram", "--S", "--L", "--N", "--cap-subsets")
+    elif command == "montecarlo" and given.get("experiment") == "noise":
+        form, unread = "montecarlo --experiment noise", ("--gram",)
+    elif command == "generate" and given.get("kind") in _KIND_PARAMETERS:
+        # these flags are the generator parameters of the same name
+        form = f"generate --kind {given['kind']}"
+        unread = tuple(flag for flag in ("--seed", "--jitter", "--noise-sd")
+                       if _FLAGS[flag][0] not in _KIND_PARAMETERS[given["kind"]])
+    else:
+        return
+    ignored = [flag for flag in unread if _FLAGS[flag][0] in given]
+    if ignored:
+        raise InvalidParameter(f"{form} takes no {', '.join(ignored)}")
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The given flags, converted; RunConfig supplies every other field."""
+    """The given flags, converted; RunConfig supplies every other field.
+    A flag the chosen form never reads is refused before anything is read."""
     given = {field: value for field, value in vars(args).items() if value is not None}
+    _refuse_unread_flags(given)
     if "s_members" in given:
         given["s_members"] = parse_index_list(given["s_members"]) if given["s_members"] else None
     if "t_list" in given:

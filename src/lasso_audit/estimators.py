@@ -25,6 +25,7 @@ Each certified closed-form bound has one entry point:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,21 +175,42 @@ def _equality_tail_qp(gram: GramMatrix, cone: ConeSpec, tau: np.ndarray, config:
     return float(fx), tuple(int(v) for v in tau), converged
 
 
-def _batch_restricted_ratio(entries: np.ndarray, cone: ConeSpec, B: np.ndarray) -> np.ndarray:
-    """beta'Sigma beta / ||beta_nset||_2^2 for each row, nset = top enlargement."""
-    S = list(cone.S)
-    comp = _complement(entries.shape[0], S)
+class _ConeIndex(NamedTuple):
+    """A cone's index sets, built once per search: S and its complement
+    S^c as index arrays, and k = min(N - s, |S^c|), the number of tail
+    coordinates the top enlargement adds to S."""
+
+    cone: ConeSpec
+    S: np.ndarray
+    comp: np.ndarray
+    k: int
+
+
+def _cone_index(p: int, cone: ConeSpec) -> _ConeIndex:
+    comp = np.array(_complement(p, cone.S), dtype=np.intp)
+    return _ConeIndex(cone, np.array(cone.S, dtype=np.intp), comp, min(cone.N - cone.s, comp.size))
+
+
+def _restricted_ratio_parts(entries: np.ndarray, B: np.ndarray, heads: np.ndarray,
+                            tails: np.ndarray, k: int) -> np.ndarray:
+    """beta'Sigma beta / ||beta_nset||_2^2 for each row of B, given its head
+    B[:, S] and tail B[:, S^c]; nset adds the k largest tail magnitudes."""
     qs = np.einsum("ij,ij->i", B @ entries, B)
-    nsq = (B[:, S] ** 2).sum(axis=1)
-    k = min(cone.N - cone.s, len(comp))
-    if k > 0:
-        at = np.abs(B[:, comp])
+    nsq = (heads ** 2).sum(axis=1)
+    if k == 1:
+        # the row maxima, taken over a transposed copy: one vectorized
+        # maximum per tail column instead of one short reduction per row
+        nsq = nsq + np.abs(tails.T, order="C").max(axis=0) ** 2
+    elif k > 1:
+        at = np.abs(tails)
         top = np.partition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
         nsq = nsq + (top ** 2).sum(axis=1)
-    out = np.full(B.shape[0], np.inf)
-    ok = nsq > 1e-300
-    out[ok] = qs[ok] / nsq[ok]
-    return out
+    return np.divide(qs, nsq, out=np.full(B.shape[0], np.inf), where=nsq > 1e-300)
+
+
+def _batch_restricted_ratio(entries: np.ndarray, ix: _ConeIndex, B: np.ndarray) -> np.ndarray:
+    """beta'Sigma beta / ||beta_nset||_2^2 for each row, nset = top enlargement."""
+    return _restricted_ratio_parts(entries, B, B[:, ix.S], B[:, ix.comp], ix.k)
 
 
 def evaluate_restricted_ratio(gram: GramMatrix, cone: ConeSpec, beta, variant: str = "plain", *,
@@ -197,23 +219,20 @@ def evaluate_restricted_ratio(gram: GramMatrix, cone: ConeSpec, beta, variant: s
     beta = np.asarray(beta, dtype=float)
     if not cone_membership(beta, cone, variant=variant, atol=atol):
         raise InvalidParameter("beta is not in the requested cone")
-    return float(_batch_restricted_ratio(gram.entries, cone, beta[None, :])[0])
+    return float(_batch_restricted_ratio(gram.entries, _cone_index(gram.p, cone), beta[None, :])[0])
 
 
-def _sample_cone_points(rng, cone: ConeSpec, p: int, m: int, variant: str) -> np.ndarray:
+def _sample_cone_points(rng, ix: _ConeIndex, m: int, variant: str):
     """Feasible cone points with unit-norm heads and randomly sparse tails
-    scaled to a random fraction of the budget."""
-    s = cone.s
-    S = list(cone.S)
-    comp = _complement(p, S)
+    scaled to a random fraction of the budget, as (B, heads, tails) with
+    heads = B[:, S] and tails = B[:, S^c]."""
+    cone, S, comp = ix.cone, ix.S, ix.comp
+    s, r = cone.s, comp.size
     heads = rng.standard_normal((m, s))
     norms = np.linalg.norm(heads, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     heads /= norms
-    B = np.zeros((m, p))
-    B[:, S] = heads
-    if comp and cone.L > 0.0:
-        r = len(comp)
+    if r and cone.L > 0.0:
         raw = rng.standard_normal((m, r))
         density = rng.random(m) ** 2
         keep = rng.random((m, r)) < np.maximum(density, 1.0 / r)[:, None]
@@ -227,18 +246,22 @@ def _sample_cone_points(rng, cone: ConeSpec, p: int, m: int, variant: str) -> np
         scale = np.zeros(m)
         ok = l1 > 0.0
         scale[ok] = frac[ok] * budget[ok] / l1[ok]
-        B[:, comp] = raw * scale[:, None]
-    return B
+        tails = raw * scale[:, None]
+    else:
+        tails = np.zeros((m, r))
+    B = np.zeros((m, s + r))
+    B[:, S] = heads
+    B[:, comp] = tails
+    return B, heads, tails
 
 
-def _project_to_cone(beta: np.ndarray, cone: ConeSpec, variant: str) -> np.ndarray:
+def _project_to_cone(beta: np.ndarray, ix: _ConeIndex, variant: str) -> np.ndarray:
     """Rescale the tail onto the budget; heads are left untouched."""
     out = beta.copy()
-    S = list(cone.S)
-    comp = _complement(beta.shape[0], S)
-    if not comp:
+    cone, comp = ix.cone, ix.comp
+    if not comp.size:
         return out
-    head = out[S]
+    head = out[ix.S]
     if variant == "plain":
         budget = cone.L * float(np.abs(head).sum())
     else:
@@ -249,18 +272,19 @@ def _project_to_cone(beta: np.ndarray, cone: ConeSpec, variant: str) -> np.ndarr
     return out
 
 
-def _refine_ratio(entries: np.ndarray, cone: ConeSpec, variant: str, beta: np.ndarray,
+def _refine_ratio(entries: np.ndarray, ix: _ConeIndex, variant: str, beta: np.ndarray,
                   iters: int = 40) -> np.ndarray:
     """Descend the ratio with the enlargement frozen per step, reprojecting
     onto the cone; every accepted iterate stays feasible."""
-    p = entries.shape[0]
-    S = list(cone.S)
+    S, comp = ix.S, ix.comp
     beta = beta.copy()
-    f = float(_batch_restricted_ratio(entries, cone, beta[None, :])[0])
+    f = float(_batch_restricted_ratio(entries, ix, beta[None, :])[0])
     for _ in range(iters):
-        nset = top_nset(beta, cone)
-        mask = np.zeros(p)
-        mask[list(nset.members)] = 1.0
+        # the top enlargement, ties by ascending index as in top_nset
+        extra = comp[np.argsort(-np.abs(beta[comp]), kind="stable")[:ix.k]]
+        mask = np.zeros(entries.shape[0])
+        mask[S] = 1.0
+        mask[extra] = 1.0
         d = float(np.sum((beta * mask) ** 2))
         if d <= 1e-300:
             break
@@ -271,11 +295,11 @@ def _refine_ratio(entries: np.ndarray, cone: ConeSpec, variant: str, beta: np.nd
         eta = 0.2 * float(np.linalg.norm(beta)) / gn
         improved = False
         for _ in range(25):
-            cand = _project_to_cone(beta - eta * grad, cone, variant)
+            cand = _project_to_cone(beta - eta * grad, ix, variant)
             if float(np.abs(cand[S]).sum()) == 0.0:
                 eta /= 2.0
                 continue
-            fc = float(_batch_restricted_ratio(entries, cone, cand[None, :])[0])
+            fc = float(_batch_restricted_ratio(entries, ix, cand[None, :])[0])
             if fc < f - 1e-15 * max(1.0, abs(f)):
                 beta, f = cand, fc
                 improved = True
@@ -301,12 +325,12 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
         raise InvalidParameter(f"unknown cone variant {variant!r}")
     entries = gram.entries
     p, s = gram.p, cone.s
-    S = list(cone.S)
+    ix = _cone_index(p, cone)
 
-    w, V = np.linalg.eigh(entries[np.ix_(S, S)])
+    w, V = np.linalg.eigh(entries[np.ix_(ix.S, ix.S)])
     cands = np.zeros((s, p))
-    cands[:, S] = V.T
-    ratios = _batch_restricted_ratio(entries, cone, cands)
+    cands[:, ix.S] = V.T
+    ratios = _batch_restricted_ratio(entries, ix, cands)
     best_i = int(np.argmin(ratios))
     best_val = float(ratios[best_i])
     best_beta = cands[best_i]
@@ -317,15 +341,15 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     while remaining > 0:
         m = min(_SEARCH_CHUNK, remaining)
         remaining -= m
-        B = _sample_cone_points(rng, cone, p, m, variant)
-        ratios = _batch_restricted_ratio(entries, cone, B)
+        B, heads, tails = _sample_cone_points(rng, ix, m, variant)
+        ratios = _restricted_ratio_parts(entries, B, heads, tails, ix.k)
         i = int(np.argmin(ratios))
         if float(ratios[i]) < best_val:
             best_val = float(ratios[i])
             best_beta = B[i]
 
-    refined = _refine_ratio(entries, cone, variant, best_beta)
-    best_val = min(best_val, float(_batch_restricted_ratio(entries, cone, refined[None, :])[0]))
+    refined = _refine_ratio(entries, ix, variant, best_beta)
+    best_val = min(best_val, float(_batch_restricted_ratio(entries, ix, refined[None, :])[0]))
 
     low = certified_lower_phi(gram, cone, target="restricted_eigenvalue", variant=variant, cap=cap)
     lower = min(low.estimate, best_val)
@@ -484,11 +508,12 @@ def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverCon
             val = float(_batch_regression_ratio(entries, cone, beta[None, :])[0])
             if val > best:
                 best = val
+    ix = _cone_index(p, cone)
     remaining = config.samples
     while remaining > 0:
         m = min(_SEARCH_CHUNK, remaining)
         remaining -= m
-        B = _sample_cone_points(rng, cone, p, m, variant)
+        B, _, _ = _sample_cone_points(rng, ix, m, variant)
         vals = _batch_regression_ratio(entries, cone, B)
         top = float(np.max(vals)) if vals.size else 0.0
         if top > best:

@@ -218,7 +218,10 @@ class _Inputs:
         if key == "phi_re":
             return restricted_eigenvalue(gram, cone, "plain", self.config, self.cap)
         if key == "phi_re_adaptive":
-            return restricted_eigenvalue(gram, cone, "adaptive", self.config, self.cap)
+            # E7 reads only the lower endpoint, so the certified route stands
+            # in for the searched interval (analyze still reports the search)
+            return certified_lower_phi(gram, cone, target="restricted_eigenvalue",
+                                       variant="adaptive", cap=self.cap)
         if key == "weak_rip_2s":
             return weak_rip_constant(gram, cone.with_(N=2 * s), self.cap)
         if key == "weak_rip_n":

@@ -640,7 +640,7 @@ class TestInvalidArguments:
             raise AssertionError("work started despite an invalid argument")
 
         for name in ("load_matrix_csv", "solve_noiseless", "solve_noisy",
-                     "noise_bound_experiment", "concentration_experiment"):
+                     "noise_bound_experiment", "concentration_experiment", "generate"):
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv, message", [
@@ -664,6 +664,19 @@ class TestInvalidArguments:
          "lasso --design takes no --N"),
         (["montecarlo", "--experiment", "noise", "--n", "40", "--p", "2", "--gram", "g.csv"],
          "montecarlo --experiment noise takes no --gram"),
+        (["lasso", "--design", "x.csv", "--y", "y.csv", "--lambda", "0.5", "--L", "1"],
+         "lasso --design takes no --L"),
+        (["lasso", "--design", "x.csv", "--y", "y.csv", "--lambda", "0.5",
+          "--cap-subsets", "10", "--S", "0"],
+         "lasso --design takes no --S, --cap-subsets"),
+        (["generate", "--kind", "identity", "--p", "3", "--jitter", "0.1"],
+         "generate --kind identity takes no --jitter"),
+        (["generate", "--kind", "equicorrelation", "--p", "3", "--rho", "0.2", "--seed", "0"],
+         "generate --kind equicorrelation takes no --seed"),
+        (["generate", "--kind", "random_psd", "--p", "3", "--noise-sd", "1"],
+         "generate --kind random_psd takes no --noise-sd"),
+        (["generate", "--kind", "gaussian_design", "--n", "4", "--p", "3", "--jitter", "0"],
+         "generate --kind gaussian_design takes no --jitter"),
     ])
     def test_rejected_before_work(self, argv, message, tmp_path, capsys, no_work):
         out = tmp_path / "report.json"

@@ -54,8 +54,11 @@ class TestIdentityInstance:
     def test_hierarchy_frozen_values(self, identity_verdicts):
         e7 = identity_verdicts[6]
         assert e7.edge_id == "E7"
-        assert e7.lhs_value == 0.9999999999999997
+        # lhs: the certified adaptive route, lambda_min(I) = 1, the exact
+        # adaptive RE of the identity
+        assert e7.lhs_value == 1.0
         assert e7.rhs_value == 0.9999999999999998
+        assert e7.holds is True
 
     def test_compat_bound_slack_within_tolerance(self, identity_verdicts):
         # interval lower sits 10*tol under the found value, hence the tiny
@@ -157,6 +160,52 @@ class TestCheckEdge:
         with pytest.raises(MissingInput) as info:
             check_edge("E11", None, cone, reports=reports)
         assert info.value.key == "gram"
+
+
+class TestHierarchyEdge:
+    """E7 reads the adaptive constant only through its lower endpoint, so
+    check_all runs the cone search for the plain variant alone."""
+
+    def test_check_all_runs_one_cone_search(self, fast_config, monkeypatch):
+        from lasso_audit import estimators
+        from lasso_audit.experiments import random_psd_entries
+
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append((name, args[-1] if name == "sample" else args[2]))
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(estimators, "_sample_cone_points",
+                            counted("sample", estimators._sample_cone_points))
+        monkeypatch.setattr(estimators, "_refine_ratio",
+                            counted("refine", estimators._refine_ratio))
+        g = GramMatrix(random_psd_entries(7, 50_011, 0.05))
+        cone = ConeSpec(S=(1, 4), L=2.0, N=3)
+        verdicts = check_all(g, cone, fast_config)
+        chunks = -(-fast_config.samples // estimators._SEARCH_CHUNK)
+        assert calls == [("sample", "plain")] * chunks + [("refine", "plain")]
+        e7 = verdicts[6]
+        assert e7.edge_id == "E7" and e7.holds is True
+        assert "binding: adaptive lower vs plain upper" in e7.bound_direction_note
+        route = estimators.certified_lower_phi(g, cone, "restricted_eigenvalue", "adaptive")
+        plain = estimators.restricted_eigenvalue(g, cone, "plain", fast_config)
+        assert (e7.lhs_value, e7.rhs_value) == (route.lower, plain.upper)
+
+    @pytest.mark.parametrize("ad_lower, holds", [(0.75, True), (0.85, False)])
+    def test_supplied_adaptive_interval_decides_on_its_lower(self, ad_lower, holds):
+        cone = ConeSpec(S=(0, 1), L=1.0, N=2)
+        reports = {
+            "phi_re_adaptive": BoundedValue.interval(0.95, ad_lower, 0.95),
+            "phi_re": BoundedValue.interval(0.8, 0.7, 0.8),
+            "phi_compat": BoundedValue.interval(1.0, 0.99, 1.0),
+        }
+        v = check_edge("E7", None, cone, reports=reports)
+        assert v.holds is holds
+        assert (v.lhs_value, v.rhs_value) == (ad_lower, 0.8)
+        assert "adaptive lower vs plain upper" in v.bound_direction_note
 
 
 class TestInfiniteSide:

@@ -1,4 +1,5 @@
-"""The leverage constants and the block-norm maxima against per-subset loops.
+"""The leverage constants and the block-norm maxima against per-subset loops,
+and the restricted-eigenvalue search against its per-row form.
 
 irrepresentable_uniform, irrepresentable_signed (parts 2 and 3), the E2
 column-norm maximum and the block-norm routes of regression_upper used to
@@ -6,6 +7,11 @@ walk their enlargements one subset at a time through inverse_11, block and
 block_norm_2q.  Those loops are kept here, enumerating with itertools, as the
 references the enumeration kernel must reproduce exactly: values, witnesses
 and provenance notes compare with ==, at several chunk sizes.
+
+The search helpers of restricted_eigenvalue used to rebuild S, its complement
+and the top enlargement on every evaluation; those versions are kept here too,
+and the helpers that build the index sets once per call must reproduce them
+bit for bit (compared with tobytes()).
 """
 
 import itertools
@@ -18,6 +24,7 @@ from lasso_audit import (
     BoundedValue,
     ConeSpec,
     GramMatrix,
+    SolverConfig,
     SubsetN,
     block,
     block_norm_2q,
@@ -29,13 +36,14 @@ from lasso_audit import (
     restricted_orthogonality,
     sample_gaussian_design,
     superset_count,
+    top_nset,
     uniform_eigenvalue,
 )
-from lasso_audit import constants
+from lasso_audit import constants, estimators
 from lasso_audit.constants import _sign_chunks, block_norm_maxima
-from lasso_audit.core import SINGULAR_RTOL
+from lasso_audit.core import SINGULAR_RTOL, derived_rng
 from lasso_audit.errors import AllSubmatricesSingular, CapExceeded, SingularBlock
-from lasso_audit.estimators import ROUTE_CAP
+from lasso_audit.estimators import ROUTE_CAP, certified_lower_phi, restricted_eigenvalue
 from lasso_audit.experiments import random_psd_entries
 
 # -- the per-subset loops ----------------------------------------------------
@@ -344,3 +352,234 @@ def test_block_norm_maxima_memo_keeps_the_q1_choice():
     bound = block_norm_maxima(gram, cone, sign_cap=2).vertex
     assert bound > exact
     assert block_norm_maxima(gram, cone).vertex == exact
+
+
+# -- the restricted-eigenvalue search, one row at a time ---------------------
+
+
+def outside(p, S):
+    return [j for j in range(p) if j not in S]
+
+
+def ref_batch_restricted_ratio(entries, cone, B):
+    S = list(cone.S)
+    comp = outside(entries.shape[0], S)
+    qs = np.einsum("ij,ij->i", B @ entries, B)
+    nsq = (B[:, S] ** 2).sum(axis=1)
+    k = min(cone.N - cone.s, len(comp))
+    if k > 0:
+        at = np.abs(B[:, comp])
+        top = np.partition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
+        nsq = nsq + (top ** 2).sum(axis=1)
+    out = np.full(B.shape[0], np.inf)
+    ok = nsq > 1e-300
+    out[ok] = qs[ok] / nsq[ok]
+    return out
+
+
+def ref_sample_cone_points(rng, cone, p, m, variant):
+    s = cone.s
+    S = list(cone.S)
+    comp = outside(p, S)
+    heads = rng.standard_normal((m, s))
+    norms = np.linalg.norm(heads, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    heads /= norms
+    B = np.zeros((m, p))
+    B[:, S] = heads
+    if comp and cone.L > 0.0:
+        r = len(comp)
+        raw = rng.standard_normal((m, r))
+        density = rng.random(m) ** 2
+        keep = rng.random((m, r)) < np.maximum(density, 1.0 / r)[:, None]
+        raw *= keep
+        l1 = np.abs(raw).sum(axis=1)
+        if variant == "plain":
+            budget = cone.L * np.abs(heads).sum(axis=1)
+        else:
+            budget = math.sqrt(s) * cone.L * np.ones(m)
+        frac = rng.random(m) ** 0.25
+        scale = np.zeros(m)
+        ok = l1 > 0.0
+        scale[ok] = frac[ok] * budget[ok] / l1[ok]
+        B[:, comp] = raw * scale[:, None]
+    return B
+
+
+def ref_project_to_cone(beta, cone, variant):
+    out = beta.copy()
+    S = list(cone.S)
+    comp = outside(beta.shape[0], S)
+    if not comp:
+        return out
+    head = out[S]
+    if variant == "plain":
+        budget = cone.L * float(np.abs(head).sum())
+    else:
+        budget = math.sqrt(cone.s) * cone.L * float(np.linalg.norm(head))
+    tail_l1 = float(np.abs(out[comp]).sum())
+    if tail_l1 > budget:
+        out[comp] *= 0.0 if budget == 0.0 else budget / tail_l1
+    return out
+
+
+def ref_refine_ratio(entries, cone, variant, beta, iters=40):
+    p = entries.shape[0]
+    S = list(cone.S)
+    beta = beta.copy()
+    f = float(ref_batch_restricted_ratio(entries, cone, beta[None, :])[0])
+    for _ in range(iters):
+        nset = top_nset(beta, cone)
+        mask = np.zeros(p)
+        mask[list(nset.members)] = 1.0
+        d = float(np.sum((beta * mask) ** 2))
+        if d <= 1e-300:
+            break
+        grad = 2.0 * (entries @ beta - f * beta * mask) / d
+        gn = float(np.linalg.norm(grad))
+        if gn == 0.0:
+            break
+        eta = 0.2 * float(np.linalg.norm(beta)) / gn
+        improved = False
+        for _ in range(25):
+            cand = ref_project_to_cone(beta - eta * grad, cone, variant)
+            if float(np.abs(cand[S]).sum()) == 0.0:
+                eta /= 2.0
+                continue
+            fc = float(ref_batch_restricted_ratio(entries, cone, cand[None, :])[0])
+            if fc < f - 1e-15 * max(1.0, abs(f)):
+                beta, f = cand, fc
+                improved = True
+                break
+            eta /= 2.0
+        if not improved:
+            break
+    return beta
+
+
+def ref_restricted_eigenvalue(gram, cone, variant, config):
+    entries = gram.entries
+    p, s = gram.p, cone.s
+    S = list(cone.S)
+    w, V = np.linalg.eigh(entries[np.ix_(S, S)])
+    cands = np.zeros((s, p))
+    cands[:, S] = V.T
+    ratios = ref_batch_restricted_ratio(entries, cone, cands)
+    best_i = int(np.argmin(ratios))
+    best_val = float(ratios[best_i])
+    best_beta = cands[best_i]
+    rng = derived_rng(config.seed, "re-search", gram.fingerprint(), variant,
+                      cone.S, cone.L, cone.N)
+    remaining = config.samples
+    while remaining > 0:
+        m = min(estimators._SEARCH_CHUNK, remaining)
+        remaining -= m
+        B = ref_sample_cone_points(rng, cone, p, m, variant)
+        ratios = ref_batch_restricted_ratio(entries, cone, B)
+        i = int(np.argmin(ratios))
+        if float(ratios[i]) < best_val:
+            best_val = float(ratios[i])
+            best_beta = B[i]
+    refined = ref_refine_ratio(entries, cone, variant, best_beta)
+    best_val = min(best_val, float(ref_batch_restricted_ratio(entries, cone, refined[None, :])[0]))
+    low = certified_lower_phi(gram, cone, target="restricted_eigenvalue", variant=variant)
+    lower = min(low.estimate, best_val)
+    return BoundedValue.interval(
+        best_val, lower, best_val,
+        provenance=f"upper: feasible search ({config.samples} samples); lower: {low.provenance}",
+    )
+
+
+def edge_rows(p, S, rng):
+    """Rows whose tails hold exact zeros, signed zeros and ties, a head with a
+    signed zero, and the zero row."""
+    comp = outside(p, S)
+    base = rng.standard_normal(p)
+    rows = []
+    for tail in (0.0, -0.0):
+        row = base.copy()
+        row[comp] = tail
+        rows.append(row)
+    row = base.copy()
+    row[comp[::3]] = 0.0
+    row[comp[1::3]] = -0.0
+    rows.append(row)
+    row = base.copy()
+    row[comp] = np.where(np.arange(len(comp)) % 2, 0.25, -0.25)
+    rows.append(row)
+    row = base.copy()
+    row[comp] = 0.1
+    row[comp[-2:]] = (-0.5, 0.5)
+    rows.append(row)
+    row = base.copy()
+    row[S[0]] = -0.0
+    rows.append(row)
+    rows.append(np.zeros(p))
+    return np.array(rows)
+
+
+# p, S, and every N - s in {0, 1, 2, 3} that fits p
+RE_SHAPES = [(4, (2,)), (5, (0, 3)), (7, (1, 4)), (10, (0, 4, 9)), (16, (1, 8, 15))]
+RE_L = (0.0, 1.0, 3.0)
+
+
+def re_cases():
+    for p, S in RE_SHAPES:
+        for extra in range(4):
+            if len(S) + extra <= p:
+                yield pytest.param(p, S, len(S) + extra, id=f"p{p}-S{'_'.join(map(str, S))}-N{len(S) + extra}")
+
+
+def same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p, S, N", re_cases())
+def test_search_helpers_match_the_per_row_versions(p, S, N):
+    entries = random_psd_entries(p, 70 + p, 0.05)
+    comp = outside(p, S)
+    for variant in ("plain", "adaptive"):
+        for L in RE_L:
+            cone = ConeSpec(S, L, N)
+            ix = estimators._cone_index(p, cone)
+            assert ix.S.tolist() == list(S) and ix.comp.tolist() == comp
+            assert ix.k == min(N - len(S), len(comp))
+            rng_ref, rng_new = np.random.default_rng(p + N), np.random.default_rng(p + N)
+            want = ref_sample_cone_points(rng_ref, cone, p, 300, variant)
+            B, heads, tails = estimators._sample_cone_points(rng_new, ix, 300, variant)
+            assert same(B, want)
+            assert same(heads, want[:, list(S)]) and same(tails, want[:, comp])
+            assert rng_new.random() == rng_ref.random()
+            assert same(estimators._restricted_ratio_parts(entries, B, heads, tails, ix.k),
+                        ref_batch_restricted_ratio(entries, cone, want))
+
+            rows = np.vstack([want[:8], edge_rows(p, list(S), rng_ref)])
+            rows = np.vstack([rows, 3.0 * rows])
+            assert same(estimators._batch_restricted_ratio(entries, ix, rows),
+                        ref_batch_restricted_ratio(entries, cone, rows))
+            for row in rows:
+                assert same(estimators._batch_restricted_ratio(entries, ix, row[None, :]),
+                            ref_batch_restricted_ratio(entries, cone, row[None, :]))
+                assert same(estimators._project_to_cone(row, ix, variant),
+                            ref_project_to_cone(row, cone, variant))
+
+            starts = [want[int(np.argmin(ref_batch_restricted_ratio(entries, cone, want)))]]
+            starts += [row for row in edge_rows(p, list(S), rng_ref)[[1, 3, 4]]]
+            for beta in starts:
+                assert same(estimators._refine_ratio(entries, ix, variant, beta),
+                            ref_refine_ratio(entries, cone, variant, beta))
+
+
+@pytest.mark.parametrize("p, S, N", re_cases())
+def test_restricted_eigenvalue_matches_the_per_row_search(p, S, N, monkeypatch):
+    gram = GramMatrix(random_psd_entries(p, 70 + p, 0.05))
+    # three sample chunks, the last a partial one
+    monkeypatch.setattr(estimators, "_SEARCH_CHUNK", 256)
+    config = SolverConfig(samples=600)
+    for variant in ("plain", "adaptive"):
+        for L in RE_L:
+            cone = ConeSpec(S, L, N)
+            got = restricted_eigenvalue(gram, cone, variant, config)
+            want = ref_restricted_eigenvalue(gram, cone, variant, config)
+            assert (got.estimate, got.lower, got.upper, got.certificate, got.provenance) == \
+                (want.estimate, want.lower, want.upper, want.certificate, want.provenance)
