@@ -62,7 +62,7 @@ from .errors import (
     SingularBlock,
     SingularUniformEigenvalue,
 )
-from .solvers import DEFAULT_CONFIG, SolverConfig, project_l1_ball, projected_gradient_qp
+from .solvers import DEFAULT_CONFIG, SolverConfig, _project_l1_ball, projected_gradient_qp
 
 # enumeration budget for bound routes that are optional extras; routes above
 # this size are skipped rather than attempted
@@ -150,17 +150,17 @@ def _equality_tail_qp(gram: GramMatrix, cone: ConeSpec, tau: np.ndarray, config:
     """V(tau) by projected gradient: the feasible set splits into the affine
     hyperplane tau'beta_S = 1 on S and the l1 ball of radius L off S, so the
     blockwise projection is the exact projection."""
-    p, s = gram.p, cone.s
-    S = list(cone.S)
-    comp = _complement(p, S)
+    p, s, L = gram.p, cone.s, cone.L
+    ix = _cone_index(p, cone)
+    S, comp = ix.S, ix.comp
     tau = np.asarray(tau, dtype=float)
 
     def projection(x):
         y = x.copy()
         head = x[S]
         y[S] = head - tau * ((tau @ head - 1.0) / s)
-        if comp:
-            y[comp] = project_l1_ball(x[comp], cone.L)
+        if comp.size:
+            y[comp] = _project_l1_ball(x[comp], L)
         return y
 
     x0 = np.zeros(p)
@@ -255,21 +255,42 @@ def _sample_cone_points(rng, ix: _ConeIndex, m: int, variant: str):
     return B, heads, tails
 
 
-def _project_to_cone(beta: np.ndarray, ix: _ConeIndex, variant: str) -> np.ndarray:
-    """Rescale the tail onto the budget; heads are left untouched."""
+def _project_to_cone(beta: np.ndarray, ix: _ConeIndex, variant: str):
+    """Rescale the tail onto the budget; heads are left untouched.  Returns
+    the projected point and the l1 norm of its head."""
     out = beta.copy()
     cone, comp = ix.cone, ix.comp
-    if not comp.size:
-        return out
     head = out[ix.S]
+    head_l1 = float(np.abs(head).sum())
+    if not comp.size:
+        return out, head_l1
     if variant == "plain":
-        budget = cone.L * float(np.abs(head).sum())
+        budget = cone.L * head_l1
     else:
         budget = math.sqrt(cone.s) * cone.L * float(np.linalg.norm(head))
     tail_l1 = float(np.abs(out[comp]).sum())
     if tail_l1 > budget:
         out[comp] *= 0.0 if budget == 0.0 else budget / tail_l1
-    return out
+    return out, head_l1
+
+
+def _restricted_ratio_row(entries: np.ndarray, ix: _ConeIndex, b: np.ndarray) -> float:
+    """_batch_restricted_ratio of the one row b, bit for bit, without the
+    batch's per-call array set-up."""
+    B = b[None, :]
+    q = np.einsum("ij,ij->i", B @ entries, B)[0]
+    nsq = (b[ix.S] ** 2).sum()
+    k = ix.k
+    if k == 1:
+        # a product, not np.float64 ** 2, which can differ from the array
+        # square in the last bit
+        m = np.abs(b[ix.comp]).max()
+        nsq = nsq + m * m
+    elif k > 1:
+        at = np.abs(b[ix.comp])
+        top = np.partition(at, at.size - k)[at.size - k:]
+        nsq = nsq + (top ** 2).sum()
+    return float(q / nsq) if nsq > 1e-300 else math.inf
 
 
 def _refine_ratio(entries: np.ndarray, ix: _ConeIndex, variant: str, beta: np.ndarray,
@@ -278,7 +299,7 @@ def _refine_ratio(entries: np.ndarray, ix: _ConeIndex, variant: str, beta: np.nd
     onto the cone; every accepted iterate stays feasible."""
     S, comp = ix.S, ix.comp
     beta = beta.copy()
-    f = float(_batch_restricted_ratio(entries, ix, beta[None, :])[0])
+    f = _restricted_ratio_row(entries, ix, beta)
     for _ in range(iters):
         # the top enlargement, ties by ascending index as in top_nset
         extra = comp[np.argsort(-np.abs(beta[comp]), kind="stable")[:ix.k]]
@@ -295,11 +316,11 @@ def _refine_ratio(entries: np.ndarray, ix: _ConeIndex, variant: str, beta: np.nd
         eta = 0.2 * float(np.linalg.norm(beta)) / gn
         improved = False
         for _ in range(25):
-            cand = _project_to_cone(beta - eta * grad, ix, variant)
-            if float(np.abs(cand[S]).sum()) == 0.0:
+            cand, head_l1 = _project_to_cone(beta - eta * grad, ix, variant)
+            if head_l1 == 0.0:
                 eta /= 2.0
                 continue
-            fc = float(_batch_restricted_ratio(entries, ix, cand[None, :])[0])
+            fc = _restricted_ratio_row(entries, ix, cand)
             if fc < f - 1e-15 * max(1.0, abs(f)):
                 beta, f = cand, fc
                 improved = True

@@ -69,10 +69,19 @@ class GeneratorSpec:
 
 
 def _box_muller(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via z = sqrt(-2 ln(1 - U1)) cos(2 pi U2)."""
-    u1 = rng.random(shape)
-    u2 = rng.random(shape)
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    """Standard normals via z = sqrt(-2 ln(1 - U1)) cos(2 pi U2), for an int
+    or tuple shape.  U1 and U2 are drawn as one block, which is the same
+    stream as two draws, and the arithmetic runs in place in that block."""
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    u1, u2 = rng.random((2, *shape))
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def _psd_sqrt(entries: np.ndarray) -> np.ndarray:

@@ -54,6 +54,12 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
         raise InvalidParameter("project_l1_ball expects a vector")
     if not np.all(np.isfinite(v)) or not np.isfinite(radius) or radius < 0:
         raise InvalidParameter("projection needs finite inputs and radius >= 0")
+    return _project_l1_ball(v, radius)
+
+
+def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
+    """project_l1_ball without its checks, for callers that project a
+    finite float vector onto a ball of valid radius on every step."""
     if radius == 0.0:
         return np.zeros_like(v)
     a = np.abs(v)
@@ -62,7 +68,7 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     u = np.sort(a)[::-1]
     cumsum = np.cumsum(u)
     ks = np.arange(1, u.size + 1)
-    rho = int(np.max(np.nonzero(u * ks > (cumsum - radius))[0]))
+    rho = int(np.flatnonzero(u * ks > (cumsum - radius))[-1])
     theta = (cumsum[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
@@ -120,8 +126,7 @@ def projected_gradient_qp(quadratic, linear, projection, config: SolverConfig = 
             fn = value(nxt)
             doublings += 1
         residual = float(np.max(np.abs(x - nxt)))
-        x = nxt
-        fx = value(x)
+        x, fx = nxt, fn
         if residual <= config.tol:
             return x, fx, residual
     raise MaxItersExceeded(

@@ -235,6 +235,17 @@ class TestSampling:
         assert abs(float(z.mean())) < 0.02
         assert abs(float(z.var()) - 1.0) < 0.02
 
+    @pytest.mark.parametrize("shape", [1, 7, np.int64(64), (3, 5), (40, 1), (0, 4)])
+    def test_box_muller_in_place_matches_two_draws(self, shape):
+        # the formula on two separate draws, as the generators computed it
+        # before the draws became one block
+        ref_rng, rng = derived_rng(3, "bm-ref"), derived_rng(3, "bm-ref")
+        u1, u2 = ref_rng.random(shape), ref_rng.random(shape)
+        want = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+        got = _box_muller(rng, shape)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+
     def test_sample_gaussian_design_shapes_and_symmetry(self):
         x, sighat = sample_gaussian_design(40, 3, GramMatrix(np.eye(3)), 5)
         assert x.shape == (40, 3)

@@ -11,7 +11,13 @@ and provenance notes compare with ==, at several chunk sizes.
 The search helpers of restricted_eigenvalue used to rebuild S, its complement
 and the top enlargement on every evaluation; those versions are kept here too,
 and the helpers that build the index sets once per call must reproduce them
-bit for bit (compared with tobytes()).
+bit for bit (compared with tobytes()).  So must the one-row ratio of the
+refinement against the batch ratio.
+
+The projected-gradient fallback of compatibility_constant used to index with
+Python lists and call the checked project_l1_ball on every projection, and to
+recompute the objective of each accepted step; that loop is kept here as the
+reference for values, certificates and provenance.
 """
 
 import itertools
@@ -22,6 +28,7 @@ import pytest
 
 from lasso_audit import (
     BoundedValue,
+    Certificate,
     ConeSpec,
     GramMatrix,
     SolverConfig,
@@ -29,9 +36,11 @@ from lasso_audit import (
     block,
     block_norm_2q,
     coherence,
+    compatibility_constant,
     inverse_11,
     irrepresentable_signed,
     irrepresentable_uniform,
+    project_l1_ball,
     regression_upper,
     restricted_orthogonality,
     sample_gaussian_design,
@@ -39,10 +48,10 @@ from lasso_audit import (
     top_nset,
     uniform_eigenvalue,
 )
-from lasso_audit import constants, estimators
+from lasso_audit import constants, core, estimators
 from lasso_audit.constants import _sign_chunks, block_norm_maxima
 from lasso_audit.core import SINGULAR_RTOL, derived_rng
-from lasso_audit.errors import AllSubmatricesSingular, CapExceeded, SingularBlock
+from lasso_audit.errors import AllSubmatricesSingular, CapExceeded, MaxItersExceeded, SingularBlock
 from lasso_audit.estimators import ROUTE_CAP, certified_lower_phi, restricted_eigenvalue
 from lasso_audit.experiments import random_psd_entries
 
@@ -492,7 +501,7 @@ def ref_restricted_eigenvalue(gram, cone, variant, config):
 
 def edge_rows(p, S, rng):
     """Rows whose tails hold exact zeros, signed zeros and ties, a head with a
-    signed zero, and the zero row."""
+    signed zero, the zero row and a zero head with a nonzero tail."""
     comp = outside(p, S)
     base = rng.standard_normal(p)
     rows = []
@@ -515,6 +524,9 @@ def edge_rows(p, S, rng):
     row[S[0]] = -0.0
     rows.append(row)
     rows.append(np.zeros(p))
+    row = base.copy()
+    row[S] = 0.0
+    rows.append(row)
     return np.array(rows)
 
 
@@ -558,10 +570,13 @@ def test_search_helpers_match_the_per_row_versions(p, S, N):
             assert same(estimators._batch_restricted_ratio(entries, ix, rows),
                         ref_batch_restricted_ratio(entries, cone, rows))
             for row in rows:
-                assert same(estimators._batch_restricted_ratio(entries, ix, row[None, :]),
-                            ref_batch_restricted_ratio(entries, cone, row[None, :]))
-                assert same(estimators._project_to_cone(row, ix, variant),
-                            ref_project_to_cone(row, cone, variant))
+                want_row = ref_batch_restricted_ratio(entries, cone, row[None, :])
+                assert same(estimators._batch_restricted_ratio(entries, ix, row[None, :]), want_row)
+                got_row = estimators._restricted_ratio_row(entries, ix, row)
+                assert same(np.array([got_row]), want_row)
+                projected, head_l1 = estimators._project_to_cone(row, ix, variant)
+                assert same(projected, ref_project_to_cone(row, cone, variant))
+                assert head_l1 == float(np.abs(projected[list(S)]).sum())
 
             starts = [want[int(np.argmin(ref_batch_restricted_ratio(entries, cone, want)))]]
             starts += [row for row in edge_rows(p, list(S), rng_ref)[[1, 3, 4]]]
@@ -583,3 +598,173 @@ def test_restricted_eigenvalue_matches_the_per_row_search(p, S, N, monkeypatch):
             want = ref_restricted_eigenvalue(gram, cone, variant, config)
             assert (got.estimate, got.lower, got.upper, got.certificate, got.provenance) == \
                 (want.estimate, want.lower, want.upper, want.certificate, want.provenance)
+
+
+# the k = 1 rows of sweep-pool instance 0 (p = 5, seed 50000, jitter 0.05,
+# S = (0, 1), L = 3, N = 3) on which np.float64 ** 2 of the top tail
+# magnitude rounded differently from the array square the batch ratio takes
+# (numpy 2.4.6, glibc pow); that moved two E7 values of the instance
+SCALAR_SQUARE_ROWS = [
+    ["0x1.0200e790d99c0p+0", "-0x1.04aa8686166eap-1", "0x1.4a0af7345eb3ap+0",
+     "0x1.12fb606638045p-2", "-0x1.6ba36c56faea1p-1"],
+    ["0x1.fde6b6eeb39d0p-1", "-0x1.be94bb74dc966p-2", "0x1.5641b11477546p+0",
+     "0x1.f3fc4c8eb0a90p-3", "-0x1.61292d59faf4dp-1"],
+    ["0x1.da073c581d78cp-1", "-0x1.fafb48ebf3bf8p-4", "0x1.83be3ed506c7dp+0",
+     "0x1.57f95ecdd1df8p-3", "-0x1.578a97e5404cdp-1"],
+]
+
+
+def test_one_row_ratio_squares_as_the_batch_does():
+    entries = random_psd_entries(5, 50_000, 0.05)
+    ix = estimators._cone_index(5, ConeSpec((0, 1), 3.0, 3))
+    assert ix.k == 1
+    for hexes in SCALAR_SQUARE_ROWS:
+        row = np.array([float.fromhex(h) for h in hexes])
+        want = estimators._batch_restricted_ratio(entries, ix, row[None, :])
+        assert same(np.array([estimators._restricted_ratio_row(entries, ix, row)]), want)
+
+
+# -- the projected-gradient fallback of the compatibility constant -----------
+
+
+def ref_projected_gradient_qp(q, c, projection, config, x0, lipschitz):
+    lip = max(lipschitz * 1.01, 1e-12)
+
+    def value(x):
+        return float(x @ q @ x + c @ x)
+
+    x = projection(x0)
+    fx = value(x)
+    residual = np.inf
+    for _ in range(config.max_iters):
+        grad = 2.0 * (q @ x) + c
+        nxt = projection(x - grad / lip)
+        fn = value(nxt)
+        doublings = 0
+        while fn > fx + 1e-12 * max(1.0, abs(fx)) and doublings < 60:
+            lip *= 2.0
+            nxt = projection(x - grad / lip)
+            fn = value(nxt)
+            doublings += 1
+        residual = float(np.max(np.abs(x - nxt)))
+        x = nxt
+        fx = value(x)
+        if residual <= config.tol:
+            return x, fx, residual
+    raise MaxItersExceeded("reference projected gradient", best=(x, fx, residual))
+
+
+def ref_equality_tail_qp(gram, cone, tau, config, lipschitz):
+    p, s = gram.p, cone.s
+    S = list(cone.S)
+    comp = outside(p, S)
+    tau = np.asarray(tau, dtype=float)
+
+    def projection(x):
+        y = x.copy()
+        head = x[S]
+        y[S] = head - tau * ((tau @ head - 1.0) / s)
+        if comp:
+            y[comp] = project_l1_ball(x[comp], cone.L)
+        return y
+
+    x0 = np.zeros(p)
+    x0[S] = tau / s
+    converged = True
+    try:
+        x, fx, _ = ref_projected_gradient_qp(gram.entries, np.zeros(p), projection, config,
+                                             x0, lipschitz)
+    except MaxItersExceeded as exc:
+        x, fx, _ = exc.best
+        converged = False
+    return float(fx), tuple(int(v) for v in tau), converged
+
+
+def fixed_singular_entries():
+    # X'X / n with n = 3 < p = 6: Sigma is singular, so every tau takes the
+    # projected-gradient path
+    return sample_gaussian_design(3, 6, GramMatrix(np.eye(6)), 8)[1].entries
+
+
+# (Gram, S, configs): the RE_SHAPES Grams, a singular one, S = all but one
+# coordinate, and an iteration budget too small to converge
+PG_CASES = {
+    **{f"re_p{p}": (lambda p=p: random_psd_entries(p, 70 + p, 0.05), S, [SolverConfig()])
+       for p, S in RE_SHAPES},
+    "singular": (fixed_singular_entries, (0, 2, 5), [SolverConfig(), SolverConfig(max_iters=5)]),
+    "all_but_one": (lambda: random_psd_entries(5, 9, 0.0), (0, 1, 2, 4), [SolverConfig()]),
+}
+
+
+def compat_outcome(gram, cone, config):
+    bv = compatibility_constant(gram, cone, config)
+    return (np.float64(bv.estimate).tobytes(), np.float64(bv.lower).tobytes(),
+            np.float64(bv.upper).tobytes(), bv.certificate, bv.provenance)
+
+
+@pytest.mark.parametrize("name", list(PG_CASES))
+def test_compatibility_fallback_matches_the_loop(name, monkeypatch):
+    make, S, configs = PG_CASES[name]
+    gram = GramMatrix(make())
+    lip = 2.0 * max(float(np.linalg.eigvalsh(gram.entries)[-1]), 1e-12)
+    signs = np.concatenate([np.ones((2 ** (len(S) - 1), 1)),
+                            next(_sign_chunks(len(S) - 1, 2 ** (len(S) - 1)))], axis=1)
+    for config in configs:
+        for L in RE_L:
+            cone = ConeSpec(S, L, len(S))
+            for tau in signs:
+                v, t, ok = estimators._equality_tail_qp(gram, cone, tau, config, lip)
+                want_v, want_t, want_ok = ref_equality_tail_qp(gram, cone, tau, config, lip)
+                assert np.float64(v).tobytes() == np.float64(want_v).tobytes()
+                assert (t, ok) == (want_t, want_ok)
+            got = compat_outcome(gram, cone, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimators, "_equality_tail_qp", ref_equality_tail_qp)
+                assert got == compat_outcome(gram, cone, config)
+
+
+def test_fallback_cases_reach_every_path():
+    # every tau of the singular Gram goes through projected gradient, and the
+    # five-step budget leaves each of them unconverged
+    make, S, _ = PG_CASES["singular"]
+    gram = GramMatrix(make())
+    bv = compatibility_constant(gram, ConeSpec(S, 1.0, len(S)))
+    assert "closed_form=0, projected_gradient=4," in bv.provenance
+    assert bv.certificate is Certificate.INTERVAL
+    bv = compatibility_constant(gram, ConeSpec(S, 1.0, len(S)), SolverConfig(max_iters=5))
+    assert bv.certificate is Certificate.ESTIMATE and "unconverged=4" in bv.provenance
+    # a nonsingular Gram with a positive tail budget splits its signs
+    make, S, _ = PG_CASES["re_p5"]
+    bv = compatibility_constant(GramMatrix(make()), ConeSpec(S, 1.0, len(S)))
+    assert "closed_form=1, projected_gradient=1," in bv.provenance
+
+
+def counting(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_index_sets_are_built_once_per_sign_and_never_per_step(monkeypatch):
+    counts = {"_complement": 0, "top_nset": 0}
+    counting(monkeypatch, estimators, "_complement", counts)
+    counting(monkeypatch, estimators, "top_nset", counts)
+    counting(monkeypatch, core, "top_nset", counts)
+
+    make, S, _ = PG_CASES["singular"]
+    bv = compatibility_constant(GramMatrix(make()), ConeSpec(S, 1.0, len(S)))
+    assert "projected_gradient=4," in bv.provenance
+    assert counts["_complement"] <= 2 ** (len(S) - 1) + 1
+
+    p, S, N = 7, (1, 4), 4
+    entries = random_psd_entries(p, 70 + p, 0.05)
+    ix = estimators._cone_index(p, ConeSpec(S, 1.0, N))
+    counts.update(_complement=0, top_nset=0)
+    beta = derived_rng(0, "guard").standard_normal(p)
+    start, _ = estimators._project_to_cone(beta, ix, "plain")
+    estimators._refine_ratio(entries, ix, "plain", start)
+    assert counts == {"_complement": 0, "top_nset": 0}

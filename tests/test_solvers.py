@@ -153,6 +153,28 @@ class TestProjectedGradientQP:
         with pytest.raises(InvalidParameter):
             projected_gradient_qp(np.eye(2), np.zeros(3), lambda v: v)
 
+    # converged runs, unconverged ones, and runs whose low Lipschitz estimate
+    # makes the loop double its step
+    @pytest.mark.parametrize("max_iters, lip, radius, converged", [
+        (100_000, None, 0.7, True), (100_000, 0.1, 0.7, True),
+        (1, None, 0.7, False), (3, 0.1, 5.0, False)])
+    def test_value_is_the_objective_of_the_returned_point(self, max_iters, lip, radius, converged):
+        # the value the loop keeps from its accepted step equals the
+        # objective of the returned point, bit for bit
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            a = rng.standard_normal((5, 5))
+            q = a.T @ a / 5
+            c = rng.standard_normal(5)
+            try:
+                x, fx, _ = projected_gradient_qp(q, c, lambda v: project_l1_ball(v, radius),
+                                                 SolverConfig(max_iters=max_iters), lipschitz=lip)
+                assert converged
+            except MaxItersExceeded as exc:
+                x, fx, _ = exc.best
+                assert not converged
+            assert np.float64(fx).tobytes() == np.float64(float(x @ q @ x + c @ x)).tobytes()
+
 
 def lasso_enumeration_oracle(q, c, lam):
     """Global minimizer of beta'Q beta - 2 c'beta + lam ||beta||_1 for tiny p
