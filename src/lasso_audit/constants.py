@@ -52,6 +52,7 @@ from .core import (
     GramMatrix,
     SubsetN,
     _complement,
+    _nonsingular,
     block,
     check_superset_cap,
     superset_count,
@@ -339,7 +340,7 @@ def _leverage_chunks(gram: GramMatrix, plan):
     for base, n in plan:
         for nsets, _ in _index_chunks(gram.p, base, n, 0):
             vals, vecs = np.linalg.eigh(entries[nsets[:, :, None], nsets[:, None, :]])
-            ok = vals[:, 0] > SINGULAR_RTOL * np.maximum(vals[:, -1], 0.0)
+            ok = _nonsingular(vals)
             nsets, vals, vecs = nsets[ok], vals[ok], vecs[ok]
             inv = (vecs / vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)
             comps = _complements(nsets, gram.p)

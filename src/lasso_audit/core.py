@@ -9,7 +9,8 @@ Conventions used across the package:
   by one eigenvalue decomposition (smallest eigenvalue at least -1e-9 times
   the entry scale); rank-deficient inputs are first-class, so
   positive-definiteness is never assumed.
-* Submatrices are declared singular iff lambda_min <= 1e-10 * lambda_max.
+* Submatrices are declared singular iff lambda_min <= 1e-10 * lambda_max;
+  _nonsingular is the one home of that rule, for one block or a stack.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class BoundedValue:
         return cls(v, v, math.inf, Certificate.CERTIFIED_LOWER, provenance)
 
     @classmethod
-    def certified_upper(cls, value, provenance="", lower=0.0):
+    def certified_upper(cls, value, provenance=""):
         v = float(value)
-        return cls(v, min(float(lower), v), v, Certificate.CERTIFIED_UPPER, provenance)
+        return cls(v, min(0.0, v), v, Certificate.CERTIFIED_UPPER, provenance)
 
     @classmethod
     def interval(cls, estimate, lower, upper, provenance=""):
@@ -297,6 +298,12 @@ def block(gram: GramMatrix, nset: SubsetN, which: str) -> np.ndarray:
     raise InvalidParameter(f"unknown block selector {which!r}")
 
 
+def _nonsingular(vals):
+    """The singularity rule, for the ascending eigenvalues of one block or a
+    stack of blocks (last axis): lambda_min > SINGULAR_RTOL * max(lambda_max, 0)."""
+    return vals[..., 0] > SINGULAR_RTOL * np.maximum(vals[..., -1], 0.0)
+
+
 def inverse_11(gram: GramMatrix, nset: SubsetN) -> np.ndarray:
     """Inverse of Sigma_11(nset) via symmetric eigendecomposition.
 
@@ -304,11 +311,9 @@ def inverse_11(gram: GramMatrix, nset: SubsetN) -> np.ndarray:
     """
     sub = block(gram, nset, "11")
     vals, vecs = np.linalg.eigh(sub)
-    lo, hi = float(vals[0]), float(vals[-1])
-    if lo <= SINGULAR_RTOL * max(hi, 0.0) or lo <= 0.0:
-        raise SingularBlock(
-            f"Sigma_11 block on {nset.members} is singular (lambda_min={lo!r}, lambda_max={hi!r})"
-        )
+    if not _nonsingular(vals):
+        raise SingularBlock(f"Sigma_11 block on {nset.members} is singular "
+                            f"(lambda_min={float(vals[0])!r}, lambda_max={float(vals[-1])!r})")
     return (vecs / vals) @ vecs.T
 
 

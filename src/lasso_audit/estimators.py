@@ -48,9 +48,9 @@ from .core import (
     GramMatrix,
     SubsetN,
     _complement,
+    _nonsingular,
     cone_membership,
     derived_rng,
-    inverse_11,
     superset_count,
     top_nset,
 )
@@ -84,47 +84,45 @@ def compatibility_constant(gram: GramMatrix, cone: ConeSpec, config: SolverConfi
     V(tau) = min { beta'Sigma beta : tau'beta_S = 1, ||beta_{S^c}||_1 <= L }.
     When Sigma is nonsingular and the unconstrained-tail equality solution
     Sigma^{-1} a / (a'Sigma^{-1} a) already satisfies the tail budget, V(tau)
-    is available in closed form; those tau are batched.  The rest fall back to
-    projected gradient, which brackets V(tau) from above.  The result is always
-    an Interval with a 10 * tol margin below the found value, downgraded to
-    Estimate if any projected-gradient run hits its iteration limit.
+    is available in closed form; those tau are batched.  The rest, and every
+    tau of a singular Sigma, fall back to projected gradient, which brackets
+    V(tau) from above.  The result is always an Interval with a 10 * tol
+    margin below the found value, downgraded to Estimate if any
+    projected-gradient run hits its iteration limit.
     """
     cone.validate_p(gram.p)
     p, s, L = gram.p, cone.s, cone.L
     if 2 ** max(s - 1, 0) > sign_cap:
         raise CapExceeded(2 ** (s - 1), sign_cap, what="compatibility sign enumeration")
-    S = list(cone.S)
-    comp = _complement(p, S)
+    ix = _cone_index(p, cone)
     vals, vecs = np.linalg.eigh(gram.entries)
     lam_max = max(float(vals[-1]), 0.0)
-    nonsingular = float(vals[0]) > SINGULAR_RTOL * max(lam_max, 0.0) and float(vals[0]) > 0.0
+    nonsingular = _nonsingular(vals)
+    if nonsingular:
+        inv_cols = (vecs / vals) @ vecs.T[:, ix.S]
+        a11 = inv_cols[ix.S, :]
+        tail_rows = inv_cols[ix.comp, :]
 
     best = math.inf
     best_tau = None
     fast = 0
     hard = []
-    if nonsingular:
-        inv_cols = (vecs / vals) @ vecs.T[:, S]
-        a11 = inv_cols[S, :]
-        tail_rows = inv_cols[comp, :] if comp else np.zeros((0, s))
-        for T in _sign_chunks(max(s - 1, 0), _SEARCH_CHUNK):
-            full = np.concatenate([np.ones((T.shape[0], 1)), T], axis=1)
-            denom = np.einsum("ia,ab,ib->i", full, a11, full)
-            tail_l1 = np.abs(full @ tail_rows.T).sum(axis=1)
-            feasible = tail_l1 <= denom * L * (1.0 + _FAST_FEAS_RTOL) + 1e-300
-            fast += int(np.count_nonzero(feasible))
-            if np.any(feasible):
-                i = int(np.argmax(np.where(feasible, denom, -np.inf)))
-                if 1.0 / denom[i] < best:
-                    best = 1.0 / float(denom[i])
-                    best_tau = tuple(int(v) for v in full[i])
-            for row in full[~feasible]:
-                hard.append(row.copy())
-    else:
-        for T in _sign_chunks(max(s - 1, 0), _SEARCH_CHUNK):
-            full = np.concatenate([np.ones((T.shape[0], 1)), T], axis=1)
-            for row in full:
-                hard.append(row.copy())
+    for T in _sign_chunks(max(s - 1, 0), _SEARCH_CHUNK):
+        full = np.concatenate([np.ones((T.shape[0], 1)), T], axis=1)
+        if not nonsingular:
+            hard.append(full)
+            continue
+        denom = np.einsum("ia,ab,ib->i", full, a11, full)
+        tail_l1 = np.abs(full @ tail_rows.T).sum(axis=1)
+        feasible = tail_l1 <= denom * L * (1.0 + _FAST_FEAS_RTOL) + 1e-300
+        fast += int(np.count_nonzero(feasible))
+        if np.any(feasible):
+            i = int(np.argmax(np.where(feasible, denom, -np.inf)))
+            if 1.0 / denom[i] < best:
+                best = 1.0 / float(denom[i])
+                best_tau = tuple(int(v) for v in full[i])
+        hard.append(full[~feasible])
+    hard = np.concatenate(hard)
 
     lip = 2.0 * max(lam_max, 1e-12)
     diverged = 0
@@ -255,6 +253,16 @@ def _sample_cone_points(rng, ix: _ConeIndex, m: int, variant: str):
     return B, heads, tails
 
 
+def _cone_samples(rng, ix: _ConeIndex, variant: str, samples: int):
+    """samples cone points from _sample_cone_points, in chunks of at most
+    _SEARCH_CHUNK rows: the one sample loop of the cone searches."""
+    remaining = samples
+    while remaining > 0:
+        m = min(_SEARCH_CHUNK, remaining)
+        remaining -= m
+        yield _sample_cone_points(rng, ix, m, variant)
+
+
 def _project_to_cone(beta: np.ndarray, ix: _ConeIndex, variant: str):
     """Rescale the tail onto the budget; heads are left untouched.  Returns
     the projected point and the l1 norm of its head."""
@@ -358,11 +366,7 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
 
     rng = derived_rng(config.seed, "re-search", gram.fingerprint(), variant,
                       cone.S, cone.L, cone.N)
-    remaining = config.samples
-    while remaining > 0:
-        m = min(_SEARCH_CHUNK, remaining)
-        remaining -= m
-        B, heads, tails = _sample_cone_points(rng, ix, m, variant)
+    for B, heads, tails in _cone_samples(rng, ix, variant, config.samples):
         ratios = _restricted_ratio_parts(entries, B, heads, tails, ix.k)
         i = int(np.argmin(ratios))
         if float(ratios[i]) < best_val:
@@ -425,20 +429,18 @@ def evaluate_regression_ratio(gram: GramMatrix, cone: ConeSpec, beta, variant: s
     return numer / denom
 
 
-def _batch_regression_ratio(entries: np.ndarray, cone: ConeSpec, B: np.ndarray) -> np.ndarray:
-    p = entries.shape[0]
-    S = list(cone.S)
-    comp = _complement(p, S)
-    m = B.shape[0]
+def _batch_regression_ratio(entries: np.ndarray, ix: _ConeIndex, B: np.ndarray) -> np.ndarray:
+    """evaluate_regression_ratio for each row of B, up to which of several
+    tied tail magnitudes enters the top enlargement (argpartition's choice
+    here, the lowest index in top_nset)."""
+    m, p = B.shape
     mask = np.zeros((m, p), dtype=bool)
-    mask[:, S] = True
-    k = min(cone.N - cone.s, len(comp))
+    mask[:, ix.S] = True
+    k = ix.k
     if k > 0:
-        at = np.abs(B[:, comp])
+        at = np.abs(B[:, ix.comp])
         order = np.argpartition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
-        comp_arr = np.array(comp)
-        rows = np.repeat(np.arange(m), k)
-        mask[rows, comp_arr[order].ravel()] = True
+        mask[np.repeat(np.arange(m), k), ix.comp[order].ravel()] = True
     head = np.where(mask, B, 0.0)
     tailp = B - head
     g = head @ entries
@@ -454,28 +456,23 @@ def _batch_regression_ratio(entries: np.ndarray, cone: ConeSpec, B: np.ndarray) 
 
 def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverConfig):
     """Best feasible value of the regression ratio (a certified lower bound
-    for the sup).  Always includes the inverse-sign witness heads, which make
-    the value at N = s at least the uniform leverage constant."""
+    for the sup).  When Sigma_SS is nonsingular the heads include the
+    inverse-sign witnesses, which make the value at N = s at least the
+    uniform leverage constant."""
     entries = gram.entries
     p, s = gram.p, cone.s
-    S = list(cone.S)
-    comp = _complement(p, S)
-    S_sub = SubsetN(cone.S)
-    sig11 = entries[np.ix_(S, S)]
-    sig21 = entries[np.ix_(comp, S)] if comp else np.zeros((0, s))
+    ix = _cone_index(p, cone)
+    sig11 = entries[np.ix_(ix.S, ix.S)]
+    sig21 = entries[np.ix_(ix.comp, ix.S)]
 
-    heads = [np.linalg.eigh(sig11)[1].T]
-    try:
-        inv = inverse_11(gram, S_sub)
-    except SingularBlock:
-        inv = None
+    # one decomposition of Sigma_SS: the eigenvector heads and the inverse
+    w, V = np.linalg.eigh(sig11)
+    heads = [V.T]
     rng = derived_rng(config.seed, "rr-search", gram.fingerprint(), variant,
                       cone.S, cone.N)
-    if inv is not None:
-        signs = []
-        if comp:
-            m_rows = sig21 @ inv
-            signs.append(np.where(m_rows >= 0.0, 1.0, -1.0))
+    if _nonsingular(w):
+        inv = (V / w) @ V.T
+        signs = [np.where(sig21 @ inv >= 0.0, 1.0, -1.0)]
         if 2 ** s <= 4096:
             signs.append(next(_sign_chunks(s, 2 ** s)))
         else:
@@ -491,52 +488,47 @@ def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverCon
         best = float(np.max(scores)) if scores.size else 0.0
         return best, "head candidates with exact tail completion"
 
-    # N > s: the best heads seed spike-and-greedy full vectors, plus random
-    # cone points evaluated at their own top enlargement
+    # N > s, so k >= 1: the best heads seed spike-and-greedy full vectors,
+    # plus random cone points evaluated at their own top enlargement
     best = 0.0
     finite = np.where(np.isfinite(scores))[0]
     order = finite[np.argsort(scores[finite])[::-1][:8]]
-    k = min(cone.N - cone.s, len(comp))
+    k, r = ix.k, ix.comp.size
     for i in order:
         h = H[i]
         full_budget = (cone.L * float(np.abs(h).sum()) if variant == "plain"
                        else math.sqrt(s) * cone.L * float(np.linalg.norm(h)))
-        if full_budget <= 0.0 or k == 0 or not comp:
+        if full_budget <= 0.0:
             continue
-        v = np.abs(sig21 @ h) if comp else np.zeros(0)
-        low_coords = np.array(comp)[np.argsort(v)[:k]]
-        denoms = [len(comp), max(len(comp) - k, 1) + k, 2 * k + 1, k + 1, k]
-        for dna in denoms:
-            a = full_budget / max(dna, 1)
+        # k spikes on the tail coordinates least correlated with the head;
+        # the rest of the budget fills the others greedily
+        low_coords = ix.comp[np.argsort(np.abs(sig21 @ h))[:k]]
+        rest = np.setdiff1d(ix.comp, low_coords)
+        nset = np.union1d(ix.S, low_coords)
+        cross = entries[np.ix_(rest, nset)]
+        for dna in (r, 2 * k + 1, k + 1, k):
+            a = full_budget / dna
             beta = np.zeros(p)
-            beta[S] = h
+            beta[ix.S] = h
             beta[low_coords] = a
-            rest = [j for j in comp if j not in set(low_coords)]
+            # k * (budget / k) can round above the budget
             b = full_budget - k * a
-            if b < 0.0 or not rest:
+            if b < 0.0:
                 continue
-            g = entries[np.ix_(rest, sorted(set(S) | set(low_coords)))] @ \
-                beta[sorted(set(S) | set(low_coords))]
-            fill_order = np.argsort(-np.abs(g))
+            g = cross @ beta[nset]
             cap_val = a * (1.0 - 1e-9)
             left = b
-            for fi in fill_order:
+            for fi in np.argsort(-np.abs(g)):
                 amt = min(cap_val, left)
                 if amt <= 0.0:
                     break
-                beta[rest[int(fi)]] = math.copysign(amt, g[int(fi)])
+                beta[rest[fi]] = math.copysign(amt, g[fi])
                 left -= amt
-            val = float(_batch_regression_ratio(entries, cone, beta[None, :])[0])
+            val = float(_batch_regression_ratio(entries, ix, beta[None, :])[0])
             if val > best:
                 best = val
-    ix = _cone_index(p, cone)
-    remaining = config.samples
-    while remaining > 0:
-        m = min(_SEARCH_CHUNK, remaining)
-        remaining -= m
-        B, _, _ = _sample_cone_points(rng, ix, m, variant)
-        vals = _batch_regression_ratio(entries, cone, B)
-        top = float(np.max(vals)) if vals.size else 0.0
+    for B, _, _ in _cone_samples(rng, ix, variant, config.samples):
+        top = float(np.max(_batch_regression_ratio(entries, ix, B)))
         if top > best:
             best = top
     return best, "spike-and-greedy plus random cone search"
@@ -653,7 +645,7 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
 
     found = {}
     vals = gram.spectrum()
-    if float(vals[0]) > SINGULAR_RTOL * max(float(vals[-1]), 0.0) and float(vals[0]) > 0.0:
+    if _nonsingular(vals):
         found["lambda_min"] = float(vals[0])
 
     if target == "compatibility":

@@ -3,10 +3,11 @@
 Each catalogued edge is one inequality relating two certified quantities,
 evaluated with sound endpoint choices: the side that must be at least as
 large uses its certified lower endpoint, the side that must be at most as
-large uses its certified upper endpoint.  A reported failure is therefore a
-genuine counterexample (up to the stated tolerance), never an artifact of
-estimation slack.  Edges whose premises fail on an instance are skipped,
-not failed: conditional implications have nothing to say there.
+large uses its certified upper endpoint.  An edge that holds is therefore
+certified to hold (up to the stated tolerance); a reported failure only
+means "not certified", since estimation slack alone can cause it.  Edges
+whose premises fail on an instance are skipped, not failed: conditional
+implications have nothing to say there.
 
 The edge catalogue is a reconstruction assembled from the individual
 results rather than from a single authoritative diagram; each entry below

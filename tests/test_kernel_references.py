@@ -18,6 +18,12 @@ The projected-gradient fallback of compatibility_constant used to index with
 Python lists and call the checked project_l1_ball on every projection, and to
 recompute the objective of each accepted step; that loop is kept here as the
 reference for values, certificates and provenance.
+
+The restricted-regression search used to rebuild S, its complement and k on
+every ratio evaluation, to decompose Sigma_SS twice (once for the eigenvector
+heads, once in inverse_11) and to extract the spike-and-greedy block once per
+spike size; that search and its ratio kernel are kept here as the reference
+restricted_regression must reproduce bit for bit.
 """
 
 import itertools
@@ -37,12 +43,14 @@ from lasso_audit import (
     block_norm_2q,
     coherence,
     compatibility_constant,
+    evaluate_regression_ratio,
     inverse_11,
     irrepresentable_signed,
     irrepresentable_uniform,
     project_l1_ball,
     regression_upper,
     restricted_orthogonality,
+    restricted_regression,
     sample_gaussian_design,
     superset_count,
     top_nset,
@@ -569,9 +577,13 @@ def test_search_helpers_match_the_per_row_versions(p, S, N):
             rows = np.vstack([rows, 3.0 * rows])
             assert same(estimators._batch_restricted_ratio(entries, ix, rows),
                         ref_batch_restricted_ratio(entries, cone, rows))
+            assert same(estimators._batch_regression_ratio(entries, ix, rows),
+                        ref_batch_regression_ratio(entries, cone, rows))
             for row in rows:
                 want_row = ref_batch_restricted_ratio(entries, cone, row[None, :])
                 assert same(estimators._batch_restricted_ratio(entries, ix, row[None, :]), want_row)
+                assert same(estimators._batch_regression_ratio(entries, ix, row[None, :]),
+                            ref_batch_regression_ratio(entries, cone, row[None, :]))
                 got_row = estimators._restricted_ratio_row(entries, ix, row)
                 assert same(np.array([got_row]), want_row)
                 projected, head_l1 = estimators._project_to_cone(row, ix, variant)
@@ -768,3 +780,188 @@ def test_index_sets_are_built_once_per_sign_and_never_per_step(monkeypatch):
     start, _ = estimators._project_to_cone(beta, ix, "plain")
     estimators._refine_ratio(entries, ix, "plain", start)
     assert counts == {"_complement": 0, "top_nset": 0}
+
+
+# -- the restricted-regression search ----------------------------------------
+
+
+def ref_batch_regression_ratio(entries, cone, B):
+    p = entries.shape[0]
+    S = list(cone.S)
+    comp = outside(p, S)
+    m = B.shape[0]
+    mask = np.zeros((m, p), dtype=bool)
+    mask[:, S] = True
+    k = min(cone.N - cone.s, len(comp))
+    if k > 0:
+        at = np.abs(B[:, comp])
+        order = np.argpartition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
+        comp_arr = np.array(comp)
+        rows = np.repeat(np.arange(m), k)
+        mask[rows, comp_arr[order].ravel()] = True
+    head = np.where(mask, B, 0.0)
+    tailp = B - head
+    g = head @ entries
+    denom = np.einsum("ij,ij->i", g, head)
+    numer = np.abs(np.einsum("ij,ij->i", g, tailp))
+    tiny = SINGULAR_RTOL * max(float(np.max(np.abs(entries))), 1.0)
+    out = np.zeros(m)
+    ok = denom > tiny
+    out[ok] = numer[ok] / denom[ok]
+    out[(~ok) & (numer > tiny)] = np.inf
+    return out
+
+
+def ref_rr_search(gram, cone, variant, config):
+    entries = gram.entries
+    p, s = gram.p, cone.s
+    S = list(cone.S)
+    comp = outside(p, S)
+    sig11 = entries[np.ix_(S, S)]
+    sig21 = entries[np.ix_(comp, S)] if comp else np.zeros((0, s))
+
+    heads = [np.linalg.eigh(sig11)[1].T]
+    try:
+        inv = inverse_11(gram, SubsetN(cone.S))
+    except SingularBlock:
+        inv = None
+    rng = derived_rng(config.seed, "rr-search", gram.fingerprint(), variant,
+                      cone.S, cone.N)
+    if inv is not None:
+        signs = []
+        if comp:
+            m_rows = sig21 @ inv
+            signs.append(np.where(m_rows >= 0.0, 1.0, -1.0))
+        if 2 ** s <= 4096:
+            signs.append(next(_sign_chunks(s, 2 ** s)))
+        else:
+            signs.append(np.where(rng.random((4096, s)) < 0.5, 1.0, -1.0))
+        for T in signs:
+            heads.append(T @ inv.T)
+    heads.append(rng.standard_normal((min(max(config.samples, 1), 4096), s)))
+    H = np.concatenate(heads, axis=0)
+    H = H[np.linalg.norm(H, axis=1) > 0.0]
+
+    scores = estimators._rr_value_head_only(sig11, sig21, H, s, variant)
+    if cone.N == cone.s:
+        best = float(np.max(scores)) if scores.size else 0.0
+        return best, "head candidates with exact tail completion"
+
+    best = 0.0
+    finite = np.where(np.isfinite(scores))[0]
+    order = finite[np.argsort(scores[finite])[::-1][:8]]
+    k = min(cone.N - cone.s, len(comp))
+    for i in order:
+        h = H[i]
+        full_budget = (cone.L * float(np.abs(h).sum()) if variant == "plain"
+                       else math.sqrt(s) * cone.L * float(np.linalg.norm(h)))
+        if full_budget <= 0.0 or k == 0 or not comp:
+            continue
+        v = np.abs(sig21 @ h) if comp else np.zeros(0)
+        low_coords = np.array(comp)[np.argsort(v)[:k]]
+        denoms = [len(comp), max(len(comp) - k, 1) + k, 2 * k + 1, k + 1, k]
+        for dna in denoms:
+            a = full_budget / max(dna, 1)
+            beta = np.zeros(p)
+            beta[S] = h
+            beta[low_coords] = a
+            rest = [j for j in comp if j not in set(low_coords)]
+            b = full_budget - k * a
+            if b < 0.0 or not rest:
+                continue
+            g = entries[np.ix_(rest, sorted(set(S) | set(low_coords)))] @ \
+                beta[sorted(set(S) | set(low_coords))]
+            fill_order = np.argsort(-np.abs(g))
+            cap_val = a * (1.0 - 1e-9)
+            left = b
+            for fi in fill_order:
+                amt = min(cap_val, left)
+                if amt <= 0.0:
+                    break
+                beta[rest[int(fi)]] = math.copysign(amt, g[int(fi)])
+                left -= amt
+            val = float(ref_batch_regression_ratio(entries, cone, beta[None, :])[0])
+            if val > best:
+                best = val
+    remaining = config.samples
+    while remaining > 0:
+        m = min(estimators._SEARCH_CHUNK, remaining)
+        remaining -= m
+        B = ref_sample_cone_points(rng, cone, p, m, variant)
+        vals = ref_batch_regression_ratio(entries, cone, B)
+        top = float(np.max(vals)) if vals.size else 0.0
+        if top > best:
+            best = top
+    return best, "spike-and-greedy plus random cone search"
+
+
+def rr_outcome(gram, cone, variant, config):
+    bv = restricted_regression(gram, cone, variant, config)
+    return (np.array([bv.estimate, bv.lower, bv.upper]).tobytes(), bv.certificate, bv.provenance)
+
+
+def rr_cases():
+    """The re_cases() shapes plus N = p, and a rank-3 Gram whose Sigma_SS on
+    four coordinates is singular, so the inverse-sign heads are skipped."""
+    for p, S in RE_SHAPES:
+        for N in sorted({*range(len(S), min(len(S) + 3, p) + 1), p}):
+            yield pytest.param(lambda p=p: random_psd_entries(p, 70 + p, 0.05), S, N,
+                               id=f"p{p}-S{'_'.join(map(str, S))}-N{N}")
+    for N in (4, 5, 6):
+        yield pytest.param(fixed_singular_entries, (0, 1, 2, 3), N, id=f"singular-N{N}")
+
+
+@pytest.mark.parametrize("make, S, N", rr_cases())
+def test_restricted_regression_matches_the_per_row_search(make, S, N, monkeypatch):
+    gram = GramMatrix(make())
+    if make is fixed_singular_entries:
+        with pytest.raises(SingularBlock):
+            inverse_11(gram, SubsetN(S))
+    # three sample chunks, the last a partial one
+    monkeypatch.setattr(estimators, "_SEARCH_CHUNK", 256)
+    config = SolverConfig(samples=600)
+    for variant in ("plain", "adaptive"):
+        for L in RE_L:
+            cone = ConeSpec(S, L, N)
+            got = rr_outcome(gram, cone, variant, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimators, "_rr_search", ref_rr_search)
+                assert got == rr_outcome(gram, cone, variant, config)
+
+
+@pytest.mark.parametrize("p, S, N", re_cases())
+def test_regression_kernel_matches_its_definition(p, S, N):
+    # dense tails inside the budget: no tied magnitudes at the enlargement's edge
+    gram = GramMatrix(random_psd_entries(p, 70 + p, 0.05))
+    rng = np.random.default_rng(10 * p + N)
+    for variant in ("plain", "adaptive"):
+        for L in (1.0, 3.0):
+            cone = ConeSpec(S, L, N)
+            ix = estimators._cone_index(p, cone)
+            B = rng.standard_normal((40, p))
+            heads = B[:, ix.S]
+            if variant == "plain":
+                budget = L * np.abs(heads).sum(axis=1)
+            else:
+                budget = math.sqrt(len(S)) * L * np.linalg.norm(heads, axis=1)
+            B[:, ix.comp] *= (0.9 * budget / np.abs(B[:, ix.comp]).sum(axis=1))[:, None]
+            want = [evaluate_regression_ratio(gram, cone, b, variant) for b in B]
+            np.testing.assert_allclose(estimators._batch_regression_ratio(gram.entries, ix, B),
+                                       want, rtol=1e-12, atol=0.0)
+
+
+def test_regression_search_decomposes_sigma_ss_once(monkeypatch):
+    counts = {"eigh": 0, "inverse_11": 0, "block": 0}
+    eigh = np.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    counting(monkeypatch, core, "inverse_11", counts)
+    counting(monkeypatch, core, "block", counts)
+    gram = GramMatrix(random_psd_entries(7, 77, 0.05))
+    bv = restricted_regression(gram, ConeSpec((1, 4), 1.0, 3), config=SolverConfig(samples=300))
+    assert bv.lower > 0.0 and "spike-and-greedy" in bv.provenance
+    assert counts == {"eigh": 1, "inverse_11": 0, "block": 0}
