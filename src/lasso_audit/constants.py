@@ -19,7 +19,10 @@ enumeration size.  Its users:
 
 * Lambda^2(S, N), delta_N, theta(S, N) and theta_{s,N} keep the first argmin
   or argmax of one stacked eigvalsh (Sigma[nset, nset]) or singular-value
-  call (Sigma[nset, mset]) per chunk (_first_best);
+  call (Sigma[nset, mset]) per chunk (_first_best); delta_N and the theta
+  constants also give a certified bound on each row's score (Gershgorin
+  discs, Frobenius norms), and an enumeration of several chunks scores only
+  the rows whose bound can still reach a score already computed;
 * the leverage constants (irrepresentable_uniform, irrepresentable_signed
   parts 2 and 3) take Sigma_21 Sigma_11^{-1} from one stacked eigh per chunk
   (_leverage_chunks) and visit each nset once for every sign vector;
@@ -70,6 +73,9 @@ DEFAULT_SIGN_CAP = 2 ** 20
 # Gram entries one kernel chunk gathers into its stacked blocks
 _CHUNK_ENTRIES = 2 ** 14
 
+# relative margin between a pruning bound and the scores it bounds (_first_best)
+_PRUNE_RTOL = 1e-10
+
 
 def _combinations(pool: np.ndarray, k: int, rows: int):
     """The k-subsets of the ascending index array pool in lexicographic
@@ -99,6 +105,11 @@ def _supersets(p: int, base: tuple, n: int, rows: int):
         yield np.sort(np.concatenate([stacked, extra], axis=1), axis=1)
 
 
+def _chunk_rows(n: int, m: int) -> int:
+    """Rows of a kernel chunk of stacked n x n (m == 0) or n x m blocks."""
+    return max(1, _CHUNK_ENTRIES // (n * (m or n)))
+
+
 def _index_chunks(p: int, base: tuple, n: int, m: int):
     """Stacked index arrays, chunk by chunk, in lexicographic order.
 
@@ -107,11 +118,11 @@ def _index_chunks(p: int, base: tuple, n: int, m: int):
     size-m subset of its complement, nset-major.  A chunk holds at most
     _CHUNK_ENTRIES block entries, or the msets of a single nset.
     """
+    rows = _chunk_rows(n, m)
     if m == 0:
-        for nsets in _supersets(p, base, n, max(1, _CHUNK_ENTRIES // (n * n))):
+        for nsets in _supersets(p, base, n, rows):
             yield nsets, None
         return
-    rows = max(1, _CHUNK_ENTRIES // (n * m))
     per_nset = math.comb(p - n, m)
     for nsets in _supersets(p, base, n, max(1, rows // per_nset)):
         outside = _complements(nsets, p)
@@ -119,7 +130,7 @@ def _index_chunks(p: int, base: tuple, n: int, m: int):
             yield np.repeat(nsets, len(pos), axis=0), outside[:, pos].reshape(-1, m)
 
 
-def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float):
+def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float, bound=None):
     """The enumeration kernel: the first extreme score over every index set
     (or pair) of plan, with its witness, starting from best.
 
@@ -128,16 +139,66 @@ def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float):
     descending singular values of Sigma[nset, mset] (m > 0) to one value per
     row.  Only a strictly better score replaces best, so ties keep the
     lexicographically first witness, as a per-subset loop would.
+
+    bound, if given, maps the same stacked blocks to a certified bound on the
+    score of each row: an upper bound when maximizing, a lower one when
+    minimizing.  A plan entry of more than one chunk is then searched by
+    bound and prune, streaming its chunks twice:
+
+    1. the row of each chunk whose bound is most extreme is scored, in
+       stacked calls of at most one chunk's rows; the best of these real
+       scores is the incumbent;
+    2. the loop above scores only the rows whose bound is no worse than the
+       incumbent, or the running best once that is better, by more than
+       margin = _PRUNE_RTOL * max(1, |incumbent|, lambda_max(Sigma)).
+
+    Rounding cannot let a pruned row be the answer.  Every block is a
+    submatrix of Sigma, so its norm and the norms of its rows are at most
+    lambda_max(Sigma).  A backward-stable eigvalsh or svd then moves a score
+    by a small multiple of n u lambda_max(Sigma) (u = 2^-53, n the block's
+    larger side), one eigvalsh of Sigma moves lambda_min(Sigma) by a small
+    multiple of p u lambda_max(Sigma), and a bound that sums the k entries of
+    a block moves by at most about k^(5/4) u lambda_max(Sigma) (a Frobenius
+    norm, the worst case): about 1e-11 lambda_max(Sigma) at k = 2^14, a whole
+    chunk, and of order sqrt(k) u in practice.  _PRUNE_RTOL = 1e-10 sits above
+    all of these, so a pruned row scores strictly worse than a real score
+    already found, and neither the value nor the first witness can change.
+    A plan entry of one chunk keeps its single stacked call and computes no
+    bound.
     """
     entries = gram.entries
+    sign = 1.0 if maximize else -1.0
     witness = None
-    for base, n, m in plan:
+
+    def chunks(base, n, m):
         for nsets, msets in _index_chunks(gram.p, base, n, m):
-            if msets is None:
-                values = score(np.linalg.eigvalsh(entries[nsets[:, :, None], nsets[:, None, :]]))
-            else:
-                values = score(np.linalg.svd(entries[nsets[:, :, None], msets[:, None, :]],
-                                             compute_uv=False))
+            cols = nsets if msets is None else msets
+            yield nsets, msets, entries[nsets[:, :, None], cols[:, None, :]]
+
+    def scores(blocks, m):
+        return score(np.linalg.eigvalsh(blocks) if m == 0
+                     else np.linalg.svd(blocks, compute_uv=False))
+
+    for base, n, m in plan:
+        rows = _chunk_rows(n, m)
+        count = math.comb(gram.p - len(base), n - len(base)) * math.comb(gram.p - n, m)
+        top = None
+        if bound is not None and count > rows:
+            # copies, so that a pick does not keep its whole chunk alive
+            picks = (blocks[np.argmax(sign * bound(blocks))].copy()
+                     for _, _, blocks in chunks(base, n, m))
+            top = -math.inf
+            while batch := list(itertools.islice(picks, rows)):
+                top = max(top, float(np.max(sign * scores(np.stack(batch), m))))
+            margin = _PRUNE_RTOL * max(1.0, abs(top), float(gram.spectrum()[-1]))
+        for nsets, msets, blocks in chunks(base, n, m):
+            if top is not None:
+                keep = np.flatnonzero(sign * bound(blocks) >= max(top, sign * best) - margin)
+                if len(keep) == 0:
+                    continue
+                nsets, blocks = nsets[keep], blocks[keep]
+                msets = None if msets is None else msets[keep]
+            values = scores(blocks, m)
             i = int(np.argmax(values) if maximize else np.argmin(values))
             value = float(values[i])
             if (value > best) if maximize else (value < best):
@@ -172,14 +233,34 @@ def _check_isometry(p: int, n_size: int, cap: int) -> None:
         raise CapExceeded(count, cap, what=f"isometry enumeration C({p},{n_size})")
 
 
+def _isometry_bound(blocks: np.ndarray, floor: float) -> np.ndarray:
+    """Upper bound on max(lambda_max - 1, 1 - lambda_min) of each stacked
+    symmetric block whose eigenvalues are all at least floor.
+
+    Gershgorin: every eigenvalue lies within sum_{j != i} |a_ij| of some a_ii,
+    so in [min_i 2 a_ii - rowabs_i, max_i rowabs_i] with rowabs_i the sum of
+    |a_ij| over the row (the disc ends when a_ii >= 0, wider otherwise).  The
+    reductions run along the rows of the (n, r) transpose, which is faster
+    than along the short rows of the blocks.
+    """
+    rowabs = (np.abs(blocks) @ np.ones(blocks.shape[2])).T.copy()
+    lowest = np.min(2.0 * np.diagonal(blocks, axis1=1, axis2=2).T - rowabs, axis=0)
+    return np.maximum(np.max(rowabs, axis=0) - 1.0, 1.0 - np.maximum(lowest, floor))
+
+
 def restricted_isometry(gram: GramMatrix, n_size: int, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
-    """delta_N over all size-N index sets (sizes < N are dominated by interlacing)."""
+    """delta_N over all size-N index sets (sizes < N are dominated by interlacing).
+
+    Pruned by _isometry_bound with floor lambda_min(Sigma): by interlacing no
+    eigenvalue of a principal block is below it."""
     _check_isometry(gram.p, n_size, cap)
 
     def compute():
+        floor = float(gram.spectrum()[0])
         best, witness = _first_best(
             gram, [((), n_size, 0)],
-            lambda vals: np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0]), True, -math.inf)
+            lambda vals: np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0]), True, -math.inf,
+            lambda blocks: _isometry_bound(blocks, floor))
         return BoundedValue.exact(best, provenance=f"argmax nset={witness}")
 
     return gram.memoized(("restricted_isometry", None, n_size), compute)
@@ -204,6 +285,12 @@ def _largest_singular_value(svals: np.ndarray) -> np.ndarray:
     return svals[:, 0]
 
 
+def _frobenius_norms(blocks: np.ndarray) -> np.ndarray:
+    """||A||_F of each stacked block A, an upper bound on its largest
+    singular value."""
+    return np.sqrt(np.einsum("rij,rij->r", blocks, blocks))
+
+
 def restricted_orthogonality(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
     """theta(S, N): the largest singular value of Sigma[nset, mset] over
     enlargements nset of S (|nset| <= N) and disjoint msets with |mset| <= s."""
@@ -217,7 +304,7 @@ def restricted_orthogonality(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAUL
 
     def compute():
         best, witness = _first_best(gram, [(cone.S, n, m) for n, m in plan],
-                                    _largest_singular_value, True, 0.0)
+                                    _largest_singular_value, True, 0.0, _frobenius_norms)
         return BoundedValue.exact(best, provenance=f"argmax pair={witness}")
 
     return gram.memoized(("restricted_orthogonality", cone.S, cone.N), compute)
@@ -289,7 +376,7 @@ def theta_uniform(gram: GramMatrix, s_size: int, n_size: int, cap: int = DEFAULT
 
     def compute():
         best, _ = _first_best(gram, [((), n, m) for n, m in plan],
-                              _largest_singular_value, True, 0.0)
+                              _largest_singular_value, True, 0.0, _frobenius_norms)
         return BoundedValue.exact(best)
 
     return gram.memoized(("theta_uniform", s_size, n_size), compute)

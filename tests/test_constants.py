@@ -542,6 +542,19 @@ class TestEnumerationKernel:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_chunked_isometry_memory_is_bounded(self):
+        # 12,870 sets in 51 chunks; gathered at once their 8x8 blocks would
+        # take 6.3 MB, and so would incumbent picks that kept their chunks
+        g = random_gram(np.random.default_rng(7), 16)
+        assert math.comb(16, 8) > 50 * constants._chunk_rows(8, 0)
+        tracemalloc.start()
+        try:
+            restricted_isometry(g, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
 
 def counting(monkeypatch, name):
     calls = []

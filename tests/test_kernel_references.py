@@ -24,6 +24,13 @@ every ratio evaluation, to decompose Sigma_SS twice (once for the eigenvector
 heads, once in inverse_11) and to extract the spike-and-greedy block once per
 spike size; that search and its ratio kernel are kept here as the reference
 restricted_regression must reproduce bit for bit.
+
+The enumeration kernel _first_best used to score every row of every chunk;
+it now skips the rows whose certified bound cannot reach a score already
+computed.  The full loop is kept here as the reference: theta(S, N),
+delta_N, theta_{s,N} and a bounded minimization must reproduce its values
+and first witnesses exactly, at several chunk sizes, and the bounds must
+hold with room to spare.
 """
 
 import itertools
@@ -49,10 +56,12 @@ from lasso_audit import (
     irrepresentable_uniform,
     project_l1_ball,
     regression_upper,
+    restricted_isometry,
     restricted_orthogonality,
     restricted_regression,
     sample_gaussian_design,
     superset_count,
+    theta_uniform,
     top_nset,
     uniform_eigenvalue,
 )
@@ -61,7 +70,7 @@ from lasso_audit.constants import _sign_chunks, block_norm_maxima
 from lasso_audit.core import SINGULAR_RTOL, derived_rng
 from lasso_audit.errors import AllSubmatricesSingular, CapExceeded, MaxItersExceeded, SingularBlock
 from lasso_audit.estimators import ROUTE_CAP, certified_lower_phi, restricted_eigenvalue
-from lasso_audit.experiments import random_psd_entries
+from lasso_audit.experiments import block_equicorrelation_entries, random_psd_entries
 
 # -- the per-subset loops ----------------------------------------------------
 
@@ -965,3 +974,281 @@ def test_regression_search_decomposes_sigma_ss_once(monkeypatch):
     bv = restricted_regression(gram, ConeSpec((1, 4), 1.0, 3), config=SolverConfig(samples=300))
     assert bv.lower > 0.0 and "spike-and-greedy" in bv.provenance
     assert counts == {"eigh": 1, "inverse_11": 0, "block": 0}
+
+
+# -- the bound-and-prune enumeration kernel ----------------------------------
+
+
+def ref_first_best(gram, plan, score, maximize, best):
+    """constants._first_best before it took a bound: one stacked eigvalsh or
+    svd over every row of every chunk."""
+    entries = gram.entries
+    witness = None
+    for base, n, m in plan:
+        for nsets, msets in constants._index_chunks(gram.p, base, n, m):
+            if msets is None:
+                values = score(np.linalg.eigvalsh(entries[nsets[:, :, None], nsets[:, None, :]]))
+            else:
+                values = score(np.linalg.svd(entries[nsets[:, :, None], msets[:, None, :]],
+                                             compute_uv=False))
+            i = int(np.argmax(values) if maximize else np.argmin(values))
+            value = float(values[i])
+            if (value > best) if maximize else (value < best):
+                best = value
+                witness = (tuple(nsets[i].tolist()) if msets is None
+                           else (tuple(nsets[i].tolist()), tuple(msets[i].tolist())))
+    return best, witness
+
+
+def isometry_score(vals):
+    return np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0])
+
+
+def uniform_plan(p, s_size, n_size):
+    return [((), n, m) for n, m in constants.theta_uniform_plan(p, s_size, n_size)]
+
+
+def ref_theta(entries, S, N):
+    """(value, witness note) of theta(S, N) by the unpruned kernel."""
+    gram = GramMatrix(entries)
+    theta = ref_first_best(gram, [(S, n, m) for n, m in constants._ortho_sizes(gram.p, len(S), N)],
+                           constants._largest_singular_value, True, 0.0)
+    return theta[0], f"argmax pair={theta[1]}"
+
+
+def ref_pruned_constants(entries, S, N, n_uniform):
+    """(value, witness note) of theta(S, N) and delta_N, and (value, witness)
+    of theta_{s,n_uniform} and of the smallest eigenvalue over the size-N
+    supersets of S, by the unpruned kernel."""
+    gram = GramMatrix(entries)
+    delta = ref_first_best(gram, [((), N, 0)], isometry_score, True, -math.inf)
+    uniform = ref_first_best(gram, uniform_plan(gram.p, len(S), n_uniform),
+                             constants._largest_singular_value, True, 0.0)
+    lam2 = ref_first_best(gram, [(S, N, 0)], lambda vals: vals[:, 0], False, math.inf)
+    return {"theta": ref_theta(entries, S, N),
+            "delta": (delta[0], f"argmax nset={delta[1]}"),
+            "theta_uniform": uniform,
+            "lambda_min": lam2}
+
+
+def gershgorin_lower(floor):
+    """A lower bound on the smallest eigenvalue of each stacked symmetric
+    block, none below floor."""
+    def bound(blocks):
+        rowabs = np.abs(blocks).sum(axis=2)
+        return np.maximum(np.min(2.0 * np.diagonal(blocks, axis1=1, axis2=2) - rowabs, axis=1),
+                          floor)
+    return bound
+
+
+def pruned_constants(entries, S, N, n_uniform):
+    """The same through the public functions, each on a fresh GramMatrix; the
+    witness of theta_{s,n_uniform}, which it does not report, from its kernel
+    call.  No public search minimizes with a bound, so the smallest
+    eigenvalue over the size-N supersets of S, pruned by Gershgorin discs,
+    checks that direction of the kernel."""
+    theta = restricted_orthogonality(GramMatrix(entries), ConeSpec(S, 1.0, N))
+    delta = restricted_isometry(GramMatrix(entries), N)
+    gram = GramMatrix(entries)
+    uniform = constants._first_best(gram, uniform_plan(gram.p, len(S), n_uniform),
+                                    constants._largest_singular_value, True, 0.0,
+                                    constants._frobenius_norms)
+    assert theta_uniform(GramMatrix(entries), len(S), n_uniform).estimate == uniform[0]
+    lam2 = constants._first_best(gram, [(S, N, 0)], lambda vals: vals[:, 0], False, math.inf,
+                                 gershgorin_lower(float(gram.spectrum()[0])))
+    return {"theta": (theta.estimate, theta.provenance),
+            "delta": (delta.estimate, delta.provenance),
+            "theta_uniform": uniform,
+            "lambda_min": lam2}
+
+
+def enum_entries():
+    # the Gram of the enum benchmark workload: random_psd, p = 16, seed 10000,
+    # jitter 0.1
+    return random_psd_entries(16, 10_000, 0.1)
+
+
+def enum_supports():
+    """The supports S (|S| = 3) of the enum benchmark's 20 instance keys."""
+    return [tuple(sorted(int(j) for j in derived_rng(key, "bench", "enum", "S").choice(
+        16, size=3, replace=False))) for key in range(20)]
+
+
+def test_enum_gram_matches_the_unpruned_kernel():
+    entries = enum_entries()
+    supports = enum_supports()
+    assert len(set(supports)) == 20
+    # delta_6 and theta_{3,3} do not depend on S
+    assert pruned_constants(entries, supports[0], 6, 3) == ref_pruned_constants(
+        entries, supports[0], 6, 3)
+    for S in supports[1:]:
+        theta = restricted_orthogonality(GramMatrix(entries), ConeSpec(S, 1.0, 6))
+        assert (theta.estimate, theta.provenance) == ref_theta(entries, S, 6)
+
+
+def sweep_like_cases():
+    """Instances drawn like the sweep benchmark's: p in 4..8, |S| in 1..2,
+    jitter 0, 0.05 or 0.2, |S| <= N <= min(2|S|, p)."""
+    for index in range(10):
+        rng = derived_rng(index, "kernel-references", "sweep-like")
+        p, s = int(rng.integers(4, 9)), int(rng.integers(1, 3))
+        jitter = float(rng.choice([0.0, 0.05, 0.2]))
+        S = tuple(sorted(int(j) for j in rng.choice(p, size=s, replace=False)))
+        N = int(rng.integers(s, min(2 * s, p) + 1))
+        yield pytest.param(random_psd_entries(p, 50_000 + index, jitter), S, N, id=f"sweep-{index}")
+
+
+def scaled_entries(scale):
+    return scale * random_psd_entries(9, 6, 0.05)
+
+
+def rank_one_entries():
+    v = random_psd_entries(8, 7, 0.0)[:, 0]
+    return np.outer(v, v)
+
+
+def last_chunk_entries():
+    # identity, with the last 4 coordinates equicorrelated at 0.5: delta_4 is
+    # attained at the lexicographically last 4-set only, in the last chunk
+    sigma = np.eye(10)
+    sigma[6:, 6:] = equicorr_entries(4, 0.5)
+    return sigma
+
+
+PRUNE_INSTANCES = {
+    "identity": (lambda: np.eye(9), (2, 5), 4),
+    "equicorrelation": (lambda: equicorr_entries(9, 0.3), (0, 4, 8), 6),
+    "block_equicorrelation": (lambda: block_equicorrelation_entries(9, 3, 0.5), (1, 4), 4),
+    "scaled_1e-8": (lambda: scaled_entries(1e-8), (1, 6), 4),
+    "scaled_1e8": (lambda: scaled_entries(1e8), (1, 6), 4),
+    "rank_deficient": (rank_deficient_entries, (1, 2, 7), 5),
+    "rank_one": (rank_one_entries, (0, 3), 4),
+    "last_chunk": (last_chunk_entries, (0, 1), 4),
+}
+
+
+def prune_cases():
+    yield from sweep_like_cases()
+    for name, (make, S, N) in PRUNE_INSTANCES.items():
+        yield pytest.param(make(), S, N, id=name)
+
+
+@pytest.mark.parametrize("entries, S, N", prune_cases())
+def test_pruned_constants_match_the_unpruned_kernel(entries, S, N, monkeypatch):
+    want = ref_pruned_constants(entries, S, N, N)
+    for chunk in CHUNKS + [37]:
+        monkeypatch.setattr(constants, "_CHUNK_ENTRIES", chunk)
+        assert pruned_constants(entries, S, N, N) == want
+
+
+def test_unique_maximizer_in_the_last_chunk_survives(monkeypatch):
+    entries = last_chunk_entries()
+    nsets = np.array(list(itertools.combinations(range(10), 4)))
+    scores = isometry_score(np.linalg.eigvalsh(entries[nsets[:, :, None], nsets[:, None, :]]))
+    assert np.flatnonzero(scores == np.max(scores)).tolist() == [len(nsets) - 1]
+    # 37 rows of 4x4 blocks a chunk: the 210 sets in 6 chunks
+    monkeypatch.setattr(constants, "_CHUNK_ENTRIES", 37 * 16)
+    assert len(list(constants._index_chunks(10, (), 4, 0))) == 6
+    log = linalg_log(monkeypatch)
+    delta = restricted_isometry(GramMatrix(entries), 4)
+    assert (delta.estimate, delta.provenance) == (float(scores[-1]), "argmax nset=(6, 7, 8, 9)")
+    assert sum(shape[0] for _, shape in log) < len(nsets) // 2
+
+
+def stacked_cases():
+    """Stacked blocks of Grams (random, rank one, rank deficient, scaled):
+    (gram, principal blocks, cross blocks)."""
+    rng = np.random.default_rng(13)
+    grams = [random_psd_entries(10, 11, 0.0), rank_one_entries(), rank_deficient_entries(),
+             equicorr_entries(8, 0.9), 1e-8 * random_psd_entries(9, 5, 0.0),
+             1e8 * random_psd_entries(9, 5, 0.0)]
+    for entries in grams:
+        gram = GramMatrix(entries)
+        p = gram.p
+        for n in range(1, p + 1):
+            nsets = np.array([np.sort(rng.choice(p, size=n, replace=False)) for _ in range(40)])
+            square = gram.entries[nsets[:, :, None], nsets[:, None, :]]
+            outside = constants._complements(nsets, p)
+            cross = [gram.entries[nsets[:, :, None], outside[:, None, :m]]
+                     for m in range(1, p - n + 1)]
+            yield gram, square, cross
+
+
+def test_pruning_bounds_hold_with_room_to_spare():
+    # a computed score never exceeds its computed bound by more than a
+    # thousandth of the margin _first_best allows, on blocks of Grams and on
+    # unstructured random and rank-one matrices
+    rng = np.random.default_rng(17)
+    worst = -math.inf
+    for gram, square, cross in stacked_cases():
+        margin = constants._PRUNE_RTOL * max(1.0, float(gram.spectrum()[-1]))
+        score = isometry_score(np.linalg.eigvalsh(square))
+        bound = constants._isometry_bound(square, float(gram.spectrum()[0]))
+        worst = max(worst, float(np.max(score - bound)) / margin)
+        for blocks in cross:
+            score = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+            worst = max(worst, float(np.max(score - constants._frobenius_norms(blocks))) / margin)
+    for shape in [(50, 6, 3), (50, 1, 9), (20, 40, 30)]:
+        a = rng.standard_normal(shape)
+        left, right = rng.standard_normal(shape[:2]), rng.standard_normal(shape[::2])
+        rank_one = left[:, :, None] * right[:, None, :]
+        for blocks in (a, rank_one, 1e8 * a, 1e-8 * rank_one):
+            svals = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+            margin = constants._PRUNE_RTOL * max(1.0, float(np.max(svals)))
+            worst = max(worst, float(np.max(svals - constants._frobenius_norms(blocks))) / margin)
+    assert worst <= 1e-3
+
+
+def linalg_log(monkeypatch):
+    """Record (name, shape) of every stacked eigvalsh and svd call (not the
+    PSD check of a new GramMatrix, an eigvalsh of one matrix)."""
+    log = []
+    for name in ("eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            if a.ndim == 3:
+                log.append((_name, a.shape))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return log
+
+
+def test_one_chunk_enumerations_make_the_unpruned_calls(monkeypatch):
+    log = linalg_log(monkeypatch)
+    for param in sweep_like_cases():
+        entries, S, N = param.values
+        p = entries.shape[0]
+        top_sv = constants._largest_singular_value
+        searches = [([(S, n, m) for n, m in constants._ortho_sizes(p, len(S), N)], top_sv, 0.0),
+                    ([((), N, 0)], isometry_score, -math.inf),
+                    (uniform_plan(p, len(S), N), top_sv, 0.0)]
+        assert all(math.comb(p - len(base), n - len(base)) * math.comb(p - n, m)
+                   <= constants._chunk_rows(n, m)
+                   for plan, _, _ in searches for base, n, m in plan)
+        gram = GramMatrix(entries)
+        del log[:]
+        for plan, score, start in searches:
+            ref_first_best(gram, plan, score, True, start)
+        want = sorted(log)
+        del log[:]
+        restricted_orthogonality(GramMatrix(entries), ConeSpec(S, 1.0, N))
+        restricted_isometry(GramMatrix(entries), N)
+        theta_uniform(GramMatrix(entries), len(S), N)
+        assert sorted(log) == want
+
+
+def test_enum_gram_scores_few_rows(monkeypatch):
+    # theta(S, 6) has 34,320 (nset, mset) pairs and delta_6 8,008 sets; pruned,
+    # each scores at most a quarter of its rows, incumbent picks included
+    log = linalg_log(monkeypatch)
+    entries = enum_entries()
+    for S in enum_supports():
+        del log[:]
+        restricted_orthogonality(GramMatrix(entries), ConeSpec(S, 1.0, 6))
+        assert {name for name, _ in log} == {"svd"}
+        assert sum(shape[0] for _, shape in log) <= 34_320 // 4
+    del log[:]
+    restricted_isometry(GramMatrix(entries), 6)
+    assert sum(shape[0] for _, shape in log) <= 8_008 // 4
