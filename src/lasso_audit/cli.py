@@ -100,7 +100,7 @@ def load_matrix_csv(path: str) -> np.ndarray:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     # whitespace alone has no data row: np.loadtxt would warn and return an
     # empty array, the loop names the file
-    if raw.strip() and not raw.translate(None, _FAST_CSV_BYTES):
+    if raw and not raw.isspace() and not raw.translate(None, _FAST_CSV_BYTES):
         try:
             return np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2)
         except ValueError:

@@ -99,6 +99,9 @@ def _complements(nsets: np.ndarray, p: int) -> np.ndarray:
 def _supersets(p: int, base: tuple, n: int, rows: int):
     """The size-n supersets of base, lexicographic in the added indices, as
     stacked ascending (r, n) arrays."""
+    if not base:  # the combinations of range(p) are ascending already
+        yield from _combinations(np.arange(p, dtype=np.intp), n, rows)
+        return
     base = np.asarray(base, dtype=np.intp).reshape(1, -1)
     for extra in _combinations(_complements(base, p)[0], n - base.size, rows):
         stacked = np.broadcast_to(base, (len(extra), base.size))

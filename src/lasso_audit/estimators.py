@@ -597,13 +597,16 @@ def restricted_regression(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     The constant scales linearly in L (both the budget and the objective
     numerator are linear in the tail), so everything is computed at L = 1 and
     rescaled.  The lower endpoint is the best feasible value the search
-    finds, the upper endpoint regression_upper.
+    finds, the upper endpoint regression_upper.  At L = 0 or N = p the
+    constant is the Exact 0: the tail budget, or the tail outside N, is empty.
     """
     cone.validate_p(gram.p)
     if variant not in ("plain", "adaptive"):
         raise InvalidParameter(f"unknown cone variant {variant!r}")
     if cone.L == 0.0:
         return BoundedValue.exact(0.0, provenance="L=0: empty tail budget")
+    if cone.N == gram.p:
+        return BoundedValue.exact(0.0, provenance="N=p: no coordinate outside N")
     base = cone.with_(L=1.0)
     upper = regression_upper(gram, base, variant, cap, sign_cap)
     lower, low_note = _rr_search(gram, base, variant, config)

@@ -7,11 +7,19 @@ counter-based streams derived from the generator seed, with Gaussian draws by th
 Box-Muller map z = sqrt(-2 ln(1 - U1)) cos(2 pi U2); matrix square roots go
 through an eigendecomposition with negative eigenvalues clamped at zero so
 rank-deficient populations sample cleanly.
+
+The Monte Carlo experiments draw each replication from its own stream,
+derived from the seed and the replication index, and store each statistic in
+its own slot.  Large replications run on a thread pool sized from the CPUs
+this process may use (NumPy's random fill, its ufuncs and BLAS release the
+interpreter lock); the statistics, and so the reports, are the same whatever
+the number of threads or their scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -82,6 +90,60 @@ def _box_muller(rng: np.random.Generator, shape) -> np.ndarray:
     np.cos(u2, out=u2)
     u1 *= u2
     return u1
+
+
+# replications drawing fewer numbers than this run in the caller's thread.
+# Medians of 5 runs of 2000 concentration replications on a 2-vCPU host, BLAS
+# on one thread, serial against 2 threads: 1000 draws 0.26 s vs 0.37 s, 2000
+# and 3000 draws about even, 4100 draws 0.71 s vs 0.55 s
+_POOL_MIN_DRAWS = 4096
+_POOL_MAX_WORKERS = 8
+# streams derived per round of the pool, which bounds the generators held at
+# once whatever the number of replications
+_POOL_ROUND = 256
+
+
+def _pool_workers(tasks: int) -> int:
+    """Threads for tasks independent replications: at most the CPUs this
+    process may run on, the number of tasks and _POOL_MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, tasks, _POOL_MAX_WORKERS))
+
+
+def _replicate(statistic, stream, reps: int, draws_per_rep: int) -> np.ndarray:
+    """[statistic(stream(r)) for r in range(reps)] as a float array.
+
+    stream(r) always runs in the caller's thread.  Replications of at least
+    _POOL_MIN_DRAWS draws run on a thread pool, in rounds of _POOL_ROUND
+    streams; worker w takes replications w, w + workers, ... of each round.
+    Each result goes to its own slot, so the array does not depend on the
+    thread count.  An exception raised by a replication reaches the caller.
+    """
+    out = np.empty(reps)
+    workers = _pool_workers(reps) if draws_per_rep >= _POOL_MIN_DRAWS else 1
+    if workers == 1:
+        for r in range(reps):
+            out[r] = statistic(stream(r))
+        return out
+
+    def run(first, streams, w):
+        for i in range(w, len(streams), workers):
+            out[first + i] = statistic(streams[i])
+
+    # imported here: the import costs about 0.4 MB of resident memory, which
+    # a command that starts no pool need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for first in range(0, reps, _POOL_ROUND):
+            streams = [stream(r) for r in range(first, min(first + _POOL_ROUND, reps))]
+            futures = [pool.submit(run, first, streams, w) for w in range(workers)]
+            for future in futures:
+                future.result()
+    return out
 
 
 def _psd_sqrt(entries: np.ndarray) -> np.ndarray:
@@ -334,12 +396,14 @@ def concentration_experiment(n: int, p: int, population: GramMatrix, reps: int,
     thresholds = [lambda_tilde(t, n, p) for t in t_values]
     pop = population.entries
     root = _psd_sqrt(pop)
-    distances = np.empty(reps)
-    for r in range(reps):
-        z = _box_muller(derived_rng(seed, "concentration", r), (n, p))
-        x = z @ root
+
+    def distance(rng):
+        x = _box_muller(rng, (n, p)) @ root
         sighat = x.T @ x / n
-        distances[r] = float(np.max(np.abs(sighat - pop)))
+        return float(np.max(np.abs(sighat - pop)))
+
+    distances = _replicate(distance, lambda r: derived_rng(seed, "concentration", r),
+                           reps, n * p)
     return _tail_verdicts("concentration", reps, t_values, thresholds, distances)
 
 
@@ -362,8 +426,9 @@ def noise_bound_experiment(n: int, p: int, reps: int, t_list,
     norms = np.sqrt(np.mean(x * x, axis=0))
     norms[norms == 0.0] = 1.0
     x = x / norms
-    levels = np.empty(reps)
-    for r in range(reps):
-        eps = _box_muller(derived_rng(seed, "noise-bound", r), n)
-        levels[r] = 2.0 * float(np.max(np.abs(x.T @ eps))) / n
+
+    def level(rng):
+        return 2.0 * float(np.max(np.abs(x.T @ _box_muller(rng, n)))) / n
+
+    levels = _replicate(level, lambda r: derived_rng(seed, "noise-bound", r), reps, n)
     return _tail_verdicts("noise", reps, t_values, thresholds, levels)

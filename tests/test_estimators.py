@@ -144,6 +144,24 @@ class TestRestrictedRegression:
         assert bv.certificate is Certificate.EXACT
         assert bv.estimate == 0.0
 
+    @pytest.mark.parametrize("variant", ["plain", "adaptive"])
+    def test_n_equal_p_is_exact_zero_without_a_search(self, variant, monkeypatch):
+        # at N = p every tail coordinate lies in N, so the ratio has no
+        # numerator: neither the search nor the routes run
+        import lasso_audit.estimators as estimators
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched at N = p")
+
+        monkeypatch.setattr(estimators, "_rr_search", refuse)
+        monkeypatch.setattr(estimators, "regression_upper", refuse)
+        g = equicorr(4, 0.3)
+        cone = ConeSpec(S=(0, 1), L=1.0, N=4)
+        bv = restricted_regression(g, cone, variant)
+        assert bv.certificate is Certificate.EXACT
+        assert (bv.lower, bv.estimate, bv.upper) == (0.0, 0.0, 0.0)
+        assert evaluate_regression_ratio(g, cone, np.array([1.0, -0.5, 0.75, -0.75])) == 0.0
+
     def test_rank_one_cross_adaptive_pins_rho_sqrt_s(self):
         # the inverse-sign head recovers the leverage value rho sqrt(s) and
         # the column-norm route certifies it from above

@@ -4,9 +4,16 @@ Matrix generators are checked entry-by-entry against hand-built numpy
 constructions.  The sampling machinery is checked three ways: frozen
 deterministic draws, large-sample agreement with the population, and, for
 p = 1, the exact Gaussian tail probability erfc(sqrt(t)).
+
+The replications of the Monte Carlo experiments run on a thread pool when
+they are large; the serial loops they used to run are kept here as the
+reference their statistics must equal bit for bit, at every thread count.
 """
 
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,12 +29,16 @@ from lasso_audit import (
     d_infinity,
     derived_rng,
     generate,
+    lambda0_bound,
     lambda_tilde,
     noise_bound_experiment,
     sample_gaussian_design,
 )
+from lasso_audit import experiments
 from lasso_audit.experiments import (
     _box_muller,
+    _psd_sqrt,
+    _replicate,
     block_equicorrelation_entries,
     coupled_pair_entries,
     equicorrelation_entries,
@@ -366,6 +377,164 @@ class TestNoiseBoundExperiment:
     def test_reps_floor(self):
         with pytest.raises(InvalidParameter):
             noise_bound_experiment(80, 6, 99, [1.0])
+
+
+def serial_concentration_distances(n, p, population, reps, seed):
+    """The replication loop concentration_experiment ran before its
+    replications went to a thread pool."""
+    pop = population.entries
+    root = _psd_sqrt(pop)
+    distances = np.empty(reps)
+    for r in range(reps):
+        z = _box_muller(derived_rng(seed, "concentration", r), (n, p))
+        x = z @ root
+        sighat = x.T @ x / n
+        distances[r] = float(np.max(np.abs(sighat - pop)))
+    return distances
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make the process see cpus CPUs in its affinity mask."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def record_pools(monkeypatch):
+    """Record the max_workers of every thread pool the experiments start."""
+    started = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    return started
+
+
+def capture_statistics(monkeypatch):
+    """Record the statistics each experiment passes to _tail_verdicts."""
+    seen = []
+    real = experiments._tail_verdicts
+
+    def verdicts(kind, reps, t_values, thresholds, statistics):
+        seen.append(np.array(statistics))
+        return real(kind, reps, t_values, thresholds, statistics)
+
+    monkeypatch.setattr(experiments, "_tail_verdicts", verdicts)
+    return seen
+
+
+class TestReplicationPool:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("round_size", [10, 256])
+    def test_concentration_equals_the_serial_loop(self, cpus, round_size, monkeypatch):
+        # 101 replications of 128 x 32 = 4096 draws, the smallest size the
+        # pool takes; with rounds of 10 the last round has one replication
+        n, p, reps, seed = 128, 32, 101, 5
+        population = GramMatrix(toeplitz_geometric_entries(p, 0.5))
+        t_values = [0.5, 1.0, 2.0]
+        want = serial_concentration_distances(n, p, population, reps, seed)
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(experiments, "_POOL_ROUND", round_size)
+        started = record_pools(monkeypatch)
+        verdicts = experiments._tail_verdicts
+        seen = capture_statistics(monkeypatch)
+        got = concentration_experiment(n, p, population, reps, t_values, seed=seed)
+        assert started == ([] if cpus == 1 else [cpus])
+        assert seen[0].tobytes() == want.tobytes()
+        thresholds = [lambda_tilde(t, n, p) for t in t_values]
+        assert got == verdicts("concentration", reps, t_values, thresholds, want)
+
+    def test_noise_equals_the_serial_loop_on_the_pool(self, monkeypatch):
+        # n = 4096 draws per replication sends the noise experiment to the pool
+        n, p, reps, seed = 4096, 3, 100, 6
+        x = _box_muller(derived_rng(seed, "noise-bound", "design", n, p), (n, p))
+        x = x / np.sqrt(np.mean(x * x, axis=0))
+        want = np.empty(reps)
+        for r in range(reps):
+            eps = _box_muller(derived_rng(seed, "noise-bound", r), n)
+            want[r] = 2.0 * float(np.max(np.abs(x.T @ eps))) / n
+        set_cpus(monkeypatch, 2)
+        started = record_pools(monkeypatch)
+        verdicts = experiments._tail_verdicts
+        seen = capture_statistics(monkeypatch)
+        got = noise_bound_experiment(n, p, reps, [1.0], seed=seed)
+        assert started == [2]
+        assert seen[0].tobytes() == want.tobytes()
+        assert got == verdicts("noise", reps, [1.0], [lambda0_bound(1.0, n, p)], want)
+
+    def test_an_exception_in_one_replication_reaches_the_caller(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        started = record_pools(monkeypatch)
+
+        def statistic(r):
+            if r == 37:
+                raise FloatingPointError("replication 37")
+            return float(r)
+
+        with pytest.raises(FloatingPointError, match="replication 37"):
+            _replicate(statistic, lambda r: r, 101, experiments._POOL_MIN_DRAWS)
+        assert started == [2]
+
+    def test_streams_are_derived_in_the_calling_thread(self, monkeypatch):
+        # a wrapper around derived_rng, such as a tracer, then sees no
+        # call from a worker thread
+        set_cpus(monkeypatch, 2)
+        stream_threads, statistic_threads = set(), set()
+
+        def stream(r):
+            stream_threads.add(threading.get_ident())
+            return r
+
+        def statistic(r):
+            statistic_threads.add(threading.get_ident())
+            return float(r)
+
+        out = _replicate(statistic, stream, 600, experiments._POOL_MIN_DRAWS)
+        assert out.tobytes() == np.arange(600, dtype=float).tobytes()
+        assert stream_threads == {threading.get_ident()}
+        assert threading.get_ident() not in statistic_threads
+
+    def test_more_workers_than_cores_lose_no_slot(self, monkeypatch):
+        set_cpus(monkeypatch, 64)
+        started = record_pools(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = _replicate(lambda r: float(np.sqrt(np.float64(r))), lambda r: r, 3000,
+                             experiments._POOL_MIN_DRAWS)
+        finally:
+            sys.setswitchinterval(interval)
+        assert started == [experiments._POOL_MAX_WORKERS]
+        assert out.tobytes() == np.sqrt(np.arange(3000, dtype=float)).tobytes()
+
+    def test_worker_count_is_bounded_by_cpus_tasks_and_ceiling(self, monkeypatch):
+        set_cpus(monkeypatch, 64)
+        assert experiments._pool_workers(1000) == experiments._POOL_MAX_WORKERS
+        assert experiments._pool_workers(3) == 3
+        set_cpus(monkeypatch, 2)
+        assert experiments._pool_workers(1000) == 2
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 5)
+        assert experiments._pool_workers(1000) == 5
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments._pool_workers(1000) == 1
+
+    @pytest.mark.parametrize("run", [
+        # 400 draws per replication: the noise experiment stays serial
+        lambda: noise_bound_experiment(400, 10, 100, [1.0], seed=2),
+        # 63 x 65 = 4095 draws, one below the pool's floor
+        lambda: concentration_experiment(63, 65, GramMatrix(np.eye(65)), 100, [1.0], seed=2),
+    ], ids=["noise", "concentration-4095"])
+    def test_no_pool_below_the_draw_threshold(self, run, monkeypatch):
+        set_cpus(monkeypatch, 4)
+
+        def refuse(max_workers):
+            raise AssertionError("a thread pool started below the draw threshold")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        assert run().reps == 100
 
 
 @pytest.mark.parametrize("run", [

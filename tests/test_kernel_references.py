@@ -25,6 +25,10 @@ heads, once in inverse_11) and to extract the spike-and-greedy block once per
 spike size; that search and its ratio kernel are kept here as the reference
 restricted_regression must reproduce bit for bit.
 
+The superset chunks used to be sorted row by row even when the base is
+empty; that sorted form is kept here as the reference the chunks must equal
+bit for bit, dtype included.
+
 The enumeration kernel _first_best used to score every row of every chunk;
 it now skips the rows whose certified bound cannot reach a score already
 computed.  The full loop is kept here as the reference: theta(S, N),
@@ -1252,3 +1256,25 @@ def test_enum_gram_scores_few_rows(monkeypatch):
     del log[:]
     restricted_isometry(GramMatrix(entries), 6)
     assert sum(shape[0] for _, shape in log) <= 8_008 // 4
+
+
+def sorted_superset_chunks(p, base, n, rows):
+    """The chunks of constants._supersets as it built them for every base:
+    the added indices beside the base, each row sorted."""
+    base = np.asarray(base, dtype=np.intp).reshape(1, -1)
+    for extra in constants._combinations(constants._complements(base, p)[0], n - base.size, rows):
+        stacked = np.broadcast_to(base, (len(extra), base.size))
+        yield np.sort(np.concatenate([stacked, extra], axis=1), axis=1)
+
+
+@pytest.mark.parametrize("p, base, n", [(6, (), 1), (6, (), 3), (7, (), 7), (9, (), 4),
+                                        (9, (2, 5), 4), (5, (4,), 2)])
+@pytest.mark.parametrize("rows", [1, 4, 1000])
+def test_superset_chunks_equal_the_sorted_form(p, base, n, rows):
+    got = list(constants._supersets(p, base, n, rows))
+    want = list(sorted_superset_chunks(p, base, n, rows))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+    rows_seen = [tuple(row) for chunk in got for row in chunk.tolist()]
+    assert rows_seen == [nset.members for nset in supersets(p, base, n)]
