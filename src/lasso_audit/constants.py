@@ -21,8 +21,8 @@ enumeration size.  Its users:
   or argmax of one stacked eigvalsh (Sigma[nset, nset]) or singular-value
   call (Sigma[nset, mset]) per chunk (_first_best); delta_N and the theta
   constants also give a certified bound on each row's score (Gershgorin
-  discs, Frobenius norms), and an enumeration of several chunks scores only
-  the rows whose bound can still reach a score already computed;
+  discs, Frobenius norms), and an enumeration of several chunks, streamed
+  once, scores only the rows whose bound can still reach the running best;
 * the leverage constants (irrepresentable_uniform, irrepresentable_signed
   parts 2 and 3) take Sigma_21 Sigma_11^{-1} from one stacked eigh per chunk
   (_leverage_chunks) and visit each nset once for every sign vector;
@@ -145,15 +145,11 @@ def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float, boun
 
     bound, if given, maps the same stacked blocks to a certified bound on the
     score of each row: an upper bound when maximizing, a lower one when
-    minimizing.  A plan entry of more than one chunk is then searched by
-    bound and prune, streaming its chunks twice:
-
-    1. the row of each chunk whose bound is most extreme is scored, in
-       stacked calls of at most one chunk's rows; the best of these real
-       scores is the incumbent;
-    2. the loop above scores only the rows whose bound is no worse than the
-       incumbent, or the running best once that is better, by more than
-       margin = _PRUNE_RTOL * max(1, |incumbent|, lambda_max(Sigma)).
+    minimizing.  A plan entry of more than one chunk then streams each chunk
+    once and scores only the rows whose bound is no worse than the running
+    best by more than margin = _PRUNE_RTOL * max(1, lambda_max(Sigma)); a
+    chunk with no such row is skipped.  No score exceeds max(1,
+    lambda_max(Sigma)) in size.
 
     Rounding cannot let a pruned row be the answer.  Every block is a
     submatrix of Sigma, so its norm and the norms of its rows are at most
@@ -171,37 +167,21 @@ def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float, boun
     """
     entries = gram.entries
     sign = 1.0 if maximize else -1.0
+    margin = _PRUNE_RTOL * max(1.0, float(gram.spectrum()[-1]))
     witness = None
-
-    def chunks(base, n, m):
-        for nsets, msets in _index_chunks(gram.p, base, n, m):
-            cols = nsets if msets is None else msets
-            yield nsets, msets, entries[nsets[:, :, None], cols[:, None, :]]
-
-    def scores(blocks, m):
-        return score(np.linalg.eigvalsh(blocks) if m == 0
-                     else np.linalg.svd(blocks, compute_uv=False))
-
     for base, n, m in plan:
-        rows = _chunk_rows(n, m)
         count = math.comb(gram.p - len(base), n - len(base)) * math.comb(gram.p - n, m)
-        top = None
-        if bound is not None and count > rows:
-            # copies, so that a pick does not keep its whole chunk alive
-            picks = (blocks[np.argmax(sign * bound(blocks))].copy()
-                     for _, _, blocks in chunks(base, n, m))
-            top = -math.inf
-            while batch := list(itertools.islice(picks, rows)):
-                top = max(top, float(np.max(sign * scores(np.stack(batch), m))))
-            margin = _PRUNE_RTOL * max(1.0, abs(top), float(gram.spectrum()[-1]))
-        for nsets, msets, blocks in chunks(base, n, m):
-            if top is not None:
-                keep = np.flatnonzero(sign * bound(blocks) >= max(top, sign * best) - margin)
+        prune = bound is not None and count > _chunk_rows(n, m)
+        for nsets, msets in _index_chunks(gram.p, base, n, m):
+            blocks = entries[nsets[:, :, None], (nsets if msets is None else msets)[:, None, :]]
+            if prune:
+                keep = np.flatnonzero(sign * bound(blocks) >= sign * best - margin)
                 if len(keep) == 0:
                     continue
                 nsets, blocks = nsets[keep], blocks[keep]
                 msets = None if msets is None else msets[keep]
-            values = scores(blocks, m)
+            values = score(np.linalg.eigvalsh(blocks) if m == 0
+                           else np.linalg.svd(blocks, compute_uv=False))
             i = int(np.argmax(values) if maximize else np.argmin(values))
             value = float(values[i])
             if (value > best) if maximize else (value < best):

@@ -59,7 +59,6 @@ from .errors import (
     CapExceeded,
     InvalidParameter,
     MaxItersExceeded,
-    SingularBlock,
     SingularUniformEigenvalue,
 )
 from .solvers import DEFAULT_CONFIG, SolverConfig, _project_l1_ball, projected_gradient_qp
@@ -657,7 +656,7 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
             if L * irr < 1.0:
                 lam2_s = uniform_eigenvalue(gram, cone.with_(N=s)).estimate
                 found["uniform_leverage"] = (1.0 - L * irr) ** 2 * max(0.0, lam2_s)
-        except (SingularBlock, AllSubmatricesSingular):
+        except AllSubmatricesSingular:
             pass
 
     for n_prime in sorted({s, cone.N, min(2 * s, p)}):
@@ -694,7 +693,12 @@ def certified_lower_phi(gram: GramMatrix, cone: ConeSpec, target: str = "compati
     When no route applies the result is the trivial lower 0 with certificate
     Estimate, noted "route=none".
     """
-    found = lower_phi_routes(gram, cone, target, variant, cap)
+    return _best_route(lower_phi_routes(gram, cone, target, variant, cap))
+
+
+def _best_route(found: dict) -> BoundedValue:
+    """The largest of the routes found by lower_phi_routes, its note listing
+    every route; the first of equal routes wins."""
     if not found:
         return BoundedValue(0.0, 0.0, math.inf, Certificate.ESTIMATE, provenance="route=none")
     best = max(found, key=found.get)

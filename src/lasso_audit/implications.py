@@ -242,8 +242,7 @@ class _Inputs:
         if key == "cumulative":
             return coherence(gram, cone, "cumulative")
         if key == "norm_s_2inf":
-            return float(block_norm_2q(gram, SubsetN(cone.S), math.inf,
-                                       sign_cap=self.sign_cap).estimate)
+            return float(block_norm_2q(gram, SubsetN(cone.S), math.inf).estimate)
         if key == "max_norm_2s_2inf":
             return block_norm_maxima(gram, cone.with_(N=2 * s), route_cap, self.sign_cap).col
         if key == "max_norm_2s_22":

@@ -328,7 +328,7 @@ def selection_report(gram_or_noisy, solution: LassoSolution, cone: ConeSpec, bet
     try:
         ok, _ = irrepresentable_signed(gram, cone, part=2)
         part2_irr = bool(ok)
-    except (CapExceeded,):
+    except CapExceeded:
         pass
     phi_low = certified_lower_phi(gram, cone, target="compatibility")
     part2_threshold = (lam * s / phi_low.estimate) if phi_low.estimate > 0 else math.inf
@@ -352,7 +352,7 @@ def selection_report(gram_or_noisy, solution: LassoSolution, cone: ConeSpec, bet
         if lam2.estimate > 0:
             proof_threshold = lam * math.sqrt(n_size) / (2.0 * lam2.estimate)
             statement_threshold = lam * math.sqrt(s) / (2.0 * math.sqrt(lam2.estimate))
-    except (CapExceeded, SingularBlock):
+    except CapExceeded:
         pass
     if part3_applicable:
         star = SubsetN(tuple(sorted(star_set)))

@@ -33,6 +33,7 @@ from lasso_audit.cli import (
     parse_index_list,
     save_matrix_csv,
 )
+from lasso_audit.experiments import random_psd_entries
 from lasso_audit.solvers import DEFAULT_CONFIG
 
 SCHEMA = json.loads(
@@ -313,6 +314,29 @@ class TestAnalyze:
         kept_b = [l for l in second if "wall_time_s" not in l]
         assert kept_a == kept_b
         assert len(kept_a) == len(first) - 1
+
+    def test_compatibility_routes_are_found_once(self, monkeypatch):
+        import lasso_audit.cli as cli
+        from lasso_audit import estimators
+
+        original = estimators.lower_phi_routes
+        targets = []
+
+        def counted(gram, cone, target="compatibility", *args, **kwargs):
+            targets.append(target)
+            return original(gram, cone, target, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "lower_phi_routes", counted)
+        monkeypatch.setattr(cli, "lower_phi_routes", counted)
+        entries = random_psd_entries(8, 3, 0.1)
+        cone = ConeSpec((1, 4), 1.0, 4)
+        report = cli.condition_report(GramMatrix(entries), cone, DEFAULT_CONFIG, 200_000, 2 ** 20)
+        assert targets.count("compatibility") == 1
+        monkeypatch.undo()
+        direct = estimators.certified_lower_phi(GramMatrix(entries), cone, "compatibility",
+                                                "plain", 200_000)
+        assert report.entries["phi_lower_routes"] == direct
+        assert len(report.witnesses["phi_lower_routes"]) > 1
 
 
 class TestGenerate:

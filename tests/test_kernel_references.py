@@ -30,15 +30,16 @@ empty; that sorted form is kept here as the reference the chunks must equal
 bit for bit, dtype included.
 
 The enumeration kernel _first_best used to score every row of every chunk;
-it now skips the rows whose certified bound cannot reach a score already
-computed.  The full loop is kept here as the reference: theta(S, N),
-delta_N, theta_{s,N} and a bounded minimization must reproduce its values
-and first witnesses exactly, at several chunk sizes, and the bounds must
-hold with room to spare.
+it now streams each chunk once and skips the rows whose certified bound
+cannot reach the running best.  The full loop is kept here as the
+reference: theta(S, N), delta_N, theta_{s,N} and a bounded minimization must
+reproduce its values and first witnesses exactly, at several chunk sizes,
+the bounds must hold with room to spare, and no chunk may be gathered twice.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1256,6 +1257,31 @@ def test_enum_gram_scores_few_rows(monkeypatch):
     del log[:]
     restricted_isometry(GramMatrix(entries), 6)
     assert sum(shape[0] for _, shape in log) <= 8_008 // 4
+
+
+@pytest.mark.parametrize("entries", [enum_entries(), np.eye(16)], ids=["enum", "identity"])
+def test_each_chunk_is_gathered_once(entries, monkeypatch):
+    # theta(S, 6) and delta_6 stream each plan entry's chunks once, whether
+    # the bound prunes much (the enum Gram) or nothing (the identity)
+    original = constants._index_chunks
+    log = []
+
+    def counted(p, base, n, m):
+        for chunk in original(p, base, n, m):
+            log.append((tuple(base), n, m))
+            yield chunk
+
+    monkeypatch.setattr(constants, "_index_chunks", counted)
+    searches = [(lambda S=S: restricted_orthogonality(GramMatrix(entries), ConeSpec(S, 1.0, 6)),
+                 [(S, n, m) for n, m in constants._ortho_sizes(16, 3, 6)])
+                for S in enum_supports()]
+    searches.append((lambda: restricted_isometry(GramMatrix(entries), 6), [((), 6, 0)]))
+    for search, plan in searches:
+        want = {(base, n, m): sum(1 for _ in original(16, base, n, m)) for base, n, m in plan}
+        assert max(want.values()) > 1
+        del log[:]
+        search()
+        assert Counter(log) == want
 
 
 def sorted_superset_chunks(p, base, n, rows):
