@@ -336,12 +336,7 @@ def condition_report(gram: GramMatrix, cone: ConeSpec,
 
     def phi_routes():
         found = lower_phi_routes(gram, cone, "compatibility", "plain", cap)
-        # found holds the regression routes by ascending N', the order
-        # _best_route breaks ties in; the report lists regression@N
-        # before regression@min(2s, p), which differs when N > 2s
-        names = ("lambda_min", "uniform_leverage", f"regression@{s}", f"regression@{cone.N}",
-                 f"regression@{min(2 * s, p)}", "weak_rip")
-        report.witnesses["phi_lower_routes"] = {name: found[name] for name in names if name in found}
+        report.witnesses["phi_lower_routes"] = found
         return _best_route(found)
 
     attempt("phi_lower_routes", phi_routes)

@@ -387,11 +387,19 @@ def rip_constant(gram: GramMatrix, s_size: int, cap: int = DEFAULT_SUBSET_CAP) -
     )
 
 
+def _lambda2_vanishes(gram: GramMatrix, lam2: float) -> bool:
+    """The one rule for a numerically zero Lambda^2(S, N):
+    lam2 <= SINGULAR_RTOL * max(max_j Sigma_jj, 1)."""
+    return lam2 <= SINGULAR_RTOL * max(float(np.max(np.diag(gram.entries))), 1.0)
+
+
 def weak_rip_constant(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
-    """theta(S, N) / Lambda^2(S, N)."""
+    """theta(S, N) / Lambda^2(S, N), the only place this ratio is formed
+    (regression_upper's weak_rip route calls it).  Raises
+    SingularUniformEigenvalue when Lambda^2(S, N) vanishes (_lambda2_vanishes)
+    and CapExceeded when either enumeration is over cap."""
     lam2 = uniform_eigenvalue(gram, cone, cap).estimate
-    scale = float(gram.spectrum()[-1])
-    if lam2 <= SINGULAR_RTOL * max(scale, 1.0):
+    if _lambda2_vanishes(gram, lam2):
         raise SingularUniformEigenvalue(f"Lambda^2(S,N) = {lam2!r} is numerically zero")
     theta = restricted_orthogonality(gram, cone, cap).estimate
     return BoundedValue.exact(theta / lam2, provenance=f"theta={theta!r}, lambda2={lam2!r}")
@@ -526,8 +534,7 @@ def coherence(gram: GramMatrix, cone: ConeSpec, kind: str) -> BoundedValue:
     s = cone.s
     s_idx = list(cone.S)
     lam2 = uniform_eigenvalue(gram, cone.with_(N=s)).estimate
-    scale = float(np.max(np.diag(gram.entries)))
-    if lam2 <= SINGULAR_RTOL * max(scale, 1.0):
+    if _lambda2_vanishes(gram, lam2):
         raise SingularUniformEigenvalue(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
     outside = _complement(gram.p, cone.S)
     if not outside:
@@ -599,15 +606,17 @@ def alpha_constant(gram: GramMatrix, cone: ConeSpec, phi2_s2s_lower: float,
                    cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
     """Selection-error constant
     (sqrt(2) theta(S,s) + sqrt((1+delta_s) theta(S,s))) / (phi(S,2s) Lambda(S,s)),
-    evaluated with a certified lower bound for phi^2(S,2s), hence an upper bound."""
+    evaluated with a certified lower bound for phi^2(S,2s), hence an upper bound.
+    Raises DenominatorNonPositive when that lower bound is not positive or
+    Lambda^2(S, s) vanishes (_lambda2_vanishes)."""
     cone.validate_p(gram.p)
     if not (phi2_s2s_lower > 0.0):
         raise DenominatorNonPositive(f"phi^2(S,2s) lower bound {phi2_s2s_lower!r} must be positive")
     theta_s = restricted_orthogonality(gram, cone.with_(N=cone.s), cap).estimate
     delta_s = restricted_isometry(gram, cone.s, cap).estimate
     lam2 = uniform_eigenvalue(gram, cone.with_(N=cone.s)).estimate
-    if lam2 <= 0.0:
-        raise DenominatorNonPositive(f"Lambda^2(S,s) = {lam2!r} must be positive")
+    if _lambda2_vanishes(gram, lam2):
+        raise DenominatorNonPositive(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
     value = (math.sqrt(2.0) * theta_s + math.sqrt((1.0 + delta_s) * theta_s)) / (
         math.sqrt(phi2_s2s_lower) * math.sqrt(lam2)
     )

@@ -31,13 +31,14 @@ import numpy as np
 
 from .constants import (
     DEFAULT_SIGN_CAP,
+    _lambda2_vanishes,
     _sign_chunks,
     block_norm_2q,
     block_norm_maxima,
     coherence,
     irrepresentable_uniform,
-    restricted_orthogonality,
     uniform_eigenvalue,
+    weak_rip_constant,
 )
 from .core import (
     DEFAULT_SUBSET_CAP,
@@ -59,7 +60,6 @@ from .errors import (
     CapExceeded,
     InvalidParameter,
     MaxItersExceeded,
-    SingularUniformEigenvalue,
 )
 from .solvers import DEFAULT_CONFIG, SolverConfig, _project_l1_ball, projected_gradient_qp
 
@@ -126,7 +126,7 @@ def compatibility_constant(gram: GramMatrix, cone: ConeSpec, config: SolverConfi
     lip = 2.0 * max(lam_max, 1e-12)
     diverged = 0
     for tau in hard:
-        v, tau_t, converged = _equality_tail_qp(gram, cone, tau, config, lip)
+        v, tau_t, converged = _equality_tail_qp(gram, ix, tau, config, lip)
         if not converged:
             diverged += 1
         if v < best:
@@ -142,13 +142,12 @@ def compatibility_constant(gram: GramMatrix, cone: ConeSpec, config: SolverConfi
     return BoundedValue.interval(value, lower, value, provenance=note)
 
 
-def _equality_tail_qp(gram: GramMatrix, cone: ConeSpec, tau: np.ndarray, config: SolverConfig,
+def _equality_tail_qp(gram: GramMatrix, ix: _ConeIndex, tau: np.ndarray, config: SolverConfig,
                       lipschitz: float):
     """V(tau) by projected gradient: the feasible set splits into the affine
     hyperplane tau'beta_S = 1 on S and the l1 ball of radius L off S, so the
     blockwise projection is the exact projection."""
-    p, s, L = gram.p, cone.s, cone.L
-    ix = _cone_index(p, cone)
+    p, s, L = gram.p, ix.cone.s, ix.cone.L
     S, comp = ix.S, ix.comp
     tau = np.asarray(tau, dtype=float)
 
@@ -539,13 +538,16 @@ def regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str = "plain",
 
     The constant scales linearly in L, so cone.L is not read.  The bound is
     the least of the closed-form routes that apply, each divided by
-    Lambda^2(S, N) and so only applicable when that is numerically positive:
+    Lambda^2(S, N) and so only applicable when that does not vanish
+    (constants._lambda2_vanishes):
 
     * cauchy_schwarz: sqrt(s) sqrt(max_j Sigma_jj) / Lambda(S, N);
     * at N = s: column_norm (sqrt(s) times the largest column 2-norm of
       Sigma_21(S)) and the mutual and cumulative coherence constants;
-    * at N = 2s: weak_rip (theta(S, 2s)), the chunked q = inf, 2 and 1
-      block-norm maxima and, for the plain variant, row_sum.
+    * at N = 2s, when the size-2s supersets of S fit min(cap, ROUTE_CAP):
+      weak_rip (weak_rip_constant, theta(S, 2s) / Lambda^2(S, 2s)), the
+      chunked q = inf, 2 and 1 block-norm maxima and, for the plain variant,
+      row_sum.
 
     Enumerations above min(cap, ROUTE_CAP) are skipped.  With no applicable
     route the bound is inf, noted "no applicable route".
@@ -561,17 +563,17 @@ def regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str = "plain",
     except CapExceeded:
         lam2 = 0.0
     routes = {}
-    if lam2 > SINGULAR_RTOL * max(maxdiag, 1.0):
+    if not _lambda2_vanishes(gram, lam2):
         routes["cauchy_schwarz"] = math.sqrt(s) * math.sqrt(maxdiag) / math.sqrt(lam2)
         if cone.N == s:
             column = block_norm_2q(gram, SubsetN(cone.S), math.inf, "exact").estimate
             routes["column_norm"] = math.sqrt(s) * column / lam2
             routes["mutual"] = coherence(gram, cone, "mutual").estimate
             routes["cumulative"] = coherence(gram, cone, "cumulative").estimate
-        elif cone.N == 2 * s and superset_count(cone, p) + 1 <= route_cap:
+        elif cone.N == 2 * s and superset_count(cone, p) <= route_cap:
             # theta(S, 2s) enumerates far more pairs than the maxima do sets
             try:
-                routes["weak_rip"] = restricted_orthogonality(gram, cone, route_cap).estimate / lam2
+                routes["weak_rip"] = weak_rip_constant(gram, cone, route_cap).estimate
             except CapExceeded:
                 pass
             maxima = block_norm_maxima(gram, cone, route_cap, sign_cap)
@@ -623,18 +625,20 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
     target "compatibility" bounds the compatibility constant; target
     "restricted_eigenvalue" bounds phi^2(L, S, N) for the given cone (both
     variants, since the adaptive cone contains the plain one).  Routes, in
-    this order:
+    this order, which is the order the analyze report lists them in and the
+    order certified_lower_phi breaks ties in:
 
     * lambda_min: the smallest eigenvalue of Sigma; applies only when Sigma is
       nonsingular.
     * uniform_leverage: (1 - L * leverage(S, s))^2 * Lambda^2(S, s), for the
       compatibility target.
     * regression@N': (1 - L * regression_upper(S, N'))^2 * Lambda^2(S, N')
-      with N' in {s, N, min(2s, p)} ascending, variant-matched; a lower bound
-      for the target at N <= N' by monotonicity, and for compatibility at any
-      N'.
-    * weak_rip: (1 - L * theta/Lambda^2)^2 * Lambda^2 at N' = 2s, same
-      applicability as regression@2s.
+      for N' = s, N, min(2s, p) in that order, repeats dropped,
+      variant-matched, and only where Lambda^2(S, N') does not vanish; a
+      lower bound for the target at N <= N' by monotonicity, and for
+      compatibility at any N'.  At N' = 2s the weak-RIP ratio theta/Lambda^2
+      is one of the routes regression_upper minimizes, so regression@2s is
+      at least (1 - L * theta/Lambda^2)^2 * Lambda^2.
 
     Routes whose enumerations exceed min(cap, ROUTE_CAP) are left out.
     """
@@ -659,7 +663,7 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
         except AllSubmatricesSingular:
             pass
 
-    for n_prime in sorted({s, cone.N, min(2 * s, p)}):
+    for n_prime in dict.fromkeys((s, cone.N, min(2 * s, p))):
         if target == "restricted_eigenvalue" and n_prime < cone.N:
             continue
         c2 = cone.with_(N=n_prime)
@@ -667,22 +671,11 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
             lam2 = uniform_eigenvalue(gram, c2, route_cap).estimate
         except CapExceeded:
             continue
-        if lam2 <= 0.0:
+        if _lambda2_vanishes(gram, lam2):
             continue
         ru = regression_upper(gram, c2, rr_variant, cap).upper
         if L * ru < 1.0:
             found[f"regression@{n_prime}"] = (1.0 - L * ru) ** 2 * lam2
-
-    if 2 * s <= p and (target == "compatibility" or cone.N <= 2 * s):
-        try:
-            c2 = cone.with_(N=2 * s)
-            lam2 = uniform_eigenvalue(gram, c2, route_cap).estimate
-            theta = restricted_orthogonality(gram, c2, route_cap).estimate
-            scale = max(float(np.max(np.diag(gram.entries))), 1.0)
-            if lam2 > SINGULAR_RTOL * scale and L * theta / lam2 < 1.0:
-                found["weak_rip"] = (1.0 - L * theta / lam2) ** 2 * lam2
-        except (CapExceeded, SingularUniformEigenvalue):
-            pass
     return found
 
 

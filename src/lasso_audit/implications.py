@@ -197,7 +197,7 @@ class _Inputs:
             return regression_upper(gram, cone.with_(N=2 * s), "adaptive", self.cap, self.sign_cap)
         if key == "rr_ad_s":
             return restricted_regression(gram, cone.with_(L=1.0, N=s), "adaptive", self.config,
-                                         cap=route_cap, sign_cap=self.sign_cap)
+                                         cap=self.cap, sign_cap=self.sign_cap)
         if key == "phi_lower_plain":
             return certified_lower_phi(gram, cone, target="restricted_eigenvalue",
                                        variant="plain", cap=self.cap)

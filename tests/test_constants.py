@@ -36,6 +36,7 @@ from lasso_audit.errors import (
     SingularUniformEigenvalue,
 )
 from lasso_audit import constants
+from lasso_audit.estimators import regression_upper
 from lasso_audit.implications import _Inputs, check_all, check_edge
 from lasso_audit.solvers import DEFAULT_CONFIG
 
@@ -425,6 +426,41 @@ class TestAlphaConstant:
         ones = GramMatrix(np.ones((3, 3)))
         with pytest.raises(DenominatorNonPositive):
             alpha_constant(ones, ConeSpec(S=(0, 1), L=1.0, N=2), 1.0)
+
+
+class TestOneLambda2Rule:
+    """Lambda^2(S, N) vanishes at or below 1e-10 * max(max_j Sigma_jj, 1) for
+    every reader.  On I_4 with Sigma_01 = 1 - eps, Lambda^2((0, 1), 2) is
+    about eps, while lambda_max(Sigma) is about 2: a floor scaled by
+    lambda_max would put eps = 1.5e-10 below it."""
+
+    cone = ConeSpec(S=(0, 1), L=1.0, N=2)
+
+    @staticmethod
+    def gram(eps):
+        entries = np.eye(4)
+        entries[0, 1] = entries[1, 0] = 1.0 - eps
+        return GramMatrix(entries)
+
+    def test_just_above_the_floor_every_reader_divides(self):
+        g = self.gram(1.5e-10)
+        lam2 = uniform_eigenvalue(g, self.cone).estimate
+        assert 1e-10 < lam2 < 2e-10
+        assert weak_rip_constant(g, self.cone).estimate == 0.0
+        coherence(g, self.cone, "mutual")
+        assert "route=" in regression_upper(g, self.cone).provenance
+        assert alpha_constant(g, self.cone, 1.0).estimate == 0.0
+
+    def test_at_the_floor_every_reader_refuses(self):
+        g = self.gram(5e-11)
+        with pytest.raises(SingularUniformEigenvalue):
+            weak_rip_constant(g, self.cone)
+        for kind in ("mutual", "cumulative"):
+            with pytest.raises(SingularUniformEigenvalue):
+                coherence(g, self.cone, kind)
+        assert regression_upper(g, self.cone).provenance == "no applicable route"
+        with pytest.raises(DenominatorNonPositive):
+            alpha_constant(g, self.cone, 1.0)
 
 
 # -- the batched enumeration kernel against a plain per-subset loop ----------

@@ -27,6 +27,7 @@ from lasso_audit import (
     restricted_eigenvalue,
     restricted_orthogonality,
     restricted_regression,
+    superset_count,
     uniform_eigenvalue,
 )
 from lasso_audit import constants
@@ -304,6 +305,18 @@ def test_block_norm_routes_kept_when_theta_exceeds_the_route_cap():
         assert set(routes) == {"cauchy_schwarz"} | set(listed)
         assert {name: routes[name] for name in listed} == listed
         assert bv.upper == min(routes.values())
+
+
+def test_two_s_routes_run_when_the_supersets_just_fit_the_cap():
+    """At p = 8, s = 2 there are C(6, 2) = 15 size-4 supersets of S: a cap of
+    15 admits the N = 2s routes (theta(S, 4), with more pairs, is still left
+    out), and a cap of 14 admits no route, since Lambda^2(S, 4) is refused."""
+    gram = GramMatrix(random_psd_entries(8, 1, 0.0))
+    cone = ConeSpec(S=(1, 4), L=1.0, N=4)
+    assert superset_count(cone, 8) == 15
+    note = regression_upper(gram, cone, "plain", cap=15).provenance
+    assert "chunked_qinf=" in note and "weak_rip=" not in note
+    assert regression_upper(gram, cone, "plain", cap=14).provenance == "no applicable route"
 
 
 def test_block_norm_q1_budget_counts_every_superset(monkeypatch):

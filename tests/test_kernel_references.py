@@ -35,6 +35,13 @@ cannot reach the running best.  The full loop is kept here as the
 reference: theta(S, N), delta_N, theta_{s,N} and a bounded minimization must
 reproduce its values and first witnesses exactly, at several chunk sizes,
 the bounds must hold with room to spare, and no chunk may be gathered twice.
+
+lower_phi_routes used to add a weak_rip route, (1 - L theta/Lambda^2)^2
+Lambda^2 at N' = 2s, after its regression routes, which it listed by
+ascending N'.  regression@2s already minimizes theta/Lambda^2 among its
+routes, so that route never ranked first; the old route loop is kept here as
+the reference certified_lower_phi must reproduce bit for bit, its note less
+the weak_rip entry.
 """
 
 import itertools
@@ -206,7 +213,7 @@ def loop_rr_upper_routes(gram, cone, variant, cap, sign_cap):
         routes["column_norm"] = math.sqrt(s) * block_norm_2q(gram, S_sub, math.inf, "exact").estimate / lam2_s
         routes["mutual"] = coherence(gram, cone, "mutual").estimate
         routes["cumulative"] = coherence(gram, cone, "cumulative").estimate
-    if cone.N == 2 * s and cone.N <= p and superset_count(cone, p) + 1 <= min(cap, ROUTE_CAP):
+    if cone.N == 2 * s and cone.N <= p and superset_count(cone, p) <= min(cap, ROUTE_CAP):
         lam2 = uniform_eigenvalue(gram, cone, min(cap, ROUTE_CAP)).estimate
         if lam2 > tiny:
             try:
@@ -680,7 +687,8 @@ def ref_projected_gradient_qp(q, c, projection, config, x0, lipschitz):
     raise MaxItersExceeded("reference projected gradient", best=(x, fx, residual))
 
 
-def ref_equality_tail_qp(gram, cone, tau, config, lipschitz):
+def ref_equality_tail_qp(gram, ix, tau, config, lipschitz):
+    cone = ix.cone
     p, s = gram.p, cone.s
     S = list(cone.S)
     comp = outside(p, S)
@@ -738,9 +746,10 @@ def test_compatibility_fallback_matches_the_loop(name, monkeypatch):
     for config in configs:
         for L in RE_L:
             cone = ConeSpec(S, L, len(S))
+            ix = estimators._cone_index(gram.p, cone)
             for tau in signs:
-                v, t, ok = estimators._equality_tail_qp(gram, cone, tau, config, lip)
-                want_v, want_t, want_ok = ref_equality_tail_qp(gram, cone, tau, config, lip)
+                v, t, ok = estimators._equality_tail_qp(gram, ix, tau, config, lip)
+                want_v, want_t, want_ok = ref_equality_tail_qp(gram, ix, tau, config, lip)
                 assert np.float64(v).tobytes() == np.float64(want_v).tobytes()
                 assert (t, ok) == (want_t, want_ok)
             got = compat_outcome(gram, cone, config)
@@ -775,7 +784,7 @@ def counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_index_sets_are_built_once_per_sign_and_never_per_step(monkeypatch):
+def test_index_sets_are_built_once_per_call_and_never_per_step(monkeypatch):
     counts = {"_complement": 0, "top_nset": 0}
     counting(monkeypatch, estimators, "_complement", counts)
     counting(monkeypatch, estimators, "top_nset", counts)
@@ -784,7 +793,7 @@ def test_index_sets_are_built_once_per_sign_and_never_per_step(monkeypatch):
     make, S, _ = PG_CASES["singular"]
     bv = compatibility_constant(GramMatrix(make()), ConeSpec(S, 1.0, len(S)))
     assert "projected_gradient=4," in bv.provenance
-    assert counts["_complement"] <= 2 ** (len(S) - 1) + 1
+    assert counts["_complement"] == 1
 
     p, S, N = 7, (1, 4), 4
     entries = random_psd_entries(p, 70 + p, 0.05)
@@ -979,6 +988,93 @@ def test_regression_search_decomposes_sigma_ss_once(monkeypatch):
     bv = restricted_regression(gram, ConeSpec((1, 4), 1.0, 3), config=SolverConfig(samples=300))
     assert bv.lower > 0.0 and "spike-and-greedy" in bv.provenance
     assert counts == {"eigh": 1, "inverse_11": 0, "block": 0}
+
+
+# -- the lower weak-RIP route ------------------------------------------------
+
+
+def ref_lower_phi_routes(gram, cone, target, variant):
+    """lower_phi_routes with its weak_rip route, at the default cap."""
+    p, s, L = gram.p, cone.s, cone.L
+    rr_variant = "adaptive" if (target == "restricted_eigenvalue" and variant == "adaptive") else "plain"
+    found = {}
+    vals = gram.spectrum()
+    if vals[0] > SINGULAR_RTOL * max(vals[-1], 0.0):
+        found["lambda_min"] = float(vals[0])
+    if target == "compatibility":
+        try:
+            irr = irrepresentable_uniform(gram, cone.with_(N=s)).estimate
+            if L * irr < 1.0:
+                lam2_s = uniform_eigenvalue(gram, cone.with_(N=s)).estimate
+                found["uniform_leverage"] = (1.0 - L * irr) ** 2 * max(0.0, lam2_s)
+        except AllSubmatricesSingular:
+            pass
+    for n_prime in sorted({s, cone.N, min(2 * s, p)}):
+        if target == "restricted_eigenvalue" and n_prime < cone.N:
+            continue
+        c2 = cone.with_(N=n_prime)
+        try:
+            lam2 = uniform_eigenvalue(gram, c2, ROUTE_CAP).estimate
+        except CapExceeded:
+            continue
+        if lam2 <= 0.0:
+            continue
+        ru = regression_upper(gram, c2, rr_variant).upper
+        if L * ru < 1.0:
+            found[f"regression@{n_prime}"] = (1.0 - L * ru) ** 2 * lam2
+    if 2 * s <= p and (target == "compatibility" or cone.N <= 2 * s):
+        try:
+            c2 = cone.with_(N=2 * s)
+            lam2 = uniform_eigenvalue(gram, c2, ROUTE_CAP).estimate
+            theta = restricted_orthogonality(gram, c2, ROUTE_CAP).estimate
+            scale = max(float(np.max(np.diag(gram.entries))), 1.0)
+            if lam2 > SINGULAR_RTOL * scale and L * theta / lam2 < 1.0:
+                found["weak_rip"] = (1.0 - L * theta / lam2) ** 2 * lam2
+        except CapExceeded:
+            pass
+    return found
+
+
+LOWER_TARGETS = (("compatibility", "plain"), ("restricted_eigenvalue", "plain"),
+                 ("restricted_eigenvalue", "adaptive"))
+
+
+def lower_phi_pairs(entries, S, N):
+    """(reference routes, certified_lower_phi) for each target and variant of
+    LOWER_TARGETS, each L of PART2_L and each N' in {s, N, min(2s, p)}."""
+    p, s = entries.shape[0], len(S)
+    ref_gram, gram = GramMatrix(entries), GramMatrix(entries)
+    for n_size in dict.fromkeys((s, N, min(2 * s, p))):
+        for target, variant in LOWER_TARGETS:
+            for L in PART2_L:
+                cone = ConeSpec(S, L, n_size)
+                yield (ref_lower_phi_routes(ref_gram, cone, target, variant),
+                       certified_lower_phi(gram, cone, target, variant))
+
+
+@pytest.mark.parametrize("make, S, N", cases())
+def test_lower_phi_matches_the_weak_rip_route_loop(make, S, N):
+    for want, got in lower_phi_pairs(make(), S, N):
+        if not want:
+            assert got.provenance == "route=none"
+            continue
+        best = max(want, key=want.get)
+        note = f"route={best}; " + ", ".join(
+            f"{k}={v!r}" for k, v in sorted(want.items()) if k != "weak_rip")
+        assert got.certificate is Certificate.CERTIFIED_LOWER
+        assert np.float64(got.estimate).tobytes() == np.float64(want[best]).tobytes()
+        assert got.provenance == note
+
+
+def test_the_weak_rip_reference_is_reached_and_never_above_regression_at_2s():
+    seen = 0
+    for make, cones in INSTANCES.values():
+        for S, N in cones:
+            for want, _ in lower_phi_pairs(make(), S, N):
+                if "weak_rip" in want:
+                    seen += 1
+                    assert want["weak_rip"] <= want[f"regression@{2 * len(S)}"]
+    assert seen > 0
 
 
 # -- the bound-and-prune enumeration kernel ----------------------------------
