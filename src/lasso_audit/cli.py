@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -37,7 +38,7 @@ from .constants import (
     uniform_eigenvalue,
     weak_rip_constant,
 )
-from .core import DEFAULT_SUBSET_CAP, BoundedValue, ConeSpec, GramMatrix
+from .core import DEFAULT_SUBSET_CAP, BoundedValue, ConeSpec, GramMatrix, _pool_workers
 from .errors import AuditError, InvalidParameter, ParseError
 from .estimators import (
     _best_route,
@@ -266,6 +267,50 @@ def _beta0_for(config: RunConfig, p: int) -> np.ndarray:
     return beta0
 
 
+def _run_lanes(tasks: list) -> list:
+    """[(task(), None) or (None, its AuditError) for task in tasks], run on
+    _pool_workers(len(tasks)) lanes: the calling thread and a thread pool.
+
+    Lanes take tasks in order from one shared counter and put each outcome
+    in the task's own slot, so the list does not depend on the lane count
+    or the scheduling.  Once a task raises anything else, no lane starts
+    another task; the exception reaches the caller after every lane has
+    returned.  With one lane the tasks run in the caller, in order.
+    """
+    slots = [None] * len(tasks)
+    order = iter(range(len(tasks)))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def lane():
+        while not failed.is_set():
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                slots[i] = (tasks[i](), None)
+            except AuditError as exc:
+                slots[i] = (None, exc)
+            except BaseException:
+                failed.set()
+                raise
+
+    lanes = _pool_workers(len(tasks))
+    if lanes == 1:
+        lane()
+        return slots
+    # imported here: a run on one lane need not pay for the import
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+        futures = [pool.submit(lane) for _ in range(lanes - 1)]
+        lane()
+        for future in futures:
+            future.result()
+    return slots
+
+
 def condition_report(gram: GramMatrix, cone: ConeSpec,
                      config: SolverConfig = DEFAULT_CONFIG,
                      cap: int = DEFAULT_SUBSET_CAP,
@@ -285,11 +330,17 @@ def condition_report(gram: GramMatrix, cone: ConeSpec,
         "N": cone.N,
     })
 
+    def record(key, value, error):
+        if error is None:
+            report.entries[key] = value
+        else:
+            report.errors[key] = f"{type(error).__name__}: {error}"
+
     def attempt(key, fn):
         try:
-            report.entries[key] = fn()
+            record(key, fn(), None)
         except AuditError as exc:
-            report.errors[key] = f"{type(exc).__name__}: {exc}"
+            record(key, None, exc)
 
     attempt("lambda2", lambda: uniform_eigenvalue(gram, cone, cap))
     attempt("delta_N", lambda: restricted_isometry(gram, cone.N, cap))
@@ -327,12 +378,18 @@ def condition_report(gram: GramMatrix, cone: ConeSpec,
         return alpha_constant(gram, cone.with_(N=s), float(phi2s.estimate), cap)
 
     attempt("alpha", alpha)
-    attempt("phi_compat", lambda: compatibility_constant(gram, cone, config, sign_cap))
-    attempt("phi_re", lambda: restricted_eigenvalue(gram, cone, "plain", config, cap))
-    attempt("phi_re_adaptive", lambda: restricted_eigenvalue(gram, cone, "adaptive", config, cap))
-    attempt("theta_rr", lambda: restricted_regression(gram, cone, "plain", config, cap, sign_cap))
-    attempt("theta_rr_adaptive",
-            lambda: restricted_regression(gram, cone, "adaptive", config, cap, sign_cap))
+    # the five feasible-point searches are independent, each drawing from
+    # its own derived stream, so they run on lanes
+    searches = {
+        "phi_compat": lambda: compatibility_constant(gram, cone, config, sign_cap),
+        "phi_re": lambda: restricted_eigenvalue(gram, cone, "plain", config, cap),
+        "phi_re_adaptive": lambda: restricted_eigenvalue(gram, cone, "adaptive", config, cap),
+        "theta_rr": lambda: restricted_regression(gram, cone, "plain", config, cap, sign_cap),
+        "theta_rr_adaptive":
+            lambda: restricted_regression(gram, cone, "adaptive", config, cap, sign_cap),
+    }
+    for key, (value, error) in zip(searches, _run_lanes(list(searches.values()))):
+        record(key, value, error)
 
     def phi_routes():
         found = lower_phi_routes(gram, cone, "compatibility", "plain", cap)

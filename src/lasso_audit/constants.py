@@ -165,15 +165,18 @@ def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float, boun
     A plan entry of one chunk keeps its single stacked call and computes no
     bound.
     """
-    entries = gram.entries
+    p = gram.p
+    flat = gram.entries.ravel()
     sign = 1.0 if maximize else -1.0
     margin = _PRUNE_RTOL * max(1.0, float(gram.spectrum()[-1]))
     witness = None
     for base, n, m in plan:
-        count = math.comb(gram.p - len(base), n - len(base)) * math.comb(gram.p - n, m)
+        count = math.comb(p - len(base), n - len(base)) * math.comb(p - n, m)
         prune = bound is not None and count > _chunk_rows(n, m)
-        for nsets, msets in _index_chunks(gram.p, base, n, m):
-            blocks = entries[nsets[:, :, None], (nsets if msets is None else msets)[:, None, :]]
+        for nsets, msets in _index_chunks(p, base, n, m):
+            # Sigma[nset, cols] for each row, gathered through flat indices
+            cols = nsets if msets is None else msets
+            blocks = np.take(flat, nsets[:, :, None] * p + cols[:, None, :])
             if prune:
                 keep = np.flatnonzero(sign * bound(blocks) >= sign * best - margin)
                 if len(keep) == 0:

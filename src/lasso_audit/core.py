@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,33 @@ from .errors import CapExceeded, InvalidParameter, SingularBlock
 
 DEFAULT_SUBSET_CAP = 10 ** 6
 SINGULAR_RTOL = 1e-10
+_POOL_MAX_WORKERS = 8
+
+
+def _pool_workers(tasks: int) -> int:
+    """The thread count for a number of independent tasks: at most the CPUs
+    this process may run on, the number of tasks and _POOL_MAX_WORKERS.
+    The one sizing rule of the package's thread pools."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, tasks, _POOL_MAX_WORKERS))
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A fixed 128-bit Philox key as a seed sequence.  Philox asks its seed
+    sequence for two 64-bit words and starts at counter 0, which is the
+    state Philox(key=key) sets, without the OS-entropy SeedSequence that
+    Philox(key=...) builds and ignores."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, key: int):
+        self._words = np.array([key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
 
 
 def derived_rng(seed, *stream) -> np.random.Generator:
@@ -37,7 +65,7 @@ def derived_rng(seed, *stream) -> np.random.Generator:
     label = "/".join(str(part) for part in stream)
     digest = hashlib.sha256(f"{seed}#{label}".encode()).digest()
     key = int.from_bytes(digest[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 class Certificate(enum.Enum):
@@ -164,11 +192,12 @@ class GramMatrix:
     def memoized(self, key, compute):
         """compute() on the first request for key, the stored result after.
 
-        Results must be immutable: every caller gets the same object.
+        Results must be immutable: every caller gets the same object, also
+        when two threads compute one key at once (the first stored wins).
         """
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        if key in self._memo:
+            return self._memo[key]
+        return self._memo.setdefault(key, compute())
 
     def spectrum(self) -> np.ndarray:
         """All eigenvalues in ascending order (read-only), from the PSD check."""

@@ -198,9 +198,10 @@ def _restricted_ratio_parts(entries: np.ndarray, B: np.ndarray, heads: np.ndarra
         # maximum per tail column instead of one short reduction per row
         nsq = nsq + np.abs(tails.T, order="C").max(axis=0) ** 2
     elif k > 1:
+        # partitioned in place: the order np.partition leaves in its copy
         at = np.abs(tails)
-        top = np.partition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
-        nsq = nsq + (top ** 2).sum(axis=1)
+        at.partition(at.shape[1] - k, axis=1)
+        nsq = nsq + (at[:, at.shape[1] - k:] ** 2).sum(axis=1)
     return np.divide(qs, nsq, out=np.full(B.shape[0], np.inf), where=nsq > 1e-300)
 
 
@@ -221,19 +222,27 @@ def evaluate_restricted_ratio(gram: GramMatrix, cone: ConeSpec, beta, variant: s
 def _sample_cone_points(rng, ix: _ConeIndex, m: int, variant: str):
     """Feasible cone points with unit-norm heads and randomly sparse tails
     scaled to a random fraction of the budget, as (B, heads, tails) with
-    heads = B[:, S] and tails = B[:, S^c]."""
+    heads = B[:, S] and tails = B[:, S^c].
+
+    The keep uniforms and then the tail magnitudes live in the first m * r
+    slots of B until B is filled, which saves two (m, r) arrays."""
     cone, S, comp = ix.cone, ix.S, ix.comp
     s, r = cone.s, comp.size
+    B = np.empty((m, s + r))
     heads = rng.standard_normal((m, s))
     norms = np.linalg.norm(heads, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     heads /= norms
+    del norms
     if r and cone.L > 0.0:
-        raw = rng.standard_normal((m, r))
+        tails = rng.standard_normal((m, r))
         density = rng.random(m) ** 2
-        keep = rng.random((m, r)) < np.maximum(density, 1.0 / r)[:, None]
-        raw *= keep
-        l1 = np.abs(raw).sum(axis=1)
+        scratch = B.reshape(-1)[:m * r].reshape(m, r)
+        keep = rng.random((m, r), out=scratch) < np.maximum(density, 1.0 / r)[:, None]
+        del density
+        tails *= keep
+        del keep
+        l1 = np.abs(tails, out=scratch).sum(axis=1)
         if variant == "plain":
             budget = cone.L * np.abs(heads).sum(axis=1)
         else:
@@ -242,10 +251,9 @@ def _sample_cone_points(rng, ix: _ConeIndex, m: int, variant: str):
         scale = np.zeros(m)
         ok = l1 > 0.0
         scale[ok] = frac[ok] * budget[ok] / l1[ok]
-        tails = raw * scale[:, None]
+        tails *= scale[:, None]
     else:
         tails = np.zeros((m, r))
-    B = np.zeros((m, s + r))
     B[:, S] = heads
     B[:, comp] = tails
     return B, heads, tails
@@ -253,7 +261,9 @@ def _sample_cone_points(rng, ix: _ConeIndex, m: int, variant: str):
 
 def _cone_samples(rng, ix: _ConeIndex, variant: str, samples: int):
     """samples cone points from _sample_cone_points, in chunks of at most
-    _SEARCH_CHUNK rows: the one sample loop of the cone searches."""
+    _SEARCH_CHUNK rows: the one sample loop of the cone searches.  A loop
+    over it drops its chunk at the end of each pass, so that one chunk is
+    alive at a time, not two, while the next is drawn."""
     remaining = samples
     while remaining > 0:
         m = min(_SEARCH_CHUNK, remaining)
@@ -369,7 +379,8 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
         i = int(np.argmin(ratios))
         if float(ratios[i]) < best_val:
             best_val = float(ratios[i])
-            best_beta = B[i]
+            best_beta = B[i].copy()
+        del B, heads, tails
 
     refined = _refine_ratio(entries, ix, variant, best_beta)
     best_val = min(best_val, float(_batch_restricted_ratio(entries, ix, refined[None, :])[0]))
@@ -432,18 +443,23 @@ def _batch_regression_ratio(entries: np.ndarray, ix: _ConeIndex, B: np.ndarray) 
     tied tail magnitudes enters the top enlargement (argpartition's choice
     here, the lowest index in top_nset)."""
     m, p = B.shape
-    mask = np.zeros((m, p), dtype=bool)
-    mask[:, ix.S] = True
-    k = ix.k
-    if k > 0:
-        at = np.abs(B[:, ix.comp])
-        order = np.argpartition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
-        mask[np.repeat(np.arange(m), k), ix.comp[order].ravel()] = True
-    head = np.where(mask, B, 0.0)
-    tailp = B - head
+    k, r = ix.k, ix.comp.size
+    # head is B with the r - k tail coordinates outside the enlargement
+    # zeroed: the complement of the top k of argpartition's split
+    drop = ix.comp[None, :]
+    if 0 < k < r:
+        at = B[:, ix.comp]
+        np.abs(at, out=at)
+        drop = ix.comp[np.argpartition(at, r - k, axis=1)[:, :r - k]]
+        del at
+    head = B.copy()
+    if k < r:
+        head.reshape(-1)[drop + np.arange(0, m * p, p)[:, None]] = 0.0
+    del drop
     g = head @ entries
     denom = np.einsum("ij,ij->i", g, head)
-    numer = np.abs(np.einsum("ij,ij->i", g, tailp))
+    # the tail part, in the head's buffer
+    numer = np.abs(np.einsum("ij,ij->i", g, np.subtract(B, head, out=head)))
     tiny = SINGULAR_RTOL * max(float(np.max(np.abs(entries))), 1.0)
     out = np.zeros(m)
     ok = denom > tiny
@@ -525,8 +541,10 @@ def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverCon
             val = float(_batch_regression_ratio(entries, ix, beta[None, :])[0])
             if val > best:
                 best = val
-    for B, _, _ in _cone_samples(rng, ix, variant, config.samples):
+    for B, heads, tails in _cone_samples(rng, ix, variant, config.samples):
+        del heads, tails
         top = float(np.max(_batch_regression_ratio(entries, ix, B)))
+        del B
         if top > best:
             best = top
     return best, "spike-and-greedy plus random cone search"

@@ -19,13 +19,12 @@ the number of threads or their scheduling.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import GramMatrix, derived_rng
+from .core import GramMatrix, _pool_workers, derived_rng
 from .errors import InvalidParameter
 from .lasso import NoisyProblem, lambda0_bound
 
@@ -97,20 +96,9 @@ def _box_muller(rng: np.random.Generator, shape) -> np.ndarray:
 # on one thread, serial against 2 threads: 1000 draws 0.26 s vs 0.37 s, 2000
 # and 3000 draws about even, 4100 draws 0.71 s vs 0.55 s
 _POOL_MIN_DRAWS = 4096
-_POOL_MAX_WORKERS = 8
 # streams derived per round of the pool, which bounds the generators held at
 # once whatever the number of replications
 _POOL_ROUND = 256
-
-
-def _pool_workers(tasks: int) -> int:
-    """Threads for tasks independent replications: at most the CPUs this
-    process may run on, the number of tasks and _POOL_MAX_WORKERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity interface on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, tasks, _POOL_MAX_WORKERS))
 
 
 def _replicate(statistic, stream, reps: int, draws_per_rep: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Primitives: bounded values, Gram containers, cones, subsets, enumeration."""
 
+import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -95,8 +97,58 @@ class TestDerivedRng:
         b = derived_rng(0, "x", 12).random(2)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, stream", [
+        (0, ("stream-a",)),
+        (7, ()),
+        (12345, ("concentration", 1999)),
+        (10_000, ("generate", "random_psd", 16)),
+        (3, ("bench", "enum", "S")),
+        (0, ("re-search", "0123456789abcdef", "adaptive", (2, 7, 11), 1.0, 6)),
+        (2 ** 70, ("rr-search", -1.5)),
+    ])
+    def test_streams_equal_philox_keyed_by_the_label_digest(self, seed, stream):
+        # the generator derived_rng built before it skipped Philox's own
+        # OS-entropy seed sequence
+        label = "/".join(str(part) for part in stream)
+        digest = hashlib.sha256(f"{seed}#{label}".encode()).digest()
+        want = np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+        got = derived_rng(seed, *stream)
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert got.standard_normal(9).tobytes() == want.standard_normal(9).tobytes()
+        assert got.random((3, 5)).tobytes() == want.random((3, 5)).tobytes()
+        assert got.integers(0, 2 ** 62, 4).tolist() == want.integers(0, 2 ** 62, 4).tolist()
+        assert got.random(1000).tobytes() == want.random(1000).tobytes()
+
 
 class TestGramMatrix:
+    def test_threads_racing_on_one_key_get_one_object(self):
+        gram = GramMatrix(np.eye(3))
+        both_missed = threading.Barrier(2)
+        first_returned = threading.Event()
+        got = {}
+
+        def call(name):
+            def compute():
+                both_missed.wait(timeout=30)
+                if name == "second":
+                    # store only after the first thread has stored and returned
+                    first_returned.wait(timeout=30)
+                return BoundedValue.exact(1.0, provenance=name)
+
+            got[name] = gram.memoized("key", compute)
+            if name == "first":
+                first_returned.set()
+
+        threads = [threading.Thread(target=call, args=(name,)) for name in ("first", "second")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert got["first"].provenance == "first"
+        assert got["second"] is got["first"]
+        assert gram.memoized("key", lambda: None) is got["first"]
+
     def test_rejects_nonsquare_and_empty(self):
         with pytest.raises(InvalidParameter):
             GramMatrix(np.ones((2, 3)))

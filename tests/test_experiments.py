@@ -12,6 +12,7 @@ reference their statistics must equal bit for bit, at every thread count.
 
 import concurrent.futures
 import math
+import os
 import sys
 import threading
 
@@ -34,7 +35,7 @@ from lasso_audit import (
     noise_bound_experiment,
     sample_gaussian_design,
 )
-from lasso_audit import experiments
+from lasso_audit import core, experiments
 from lasso_audit.experiments import (
     _box_muller,
     _psd_sqrt,
@@ -395,7 +396,7 @@ def serial_concentration_distances(n, p, population, reps, seed):
 
 def set_cpus(monkeypatch, cpus):
     """Make the process see cpus CPUs in its affinity mask."""
-    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+    monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
 
 
@@ -506,20 +507,20 @@ class TestReplicationPool:
                              experiments._POOL_MIN_DRAWS)
         finally:
             sys.setswitchinterval(interval)
-        assert started == [experiments._POOL_MAX_WORKERS]
+        assert started == [core._POOL_MAX_WORKERS]
         assert out.tobytes() == np.sqrt(np.arange(3000, dtype=float)).tobytes()
 
     def test_worker_count_is_bounded_by_cpus_tasks_and_ceiling(self, monkeypatch):
         set_cpus(monkeypatch, 64)
-        assert experiments._pool_workers(1000) == experiments._POOL_MAX_WORKERS
-        assert experiments._pool_workers(3) == 3
+        assert core._pool_workers(1000) == core._POOL_MAX_WORKERS
+        assert core._pool_workers(3) == 3
         set_cpus(monkeypatch, 2)
-        assert experiments._pool_workers(1000) == 2
-        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 5)
-        assert experiments._pool_workers(1000) == 5
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert experiments._pool_workers(1000) == 1
+        assert core._pool_workers(1000) == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert core._pool_workers(1000) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert core._pool_workers(1000) == 1
 
     @pytest.mark.parametrize("run", [
         # 400 draws per replication: the noise experiment stays serial

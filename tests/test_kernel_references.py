@@ -36,6 +36,15 @@ reference: theta(S, N), delta_N, theta_{s,N} and a bounded minimization must
 reproduce its values and first witnesses exactly, at several chunk sizes,
 the bounds must hold with room to spare, and no chunk may be gathered twice.
 
+The cone-search sample kernels used to allocate every intermediate they
+formed: _sample_cone_points a zero-filled B, the keep uniforms and the
+tail magnitudes as arrays of their own; _batch_regression_ratio a boolean
+mask, a scatter index, np.where and B - head; _restricted_ratio_parts a
+partitioned copy of the tail magnitudes; and the sample loops kept chunk i
+alive while chunk i + 1 was drawn.  Those forms are kept here, and the lean
+kernels must reproduce them bit for bit (compared with tobytes()).  So must
+the kernel's flat gather of the stacked blocks against the two-array one.
+
 lower_phi_routes used to add a weak_rip route, (1 - L theta/Lambda^2)^2
 Lambda^2 at N' = 2s, after its regression routes, which it listed by
 ascending N'.  regression@2s already minimizes theta/Lambda^2 among its
@@ -46,6 +55,7 @@ the weak_rip entry.
 
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -1400,3 +1410,163 @@ def test_superset_chunks_equal_the_sorted_form(p, base, n, rows):
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
     rows_seen = [tuple(row) for chunk in got for row in chunk.tolist()]
     assert rows_seen == [nset.members for nset in supersets(p, base, n)]
+
+
+# -- the lean sample kernels and the flat gather ------------------------------
+
+
+def full_sample_cone_points(rng, ix, m, variant):
+    """_sample_cone_points as it allocated every intermediate."""
+    cone, S, comp = ix.cone, ix.S, ix.comp
+    s, r = cone.s, comp.size
+    heads = rng.standard_normal((m, s))
+    norms = np.linalg.norm(heads, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    heads /= norms
+    if r and cone.L > 0.0:
+        raw = rng.standard_normal((m, r))
+        density = rng.random(m) ** 2
+        keep = rng.random((m, r)) < np.maximum(density, 1.0 / r)[:, None]
+        raw *= keep
+        l1 = np.abs(raw).sum(axis=1)
+        if variant == "plain":
+            budget = cone.L * np.abs(heads).sum(axis=1)
+        else:
+            budget = math.sqrt(s) * cone.L * np.ones(m)
+        frac = rng.random(m) ** 0.25
+        scale = np.zeros(m)
+        ok = l1 > 0.0
+        scale[ok] = frac[ok] * budget[ok] / l1[ok]
+        tails = raw * scale[:, None]
+    else:
+        tails = np.zeros((m, r))
+    B = np.zeros((m, s + r))
+    B[:, S] = heads
+    B[:, comp] = tails
+    return B, heads, tails
+
+
+def full_restricted_ratio_parts(entries, B, heads, tails, k):
+    """_restricted_ratio_parts as it partitioned a copy of |tails|."""
+    qs = np.einsum("ij,ij->i", B @ entries, B)
+    nsq = (heads ** 2).sum(axis=1)
+    if k == 1:
+        nsq = nsq + np.abs(tails.T, order="C").max(axis=0) ** 2
+    elif k > 1:
+        at = np.abs(tails)
+        top = np.partition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
+        nsq = nsq + (top ** 2).sum(axis=1)
+    return np.divide(qs, nsq, out=np.full(B.shape[0], np.inf), where=nsq > 1e-300)
+
+
+def full_batch_regression_ratio(entries, ix, B):
+    """_batch_regression_ratio as it masked, scattered and subtracted."""
+    m, p = B.shape
+    mask = np.zeros((m, p), dtype=bool)
+    mask[:, ix.S] = True
+    k = ix.k
+    if k > 0:
+        at = np.abs(B[:, ix.comp])
+        order = np.argpartition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
+        mask[np.repeat(np.arange(m), k), ix.comp[order].ravel()] = True
+    head = np.where(mask, B, 0.0)
+    tailp = B - head
+    g = head @ entries
+    denom = np.einsum("ij,ij->i", g, head)
+    numer = np.abs(np.einsum("ij,ij->i", g, tailp))
+    tiny = SINGULAR_RTOL * max(float(np.max(np.abs(entries))), 1.0)
+    out = np.zeros(m)
+    ok = denom > tiny
+    out[ok] = numer[ok] / denom[ok]
+    out[(~ok) & (numer > tiny)] = np.inf
+    return out
+
+
+# (p, S, N): k = 0, k = 1, 1 < k < r, k = r (N = p), and r = 0 (S = all)
+LEAN_SHAPES = [(5, (1, 3), 2), (9, (0, 4, 8), 4), (9, (0, 4, 8), 6), (16, (2, 7, 11), 6),
+               (5, (1, 3), 5), (6, (0, 1, 2, 3, 4, 5), 6)]
+
+
+@pytest.mark.parametrize("p, S, N", LEAN_SHAPES,
+                         ids=[f"p{p}-s{len(S)}-N{N}" for p, S, N in LEAN_SHAPES])
+def test_lean_sample_kernels_match_the_full_forms(p, S, N):
+    entries = random_psd_entries(p, 90 + p, 0.05)
+    signed_zero_tails = 0
+    for variant in ("plain", "adaptive"):
+        for L in (0.0, 1.0, 2.5):
+            ix = estimators._cone_index(p, ConeSpec(S, L, N))
+            for m in (1, 300):
+                rng_full, rng_lean = derived_rng(p, N, L, m), derived_rng(p, N, L, m)
+                want = full_sample_cone_points(rng_full, ix, m, variant)
+                got = estimators._sample_cone_points(rng_lean, ix, m, variant)
+                for g, w in zip(got, want):
+                    assert same(g, w)
+                assert rng_lean.random() == rng_full.random()
+                B, heads, tails = want
+                signed_zero_tails += int(np.count_nonzero((tails == 0.0) & np.signbit(tails)))
+
+                rows = [B]
+                if ix.comp.size:
+                    rows.append(edge_rows(p, list(S), rng_full))
+                rows = np.vstack(rows + [3.0 * B[:8]])
+                heads, tails = rows[:, ix.S], rows[:, ix.comp]
+                assert same(estimators._restricted_ratio_parts(entries, rows, heads, tails, ix.k),
+                            full_restricted_ratio_parts(entries, rows, heads, tails, ix.k))
+                assert same(estimators._batch_regression_ratio(entries, ix, rows),
+                            full_batch_regression_ratio(entries, ix, rows))
+    if p - len(S):
+        assert signed_zero_tails > 0
+
+
+def test_sample_loops_hold_one_chunk_at_a_time(monkeypatch):
+    # five chunks per search; every array of chunk i must be freed before
+    # chunk i + 1 is drawn
+    monkeypatch.setattr(estimators, "_SEARCH_CHUNK", 64)
+    real = estimators._sample_cone_points
+    alive, draws = [], []
+
+    def tracked(rng, ix, m, variant):
+        draws.append(sum(ref() is not None for ref in alive))
+        chunk = real(rng, ix, m, variant)
+        alive[:] = [weakref.ref(a) for a in chunk]
+        return chunk
+
+    monkeypatch.setattr(estimators, "_sample_cone_points", tracked)
+    gram = GramMatrix(random_psd_entries(9, 3, 0.1))
+    cone = ConeSpec((0, 4, 8), 1.0, 5)
+    config = SolverConfig(samples=300)
+    for variant in ("plain", "adaptive"):
+        for search in (restricted_eigenvalue, restricted_regression):
+            del alive[:], draws[:]
+            search(gram, cone, variant, config)
+            assert draws == [0] * 5
+
+
+FLAT_GATHER_PLANS = [[((), 3, 0)], [((1, 4), 3, 0)], [((), 2, 0), ((0,), 4, 0)],
+                     [((0, 5), 3, 2)], [((), 2, 3)], [((2,), 2, 1), ((2,), 3, 4)]]
+
+
+@pytest.mark.parametrize("plan", FLAT_GATHER_PLANS, ids=str)
+def test_flat_gather_equals_the_two_array_gather(plan, monkeypatch):
+    gram = GramMatrix(random_psd_entries(9, 8, 0.1))
+    entries = gram.entries
+    # several chunks per plan entry, so the kernel hands every block to bound
+    monkeypatch.setattr(constants, "_CHUNK_ENTRIES", 40)
+    chunks, blocks = [], []
+    real = constants._index_chunks
+
+    def recorded(*args):
+        for nsets, msets in real(*args):
+            chunks.append((nsets, msets))
+            yield nsets, msets
+
+    def bound(stacked):
+        blocks.append(stacked.copy())
+        return np.full(len(stacked), np.inf)
+
+    monkeypatch.setattr(constants, "_index_chunks", recorded)
+    constants._first_best(gram, plan, lambda vals: vals[:, 0], True, 0.0, bound)
+    assert len(chunks) == len(blocks) > len(plan)
+    for (nsets, msets), got in zip(chunks, blocks):
+        cols = nsets if msets is None else msets
+        assert same(got, entries[nsets[:, :, None], cols[:, None, :]])
