@@ -38,7 +38,7 @@ from .constants import (
     uniform_eigenvalue,
     weak_rip_constant,
 )
-from .core import DEFAULT_SUBSET_CAP, BoundedValue, ConeSpec, GramMatrix, _pool_workers
+from .core import DEFAULT_SUBSET_CAP, BoundedValue, ConeSpec, GramMatrix, _jsonable, _pool_workers
 from .errors import AuditError, InvalidParameter, ParseError
 from .estimators import (
     _best_route,
@@ -213,12 +213,7 @@ class RunConfig:
         return replace(DEFAULT_CONFIG, tol=self.tol, seed=self.seed)
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            if isinstance(value, tuple):
-                value = list(value)
-            out[key] = value
-        return out
+        return _jsonable(self)
 
 
 def _resolve_seed(seed_arg: Optional[int]) -> int:
@@ -374,7 +369,7 @@ def condition_report(gram: GramMatrix, cone: ConeSpec,
         if 2 * s > p:
             raise InvalidParameter("alpha needs 2s <= p")
         phi2s = certified_lower_phi(gram, cone.with_(L=1.0, N=2 * s),
-                                    target="restricted_eigenvalue", variant="plain", cap=cap)
+                                    "restricted_eigenvalue", "plain", cap, sign_cap)
         return alpha_constant(gram, cone.with_(N=s), float(phi2s.estimate), cap)
 
     attempt("alpha", alpha)
@@ -382,8 +377,9 @@ def condition_report(gram: GramMatrix, cone: ConeSpec,
     # its own derived stream, so they run on lanes
     searches = {
         "phi_compat": lambda: compatibility_constant(gram, cone, config, sign_cap),
-        "phi_re": lambda: restricted_eigenvalue(gram, cone, "plain", config, cap),
-        "phi_re_adaptive": lambda: restricted_eigenvalue(gram, cone, "adaptive", config, cap),
+        "phi_re": lambda: restricted_eigenvalue(gram, cone, "plain", config, cap, sign_cap),
+        "phi_re_adaptive":
+            lambda: restricted_eigenvalue(gram, cone, "adaptive", config, cap, sign_cap),
         "theta_rr": lambda: restricted_regression(gram, cone, "plain", config, cap, sign_cap),
         "theta_rr_adaptive":
             lambda: restricted_regression(gram, cone, "adaptive", config, cap, sign_cap),
@@ -392,7 +388,7 @@ def condition_report(gram: GramMatrix, cone: ConeSpec,
         record(key, value, error)
 
     def phi_routes():
-        found = lower_phi_routes(gram, cone, "compatibility", "plain", cap)
+        found = lower_phi_routes(gram, cone, "compatibility", "plain", cap, sign_cap)
         report.witnesses["phi_lower_routes"] = found
         return _best_route(found)
 

@@ -55,6 +55,7 @@ from .core import (
     GramMatrix,
     SubsetN,
     _complement,
+    _jsonable,
     _nonsingular,
     block,
     check_superset_cap,
@@ -644,23 +645,6 @@ class ConditionReport:
     errors: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "context": self.context,
-            "entries": {k: v.to_json_dict() for k, v in sorted(self.entries.items())},
-            "witnesses": {k: _jsonable(v) for k, v in sorted(self.witnesses.items())},
-            "errors": dict(sorted(self.errors.items())),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, SubsetN):
-        return list(obj.members)
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+        return _jsonable({"context": self.context, "entries": dict(sorted(self.entries.items())),
+                          "witnesses": dict(sorted(self.witnesses.items())),
+                          "errors": dict(sorted(self.errors.items()))})

@@ -19,7 +19,7 @@ import enum
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -130,16 +130,38 @@ class BoundedValue:
         )
 
     def to_json_dict(self) -> dict:
-        def num(x):
-            return None if math.isinf(x) or math.isnan(x) else float(x)
+        return _jsonable(self)
 
-        return {
-            "estimate": num(self.estimate),
-            "lower": num(self.lower),
-            "upper": num(self.upper),
-            "certificate": self.certificate.value,
-            "provenance": self.provenance,
-        }
+
+def _jsonable(obj):
+    """The one JSON encoder of every report record: a dataclass as its
+    fields in declaration order, an Enum as its value, a SubsetN as its
+    members, tuples, lists and arrays as lists, dict keys as str, numpy
+    scalars as Python numbers and a non-finite float as None.  The common
+    leaf types are tested first, and an array is turned into a list at once
+    unless it holds a non-finite float."""
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.ndarray):
+        items = obj.tolist()
+        if obj.dtype.kind in "biu" or obj.dtype.kind == "f" and np.all(np.isfinite(obj)):
+            return items
+        return _jsonable(items)
+    if isinstance(obj, (tuple, list)):
+        return [_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, SubsetN):
+        return list(obj.members)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
 
 
 @dataclass(frozen=True)
@@ -346,6 +368,12 @@ def inverse_11(gram: GramMatrix, nset: SubsetN) -> np.ndarray:
     return (vecs / vals) @ vecs.T
 
 
+def _check_variant(variant: str) -> None:
+    """Refuse a cone variant other than "plain" and "adaptive"."""
+    if variant not in ("plain", "adaptive"):
+        raise InvalidParameter(f"unknown cone variant {variant!r}")
+
+
 def cone_membership(beta, cone: ConeSpec, nset: SubsetN = None, variant: str = "plain", *, atol: float = 0.0) -> bool:
     """Exact test of the l1 cone constraints, optionally with the nset sup-norm cap.
 
@@ -355,6 +383,7 @@ def cone_membership(beta, cone: ConeSpec, nset: SubsetN = None, variant: str = "
     ||beta_{nset^c}||_inf <= min_{j in nset \\ S} |beta_j|; for nset == S that
     constraint is dropped.  atol adds slack for the strict inequalities only.
     """
+    _check_variant(variant)
     beta = _as_vector(beta)
     p = beta.shape[0]
     cone.validate_p(p)
@@ -368,10 +397,8 @@ def cone_membership(beta, cone: ConeSpec, nset: SubsetN = None, variant: str = "
         if head_norm == 0.0:
             return False
         budget = cone.L * head_norm
-    elif variant == "adaptive":
-        budget = math.sqrt(cone.s) * cone.L * float(np.linalg.norm(head))
     else:
-        raise InvalidParameter(f"unknown cone variant {variant!r}")
+        budget = math.sqrt(cone.s) * cone.L * float(np.linalg.norm(head))
     if tail_l1 > budget + atol:
         return False
     if nset is not None and tuple(nset.members) != cone.S:

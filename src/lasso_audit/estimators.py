@@ -48,6 +48,7 @@ from .core import (
     ConeSpec,
     GramMatrix,
     SubsetN,
+    _check_variant,
     _complement,
     _nonsingular,
     cone_membership,
@@ -348,8 +349,8 @@ def _refine_ratio(entries: np.ndarray, ix: _ConeIndex, variant: str, beta: np.nd
 
 
 def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plain",
-                          config: SolverConfig = DEFAULT_CONFIG,
-                          cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
+                          config: SolverConfig = DEFAULT_CONFIG, cap: int = DEFAULT_SUBSET_CAP,
+                          sign_cap: int = DEFAULT_SIGN_CAP) -> BoundedValue:
     """phi^2(L, S, N) (or its adaptive-cone version) as an Interval.
 
     Upper bound: best feasible cone point found (padded eigenvectors of
@@ -358,8 +359,7 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     the best certified closed-form route (see certified_lower_phi).
     """
     cone.validate_p(gram.p)
-    if variant not in ("plain", "adaptive"):
-        raise InvalidParameter(f"unknown cone variant {variant!r}")
+    _check_variant(variant)
     entries = gram.entries
     p, s = gram.p, cone.s
     ix = _cone_index(p, cone)
@@ -385,7 +385,7 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     refined = _refine_ratio(entries, ix, variant, best_beta)
     best_val = min(best_val, float(_batch_restricted_ratio(entries, ix, refined[None, :])[0]))
 
-    low = certified_lower_phi(gram, cone, target="restricted_eigenvalue", variant=variant, cap=cap)
+    low = certified_lower_phi(gram, cone, "restricted_eigenvalue", variant, cap, sign_cap)
     lower = min(low.estimate, best_val)
     return BoundedValue.interval(
         best_val, lower, best_val,
@@ -571,8 +571,7 @@ def regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str = "plain",
     route the bound is inf, noted "no applicable route".
     """
     cone.validate_p(gram.p)
-    if variant not in ("plain", "adaptive"):
-        raise InvalidParameter(f"unknown cone variant {variant!r}")
+    _check_variant(variant)
     p, s = gram.p, cone.s
     route_cap = min(cap, ROUTE_CAP)
     maxdiag = float(np.max(np.diag(gram.entries)))
@@ -620,8 +619,7 @@ def restricted_regression(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     constant is the Exact 0: the tail budget, or the tail outside N, is empty.
     """
     cone.validate_p(gram.p)
-    if variant not in ("plain", "adaptive"):
-        raise InvalidParameter(f"unknown cone variant {variant!r}")
+    _check_variant(variant)
     if cone.L == 0.0:
         return BoundedValue.exact(0.0, provenance="L=0: empty tail budget")
     if cone.N == gram.p:
@@ -636,7 +634,8 @@ def restricted_regression(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
 
 
 def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibility",
-                     variant: str = "plain", cap: int = DEFAULT_SUBSET_CAP) -> dict:
+                     variant: str = "plain", cap: int = DEFAULT_SUBSET_CAP,
+                     sign_cap: int = DEFAULT_SIGN_CAP) -> dict:
     """Every certified closed-form lower bound for a cone-restricted minimum
     that applies, as {route: value}.
 
@@ -658,11 +657,13 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
       is one of the routes regression_upper minimizes, so regression@2s is
       at least (1 - L * theta/Lambda^2)^2 * Lambda^2.
 
-    Routes whose enumerations exceed min(cap, ROUTE_CAP) are left out.
+    Routes whose enumerations exceed min(cap, ROUTE_CAP) are left out, and
+    regression_upper enumerates sign vectors up to sign_cap.
     """
     cone.validate_p(gram.p)
     if target not in ("compatibility", "restricted_eigenvalue"):
         raise InvalidParameter(f"unknown target {target!r}")
+    _check_variant(variant)
     p, s, L = gram.p, cone.s, cone.L
     route_cap = min(cap, ROUTE_CAP)
     rr_variant = "adaptive" if (target == "restricted_eigenvalue" and variant == "adaptive") else "plain"
@@ -685,26 +686,23 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
         if target == "restricted_eigenvalue" and n_prime < cone.N:
             continue
         c2 = cone.with_(N=n_prime)
-        try:
-            lam2 = uniform_eigenvalue(gram, c2, route_cap).estimate
-        except CapExceeded:
-            continue
-        if _lambda2_vanishes(gram, lam2):
-            continue
-        ru = regression_upper(gram, c2, rr_variant, cap).upper
+        # inf where Lambda^2(S, N') is over route_cap or vanishes
+        ru = regression_upper(gram, c2, rr_variant, cap, sign_cap).upper
         if L * ru < 1.0:
+            lam2 = uniform_eigenvalue(gram, c2, route_cap).estimate
             found[f"regression@{n_prime}"] = (1.0 - L * ru) ** 2 * lam2
     return found
 
 
 def certified_lower_phi(gram: GramMatrix, cone: ConeSpec, target: str = "compatibility",
-                        variant: str = "plain", cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
+                        variant: str = "plain", cap: int = DEFAULT_SUBSET_CAP,
+                        sign_cap: int = DEFAULT_SIGN_CAP) -> BoundedValue:
     """Best certified closed-form lower bound for a cone-restricted minimum:
     the largest value of lower_phi_routes, its note listing every route.
     When no route applies the result is the trivial lower 0 with certificate
     Estimate, noted "route=none".
     """
-    return _best_route(lower_phi_routes(gram, cone, target, variant, cap))
+    return _best_route(lower_phi_routes(gram, cone, target, variant, cap, sign_cap))
 
 
 def _best_route(found: dict) -> BoundedValue:

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import GramMatrix, _pool_workers, derived_rng
+from .core import GramMatrix, _jsonable, _pool_workers, derived_rng
 from .errors import InvalidParameter
 from .lasso import NoisyProblem, lambda0_bound
 
@@ -343,15 +343,9 @@ class MonteCarloResult:
                 raise InvalidParameter(f"empirical tail frequency {e!r} outside [0, 1]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "reps": self.reps,
-            "t_values": list(self.t_values),
-            "thresholds": list(self.thresholds),
-            "empirical_tail": list(self.empirical_tail),
-            "bound": list(self.bound),
-            "pass": list(self.passed),
-        }
+        out = _jsonable(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def _tail_verdicts(kind: str, reps: int, t_values, thresholds, statistics) -> MonteCarloResult:

@@ -63,6 +63,7 @@ from .core import (
     GramMatrix,
     PerturbationPair,
     SubsetN,
+    _jsonable,
 )
 from .errors import (
     AllSubmatricesSingular,
@@ -118,18 +119,7 @@ class ImplicationVerdict:
         return self.holds is None
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return None
-            return v
-        return {
-            "edge_id": self.edge_id,
-            "lhs_value": clean(self.lhs_value),
-            "rhs_value": clean(self.rhs_value),
-            "holds": self.holds,
-            "slack": clean(self.slack),
-            "bound_direction_note": self.bound_direction_note,
-        }
+        return _jsonable(self)
 
 
 def _skip(edge_id: str, reason: str) -> ImplicationVerdict:
@@ -199,15 +189,14 @@ class _Inputs:
             return restricted_regression(gram, cone.with_(L=1.0, N=s), "adaptive", self.config,
                                          cap=self.cap, sign_cap=self.sign_cap)
         if key == "phi_lower_plain":
-            return certified_lower_phi(gram, cone, target="restricted_eigenvalue",
-                                       variant="plain", cap=self.cap)
+            return certified_lower_phi(gram, cone, "restricted_eigenvalue", "plain",
+                                       self.cap, self.sign_cap)
         if key == "phi_lower_plain_2s":
-            return certified_lower_phi(gram, cone.with_(N=2 * s), target="restricted_eigenvalue",
-                                       variant="plain", cap=self.cap)
+            return certified_lower_phi(gram, cone.with_(N=2 * s), "restricted_eigenvalue",
+                                       "plain", self.cap, self.sign_cap)
         if key == "phi_lower_2s":
             return certified_lower_phi(gram, cone.with_(L=1.0, N=2 * s),
-                                       target="restricted_eigenvalue", variant="plain",
-                                       cap=self.cap)
+                                       "restricted_eigenvalue", "plain", self.cap, self.sign_cap)
         if key == "alpha":
             # alpha(S) fed with the certified phi^2(S,2s) lower bound
             phi_low = self.get(edge_id, "phi_lower_2s")
@@ -217,12 +206,13 @@ class _Inputs:
         if key == "phi_compat":
             return compatibility_constant(gram, cone, self.config, self.sign_cap)
         if key == "phi_re":
-            return restricted_eigenvalue(gram, cone, "plain", self.config, self.cap)
+            return restricted_eigenvalue(gram, cone, "plain", self.config, self.cap,
+                                         self.sign_cap)
         if key == "phi_re_adaptive":
             # E7 reads only the lower endpoint, so the certified route stands
             # in for the searched interval (analyze still reports the search)
-            return certified_lower_phi(gram, cone, target="restricted_eigenvalue",
-                                       variant="adaptive", cap=self.cap)
+            return certified_lower_phi(gram, cone, "restricted_eigenvalue", "adaptive",
+                                       self.cap, self.sign_cap)
         if key == "weak_rip_2s":
             return weak_rip_constant(gram, cone.with_(N=2 * s), self.cap)
         if key == "weak_rip_n":

@@ -23,6 +23,7 @@ from .core import (
     GramMatrix,
     SubsetN,
     _complement,
+    _jsonable,
     block,
     d_infinity,
     inverse_11,
@@ -62,14 +63,9 @@ class LassoSolution:
     beta0: np.ndarray
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta_star": [float(v) for v in self.beta_star],
-            "tau_star": [float(v) for v in self.tau_star],
-            "active_set": [int(j) for j in self.active_set],
-            "objective": self.objective,
-            "kkt_residual": self.kkt_residual,
-            "lam": self.lam,
-        }
+        out = _jsonable(self)
+        del out["beta0"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -99,15 +95,7 @@ class OracleVerdict:
     big_l: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key in ("lhs", "rhs", "holds", "empirical_phi0", "l1_error", "l1_bound",
-                    "l1_holds", "l2_error", "l2_bound", "l2_holds", "premise_ok",
-                    "lambda0", "big_l"):
-            val = getattr(self, key)
-            if isinstance(val, float) and not math.isfinite(val):
-                val = None
-            out[key] = val
-        return out
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -200,15 +188,7 @@ class SelectionReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key in self.__dataclass_fields__:
-            val = getattr(self, key)
-            if isinstance(val, tuple):
-                val = [int(v) for v in val]
-            if isinstance(val, float) and not math.isfinite(val):
-                val = None
-            out[key] = val
-        return out
+        return _jsonable(self)
 
 
 def kkt_residual(gram: GramMatrix, beta0_or_correlation, lam: float, beta,
@@ -608,7 +588,7 @@ class ApproximationVerdict:
     holds: bool
 
     def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return _jsonable(self)
 
 
 def approximation_verdict(noisy: NoisyProblem, population: GramMatrix,

@@ -30,10 +30,12 @@ from lasso_audit import (
     superset_count,
     uniform_eigenvalue,
 )
-from lasso_audit import constants
+from lasso_audit import DEFAULT_CONFIG, constants
+from lasso_audit.cli import condition_report
 from lasso_audit.constants import block_norm_maxima
 from lasso_audit.errors import CapExceeded, InvalidParameter
 from lasso_audit.estimators import ROUTE_CAP
+from lasso_audit.implications import check_all
 from lasso_audit.experiments import random_psd_entries
 
 from conftest import random_gram
@@ -262,6 +264,17 @@ class TestCertifiedLowerPhi:
         with pytest.raises(InvalidParameter):
             certified_lower_phi(g, ConeSpec(S=(0,), L=1.0, N=1), target="sparse")
 
+    @pytest.mark.parametrize("target", ["compatibility", "restricted_eigenvalue"])
+    def test_unknown_variant(self, target):
+        """A plain-cone route is no lower bound for the larger adaptive cone,
+        so a misspelt variant is refused, not read as "plain"."""
+        g = equicorr(5, 0.3)
+        cone = ConeSpec(S=(0, 1), L=1.0, N=2)
+        with pytest.raises(InvalidParameter, match="unknown cone variant 'adaptiv'"):
+            certified_lower_phi(g, cone, target, "adaptiv")
+        with pytest.raises(InvalidParameter, match="unknown cone variant 'adaptiv'"):
+            lower_phi_routes(g, cone, target, "adaptiv")
+
 
 @pytest.mark.parametrize("p,s", [(8, 2), (10, 3), (12, 2), (14, 3), (16, 2)])
 def test_chunked_q2_route_matches_loop(p, s):
@@ -336,3 +349,15 @@ def test_block_norm_q1_budget_counts_every_superset(monkeypatch):
     column_sums = [block_norm_2q(gram, SubsetN((0, 1, 2) + extra), 1, "column_bound").estimate
                    for extra in itertools.combinations(range(3, 22), 3)]
     assert block_norm_maxima(gram, c2).vertex == max(column_sums)
+
+
+@pytest.mark.parametrize("audit", [condition_report, check_all])
+def test_lower_routes_honour_the_sign_cap(audit):
+    """At p = 16, S = (2, 7, 11), N = 6 the q = 1 vertex enumeration takes
+    286 * 2^10 = 292,864 sign vectors: a sign cap of 1,000 leaves every
+    block-norm maximum, the lower-phi routes' included, on the column-norm
+    bound, so no memo key records a vertex enumeration."""
+    gram = GramMatrix(random_psd_entries(16, 10_000, 0.1))
+    audit(gram, ConeSpec((2, 7, 11), 1.0, 6), DEFAULT_CONFIG.reduced(), 200_000, 1000)
+    assert ("block_norm_maxima", (2, 7, 11), 6, False) in gram._memo
+    assert [key for key in gram._memo if isinstance(key, tuple) and key[-1] is True] == []
