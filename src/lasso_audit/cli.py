@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -38,7 +37,7 @@ from .constants import (
     uniform_eigenvalue,
     weak_rip_constant,
 )
-from .core import DEFAULT_SUBSET_CAP, BoundedValue, ConeSpec, GramMatrix, _jsonable, _pool_workers
+from .core import DEFAULT_SUBSET_CAP, BoundedValue, ConeSpec, GramMatrix, _jsonable, _run_lanes
 from .errors import AuditError, InvalidParameter, ParseError
 from .estimators import (
     _best_route,
@@ -260,50 +259,6 @@ def _beta0_for(config: RunConfig, p: int) -> np.ndarray:
     beta0 = np.zeros(p)
     beta0[list(config.s_members)] = 1.0
     return beta0
-
-
-def _run_lanes(tasks: list) -> list:
-    """[(task(), None) or (None, its AuditError) for task in tasks], run on
-    _pool_workers(len(tasks)) lanes: the calling thread and a thread pool.
-
-    Lanes take tasks in order from one shared counter and put each outcome
-    in the task's own slot, so the list does not depend on the lane count
-    or the scheduling.  Once a task raises anything else, no lane starts
-    another task; the exception reaches the caller after every lane has
-    returned.  With one lane the tasks run in the caller, in order.
-    """
-    slots = [None] * len(tasks)
-    order = iter(range(len(tasks)))
-    lock = threading.Lock()
-    failed = threading.Event()
-
-    def lane():
-        while not failed.is_set():
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                slots[i] = (tasks[i](), None)
-            except AuditError as exc:
-                slots[i] = (None, exc)
-            except BaseException:
-                failed.set()
-                raise
-
-    lanes = _pool_workers(len(tasks))
-    if lanes == 1:
-        lane()
-        return slots
-    # imported here: a run on one lane need not pay for the import
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
-        futures = [pool.submit(lane) for _ in range(lanes - 1)]
-        lane()
-        for future in futures:
-            future.result()
-    return slots
 
 
 def condition_report(gram: GramMatrix, cone: ConeSpec,

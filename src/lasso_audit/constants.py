@@ -278,20 +278,25 @@ def _frobenius_norms(blocks: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("rij,rij->r", blocks, blocks))
 
 
+def _ortho_plan(p: int, cone: ConeSpec, cap: int) -> list:
+    """The kernel plan of theta(S, N), after checking the cone and the number
+    of pairs against cap; raises before any work is done."""
+    cone.validate_p(p)
+    sizes = _ortho_sizes(p, cone.s, cone.N)
+    total = sum(math.comb(p - cone.s, n_star - cone.s) * math.comb(p - n_star, m_star)
+                for n_star, m_star in sizes)
+    if total > cap:
+        raise CapExceeded(total, cap, what="restricted orthogonality enumeration")
+    return [(cone.S, n_star, m_star) for n_star, m_star in sizes]
+
+
 def restricted_orthogonality(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
     """theta(S, N): the largest singular value of Sigma[nset, mset] over
     enlargements nset of S (|nset| <= N) and disjoint msets with |mset| <= s."""
-    cone.validate_p(gram.p)
-    p, s = gram.p, cone.s
-    plan = _ortho_sizes(p, s, cone.N)
-    total = sum(math.comb(p - s, n_star - s) * math.comb(p - n_star, m_star)
-                for n_star, m_star in plan)
-    if total > cap:
-        raise CapExceeded(total, cap, what="restricted orthogonality enumeration")
+    plan = _ortho_plan(gram.p, cone, cap)
 
     def compute():
-        best, witness = _first_best(gram, [(cone.S, n, m) for n, m in plan],
-                                    _largest_singular_value, True, 0.0, _frobenius_norms)
+        best, witness = _first_best(gram, plan, _largest_singular_value, True, 0.0, _frobenius_norms)
         return BoundedValue.exact(best, provenance=f"argmax pair={witness}")
 
     return gram.memoized(("restricted_orthogonality", cone.S, cone.N), compute)
@@ -401,7 +406,10 @@ def weak_rip_constant(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSE
     """theta(S, N) / Lambda^2(S, N), the only place this ratio is formed
     (regression_upper's weak_rip route calls it).  Raises
     SingularUniformEigenvalue when Lambda^2(S, N) vanishes (_lambda2_vanishes)
-    and CapExceeded when either enumeration is over cap."""
+    and CapExceeded, before either is enumerated, when either is over cap."""
+    if cone.N > cone.s:
+        check_superset_cap(cone, gram.p, cap)
+    _ortho_plan(gram.p, cone, cap)
     lam2 = uniform_eigenvalue(gram, cone, cap).estimate
     if _lambda2_vanishes(gram, lam2):
         raise SingularUniformEigenvalue(f"Lambda^2(S,N) = {lam2!r} is numerically zero")
@@ -612,10 +620,13 @@ def alpha_constant(gram: GramMatrix, cone: ConeSpec, phi2_s2s_lower: float,
     (sqrt(2) theta(S,s) + sqrt((1+delta_s) theta(S,s))) / (phi(S,2s) Lambda(S,s)),
     evaluated with a certified lower bound for phi^2(S,2s), hence an upper bound.
     Raises DenominatorNonPositive when that lower bound is not positive or
-    Lambda^2(S, s) vanishes (_lambda2_vanishes)."""
+    Lambda^2(S, s) vanishes (_lambda2_vanishes), and CapExceeded, before any
+    enumeration, when theta(S, s) or delta_s is over cap."""
     cone.validate_p(gram.p)
     if not (phi2_s2s_lower > 0.0):
         raise DenominatorNonPositive(f"phi^2(S,2s) lower bound {phi2_s2s_lower!r} must be positive")
+    _ortho_plan(gram.p, cone.with_(N=cone.s), cap)
+    _check_isometry(gram.p, cone.s, cap)
     theta_s = restricted_orthogonality(gram, cone.with_(N=cone.s), cap).estimate
     delta_s = restricted_isometry(gram, cone.s, cap).estimate
     lam2 = uniform_eigenvalue(gram, cone.with_(N=cone.s)).estimate

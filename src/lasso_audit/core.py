@@ -19,11 +19,12 @@ import enum
 import hashlib
 import math
 import os
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParameter, SingularBlock
+from .errors import AuditError, CapExceeded, InvalidParameter, SingularBlock
 
 DEFAULT_SUBSET_CAP = 10 ** 6
 SINGULAR_RTOL = 1e-10
@@ -39,6 +40,50 @@ def _pool_workers(tasks: int) -> int:
     except AttributeError:  # no affinity interface on this platform
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, tasks, _POOL_MAX_WORKERS))
+
+
+def _run_lanes(tasks: list) -> list:
+    """[(task(), None) or (None, its AuditError) for task in tasks], run on
+    _pool_workers(len(tasks)) lanes: the calling thread and a thread pool.
+
+    Lanes take tasks in order from one shared counter and put each outcome
+    in the task's own slot, so the list does not depend on the lane count
+    or the scheduling.  Once a task raises anything else, no lane starts
+    another task; the exception reaches the caller after every lane has
+    returned.  With one lane the tasks run in the caller, in order.
+    """
+    slots = [None] * len(tasks)
+    order = iter(range(len(tasks)))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def lane():
+        while not failed.is_set():
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                slots[i] = (tasks[i](), None)
+            except AuditError as exc:
+                slots[i] = (None, exc)
+            except BaseException:
+                failed.set()
+                raise
+
+    lanes = _pool_workers(len(tasks))
+    if lanes == 1:
+        lane()
+        return slots
+    # imported here: a run on one lane need not pay for the import
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+        futures = [pool.submit(lane) for _ in range(lanes - 1)]
+        lane()
+        for future in futures:
+            future.result()
+    return slots
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):

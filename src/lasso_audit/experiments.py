@@ -10,21 +10,22 @@ rank-deficient populations sample cleanly.
 
 The Monte Carlo experiments draw each replication from its own stream,
 derived from the seed and the replication index, and store each statistic in
-its own slot.  Large replications run on a thread pool sized from the CPUs
-this process may use (NumPy's random fill, its ufuncs and BLAS release the
+its own slot.  Large replications run on core._run_lanes, the package's one
+thread driver (NumPy's random fill, its ufuncs and BLAS release the
 interpreter lock); the statistics, and so the reports, are the same whatever
-the number of threads or their scheduling.
+the number of lanes or their scheduling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import GramMatrix, _jsonable, _pool_workers, derived_rng
+from .core import GramMatrix, _jsonable, _run_lanes, derived_rng
 from .errors import InvalidParameter
 from .lasso import NoisyProblem, lambda0_bound
 
@@ -96,7 +97,7 @@ def _box_muller(rng: np.random.Generator, shape) -> np.ndarray:
 # on one thread, serial against 2 threads: 1000 draws 0.26 s vs 0.37 s, 2000
 # and 3000 draws about even, 4100 draws 0.71 s vs 0.55 s
 _POOL_MIN_DRAWS = 4096
-# streams derived per round of the pool, which bounds the generators held at
+# streams derived per round of lanes, which bounds the generators held at
 # once whatever the number of replications
 _POOL_ROUND = 256
 
@@ -105,33 +106,22 @@ def _replicate(statistic, stream, reps: int, draws_per_rep: int) -> np.ndarray:
     """[statistic(stream(r)) for r in range(reps)] as a float array.
 
     stream(r) always runs in the caller's thread.  Replications of at least
-    _POOL_MIN_DRAWS draws run on a thread pool, in rounds of _POOL_ROUND
-    streams; worker w takes replications w, w + workers, ... of each round.
-    Each result goes to its own slot, so the array does not depend on the
-    thread count.  An exception raised by a replication reaches the caller.
+    _POOL_MIN_DRAWS draws run on core._run_lanes, in rounds of _POOL_ROUND
+    streams; each result goes to its own slot, so the array does not depend
+    on the lane count.  An exception raised by a replication reaches the
+    caller.
     """
-    out = np.empty(reps)
-    workers = _pool_workers(reps) if draws_per_rep >= _POOL_MIN_DRAWS else 1
-    if workers == 1:
-        for r in range(reps):
-            out[r] = statistic(stream(r))
-        return out
-
-    def run(first, streams, w):
-        for i in range(w, len(streams), workers):
-            out[first + i] = statistic(streams[i])
-
-    # imported here: the import costs about 0.4 MB of resident memory, which
-    # a command that starts no pool need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for first in range(0, reps, _POOL_ROUND):
-            streams = [stream(r) for r in range(first, min(first + _POOL_ROUND, reps))]
-            futures = [pool.submit(run, first, streams, w) for w in range(workers)]
-            for future in futures:
-                future.result()
-    return out
+    if draws_per_rep < _POOL_MIN_DRAWS:
+        return np.array([statistic(stream(r)) for r in range(reps)], dtype=float)
+    out = []
+    for first in range(0, reps, _POOL_ROUND):
+        tasks = [functools.partial(statistic, stream(r))
+                 for r in range(first, min(first + _POOL_ROUND, reps))]
+        for value, error in _run_lanes(tasks):
+            if error is not None:
+                raise error
+            out.append(value)
+    return np.array(out, dtype=float)
 
 
 def _psd_sqrt(entries: np.ndarray) -> np.ndarray:
@@ -280,8 +270,6 @@ def _generate_gaussian_design(params: dict) -> NoisyProblem:
             raise InvalidParameter("population spec must generate a Gram matrix")
     else:
         population = GramMatrix(np.asarray(pop, dtype=float))
-    if population.p != p:
-        raise InvalidParameter(f"population is {population.p}x{population.p}, expected p={p}")
     x, _ = sample_gaussian_design(n, p, population, seed)
     beta0 = params.get("beta0")
     if beta0 is None:

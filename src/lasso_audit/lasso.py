@@ -102,15 +102,15 @@ class OracleVerdict:
 class NoisyProblem:
     """Design, responses, and (optionally) the truth and the realized noise.
 
-    lambda0 = 2 max_j |(psi_j, epsilon)_n| is filled in from epsilon when the
-    noise is supplied; otherwise it stays None and lambda0_of_data raises.
+    lambda0 = 2 max_j |(psi_j, epsilon)_n| is derived from epsilon, never passed
+    in; without the noise it stays None and lambda0_of_data raises.
     """
 
     X: np.ndarray
     Y: np.ndarray
     beta0: Optional[np.ndarray] = None
     epsilon: Optional[np.ndarray] = None
-    lambda0: Optional[float] = None
+    lambda0: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         x = np.asarray(self.X, dtype=float)
@@ -133,7 +133,7 @@ class NoisyProblem:
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise InvalidParameter(f"{name} must be finite")
-        if self.epsilon is not None and self.lambda0 is None:
+        if self.epsilon is not None:
             lam0 = 2.0 * float(np.max(np.abs(x.T @ eps))) / x.shape[0] if x.size else 0.0
             object.__setattr__(self, "lambda0", lam0)
 
@@ -390,7 +390,8 @@ def oracle_verdict(gram: GramMatrix, solution: LassoSolution, cone: ConeSpec, la
     l2_holds = None
     if phi_2s_lower is not None and float(phi_2s_lower.estimate) > 0:
         phi2_2s = float(phi_2s_lower.estimate)
-        l2_bound = 2.0 * lam * lam * s / (phi2_2s * phi2_2s)
+        square = phi2_2s * phi2_2s  # 0 when phi^2(S, 2s) underflows on squaring
+        l2_bound = 2.0 * lam * lam * s / square if square > 0 else math.inf
         l2_holds = _leq(l2_error, l2_bound)
     return OracleVerdict(lhs=lhs, rhs=rhs, holds=holds, empirical_phi0=phi0,
                          l1_error=l1_error, l1_bound=l1_bound, l1_holds=l1_holds,
@@ -548,9 +549,7 @@ def solve_noisy(noisy: NoisyProblem, lam: float, config: SolverConfig = DEFAULT_
                                        empirical_phi0=None, premise_ok=False,
                                        lambda0=lam0)
     big_l = (lam + lam0) / (lam - lam0)
-    support = tuple(int(j) for j in np.nonzero(noisy.beta0)[0])
-    if not support:
-        support = (0,)
+    support = tuple(int(j) for j in np.nonzero(noisy.beta0)[0]) or (0,)
     cone = ConeSpec(S=support, L=big_l, N=len(support))
     s = cone.s
     diff = beta - noisy.beta0

@@ -401,6 +401,17 @@ class TestLassoCommand:
         assert verdict["holds"] is True
         assert verdict["l1_holds"] is True
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-200, 1e-300])
+    def test_underflowing_phi_2s_square_gives_an_infinite_l2_bound(self, tmp_path, scale):
+        # phi^2(S, 2s) is about scale; from 1e-200 down its square is 0
+        gram = write_csv(tmp_path / "g.csv", scale * np.eye(4))
+        out = tmp_path / "report.json"
+        assert main(["lasso", "--gram", gram, "--S", "0", "--lambda", "0.1",
+                     "--out", str(out)]) == 0
+        verdict = read_report(out)["result"]["verdict"]
+        assert verdict["l2_bound"] is None
+        assert verdict["l2_holds"] is True
+
     def test_requires_lambda(self, tmp_path, capsys):
         gram = write_csv(tmp_path / "g.csv", np.eye(3))
         rc = main(["lasso", "--gram", gram, "--S", "0"])

@@ -37,6 +37,7 @@ from lasso_audit.errors import (
 )
 from lasso_audit import constants
 from lasso_audit.estimators import regression_upper
+from lasso_audit.experiments import random_psd_entries
 from lasso_audit.implications import _Inputs, check_all, check_edge
 from lasso_audit.solvers import DEFAULT_CONFIG
 
@@ -625,6 +626,29 @@ class TestCostFirstCaps:
             rip_constant(g, 3, cap=500)
         with pytest.raises(CapExceeded, match="uniform orthogonality enumeration needs 160160"):
             rip_constant(g, 3, cap=1000)
+
+    def test_alpha_constant_refuses_before_enumerating(self, monkeypatch):
+        # theta(S, 3) (286 pairs) fits the cap; delta_3 (560 sets) does not
+        g = GramMatrix(random_psd_entries(16, 10_000, 0.1))
+        svd_calls = counting(monkeypatch, "svd")
+        eig_calls = counting(monkeypatch, "eigvalsh")
+        with pytest.raises(CapExceeded) as info:
+            alpha_constant(g, ConeSpec(S=(0, 5, 9), L=1.0, N=3), 0.5, cap=300)
+        assert str(info.value) == ("isometry enumeration C(16,3) needs 560 items, cap is 300; "
+                                   "raise the cap to proceed")
+        assert svd_calls == [] and eig_calls == []
+
+    def test_weak_rip_constant_refuses_before_enumerating(self, monkeypatch):
+        # Lambda^2(S, 6) (286 supersets) fits the cap; theta(S, 6) (34,320
+        # pairs) does not
+        g = GramMatrix(random_psd_entries(16, 10_000, 0.1))
+        svd_calls = counting(monkeypatch, "svd")
+        eig_calls = counting(monkeypatch, "eigvalsh")
+        with pytest.raises(CapExceeded) as info:
+            weak_rip_constant(g, ConeSpec(S=(0, 5, 9), L=1.0, N=6), cap=1000)
+        assert str(info.value) == ("restricted orthogonality enumeration needs 34320 items, "
+                                   "cap is 1000; raise the cap to proceed")
+        assert svd_calls == [] and eig_calls == []
 
     def test_e10_refuses_before_theta_ss(self, monkeypatch):
         g = equicorr(16, 0.1)

@@ -442,7 +442,11 @@ class TestReplicationPool:
         verdicts = experiments._tail_verdicts
         seen = capture_statistics(monkeypatch)
         got = concentration_experiment(n, p, population, reps, t_values, seed=seed)
-        assert started == ([] if cpus == 1 else [cpus])
+        # one pool of cpus - 1 threads per round of more than one replication
+        # (the caller is a lane); the one-replication last round of 10 runs in
+        # the caller
+        rounds = {10: 10, 256: 1}[round_size]
+        assert started == ([] if cpus == 1 else [cpus - 1] * rounds)
         assert seen[0].tobytes() == want.tobytes()
         thresholds = [lambda_tilde(t, n, p) for t in t_values]
         assert got == verdicts("concentration", reps, t_values, thresholds, want)
@@ -461,7 +465,7 @@ class TestReplicationPool:
         verdicts = experiments._tail_verdicts
         seen = capture_statistics(monkeypatch)
         got = noise_bound_experiment(n, p, reps, [1.0], seed=seed)
-        assert started == [2]
+        assert started == [1]
         assert seen[0].tobytes() == want.tobytes()
         assert got == verdicts("noise", reps, [1.0], [lambda0_bound(1.0, n, p)], want)
 
@@ -476,26 +480,21 @@ class TestReplicationPool:
 
         with pytest.raises(FloatingPointError, match="replication 37"):
             _replicate(statistic, lambda r: r, 101, experiments._POOL_MIN_DRAWS)
-        assert started == [2]
+        assert started == [1]
 
     def test_streams_are_derived_in_the_calling_thread(self, monkeypatch):
         # a wrapper around derived_rng, such as a tracer, then sees no
-        # call from a worker thread
+        # call from a pool thread; the caller is a lane and may run statistics
         set_cpus(monkeypatch, 2)
-        stream_threads, statistic_threads = set(), set()
+        stream_threads = set()
 
         def stream(r):
             stream_threads.add(threading.get_ident())
             return r
 
-        def statistic(r):
-            statistic_threads.add(threading.get_ident())
-            return float(r)
-
-        out = _replicate(statistic, stream, 600, experiments._POOL_MIN_DRAWS)
+        out = _replicate(float, stream, 600, experiments._POOL_MIN_DRAWS)
         assert out.tobytes() == np.arange(600, dtype=float).tobytes()
         assert stream_threads == {threading.get_ident()}
-        assert threading.get_ident() not in statistic_threads
 
     def test_more_workers_than_cores_lose_no_slot(self, monkeypatch):
         set_cpus(monkeypatch, 64)
@@ -507,7 +506,8 @@ class TestReplicationPool:
                              experiments._POOL_MIN_DRAWS)
         finally:
             sys.setswitchinterval(interval)
-        assert started == [core._POOL_MAX_WORKERS]
+        # 3000 replications: 12 rounds of up to 256, each on 8 lanes
+        assert started == [core._POOL_MAX_WORKERS - 1] * 12
         assert out.tobytes() == np.sqrt(np.arange(3000, dtype=float)).tobytes()
 
     def test_worker_count_is_bounded_by_cpus_tasks_and_ceiling(self, monkeypatch):

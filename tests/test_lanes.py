@@ -2,7 +2,7 @@
 not depend on how many.
 
 condition_report hands compatibility_constant, restricted_eigenvalue (both
-variants) and restricted_regression (both variants) to cli._run_lanes,
+variants) and restricted_regression (both variants) to core._run_lanes,
 which runs them on core._pool_workers(5) lanes: the calling thread plus a
 thread pool.  The analyze report, its errors map and its key order must be
 byte-identical with one lane and with two.  core._pool_workers is the one
@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from lasso_audit import DEFAULT_CONFIG, ConeSpec, GramMatrix
-from lasso_audit.cli import _run_lanes, condition_report, main, save_matrix_csv
+from lasso_audit.cli import condition_report, main, save_matrix_csv
+from lasso_audit.core import _run_lanes
 from lasso_audit.errors import CapExceeded
 from lasso_audit.experiments import random_psd_entries
 
@@ -185,5 +186,5 @@ def test_only_core_sizes_thread_pools():
                 found.setdefault(name, []).append(f"{path.stem}.{owner}")
     assert found == {"sched_getaffinity": ["core._pool_workers"],
                      "cpu_count": ["core._pool_workers"]}
-    assert callers(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")),
+    assert callers(ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8")),
                    "_pool_workers") == ["_run_lanes"]

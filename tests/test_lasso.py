@@ -1,5 +1,6 @@
 """Penalized solves and the verdict layer around them."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -423,6 +424,16 @@ class TestNoise:
         noisy = NoisyProblem(X=x, Y=x @ [1.0, 0.0] + eps, beta0=[1.0, 0.0], epsilon=eps)
         want = 2.0 * float(np.max(np.abs(x.T @ eps))) / 3.0
         assert lambda0_of_data(noisy) == pytest.approx(want, abs=1e-15)
+
+    def test_lambda0_is_derived_from_epsilon(self):
+        x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        eps = np.array([0.5, -0.25, 0.1])
+        noisy = NoisyProblem(X=x, Y=x @ [1.0, 0.0] + eps, epsilon=eps)
+        moved = dataclasses.replace(noisy, epsilon=4.0 * eps)
+        assert moved.lambda0 == NoisyProblem(X=x, Y=noisy.Y, epsilon=4.0 * eps).lambda0
+        assert moved.lambda0 == 4.0 * noisy.lambda0
+        with pytest.raises(TypeError):
+            NoisyProblem(X=x, Y=noisy.Y, epsilon=eps, lambda0=0.123)
 
     def test_missing_noise(self):
         noisy = NoisyProblem(X=np.eye(2), Y=np.ones(2))
