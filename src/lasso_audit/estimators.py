@@ -188,18 +188,48 @@ def _cone_index(p: int, cone: ConeSpec) -> _ConeIndex:
     return _ConeIndex(cone, np.array(cone.S, dtype=np.intp), comp, min(cone.N - cone.s, comp.size))
 
 
+# rows from which a column-by-column pass beats numpy's per-row reductions
+_COLUMN_ROWS = 128
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1), bit for bit, for a 2-D array.  numpy sums a C-contiguous
+    row of fewer than 8 entries left to right from +0.0 (pairwise from 8 on),
+    at a per-row cost that does not shrink with the row; many short rows are
+    summed here column by column instead, one vectorized add per column."""
+    m, n = a.shape
+    if not 0 < n < 8 or m < _COLUMN_ROWS or not a.flags.c_contiguous:
+        return a.sum(axis=1)
+    out = a[:, 0] + 0.0
+    for j in range(1, n):
+        out += a[:, j]
+    return out
+
+
 def _restricted_ratio_parts(entries: np.ndarray, B: np.ndarray, heads: np.ndarray,
                             tails: np.ndarray, k: int) -> np.ndarray:
     """beta'Sigma beta / ||beta_nset||_2^2 for each row of B, given its head
     B[:, S] and tail B[:, S^c]; nset adds the k largest tail magnitudes."""
     qs = np.einsum("ij,ij->i", B @ entries, B)
-    nsq = (heads ** 2).sum(axis=1)
+    nsq = _row_sums(heads ** 2)
     if k == 1:
         # the row maxima, taken over a transposed copy: one vectorized
         # maximum per tail column instead of one short reduction per row
         nsq = nsq + np.abs(tails.T, order="C").max(axis=0) ** 2
+    elif k == 2 and B.shape[0] >= _COLUMN_ROWS:
+        # the two largest magnitudes by running column maxima and minima;
+        # x * x + y * y does not depend on the order partition leaves them in
+        at = np.abs(tails.T, order="C")
+        hi, lo = np.maximum(at[0], at[1]), np.minimum(at[0], at[1])
+        below = np.empty_like(hi)
+        for col in at[2:]:
+            np.minimum(hi, col, out=below)
+            np.maximum(hi, col, out=hi)
+            np.maximum(lo, below, out=lo)
+        nsq = nsq + (hi ** 2 + lo ** 2)
     elif k > 1:
-        # partitioned in place: the order np.partition leaves in its copy
+        # partitioned in place: the order np.partition leaves in its copy,
+        # which a sum of three or more squares depends on
         at = np.abs(tails)
         at.partition(at.shape[1] - k, axis=1)
         nsq = nsq + (at[:, at.shape[1] - k:] ** 2).sum(axis=1)
@@ -231,9 +261,10 @@ def _sample_cone_points(rng, ix: _ConeIndex, m: int, variant: str):
     s, r = cone.s, comp.size
     B = np.empty((m, s + r))
     heads = rng.standard_normal((m, s))
-    norms = np.linalg.norm(heads, axis=1, keepdims=True)
+    # np.linalg.norm(heads, axis=1): the root of the row sums of squares
+    norms = np.sqrt(_row_sums(heads * heads))
     norms[norms == 0.0] = 1.0
-    heads /= norms
+    heads /= norms[:, None]
     del norms
     if r and cone.L > 0.0:
         tails = rng.standard_normal((m, r))
@@ -243,15 +274,13 @@ def _sample_cone_points(rng, ix: _ConeIndex, m: int, variant: str):
         del density
         tails *= keep
         del keep
-        l1 = np.abs(tails, out=scratch).sum(axis=1)
+        l1 = _row_sums(np.abs(tails, out=scratch))
         if variant == "plain":
-            budget = cone.L * np.abs(heads).sum(axis=1)
+            budget = cone.L * _row_sums(np.abs(heads))
         else:
             budget = math.sqrt(s) * cone.L * np.ones(m)
         frac = rng.random(m) ** 0.25
-        scale = np.zeros(m)
-        ok = l1 > 0.0
-        scale[ok] = frac[ok] * budget[ok] / l1[ok]
+        scale = np.divide(frac * budget, l1, out=np.zeros(m), where=l1 > 0.0)
         tails *= scale[:, None]
     else:
         tails = np.zeros((m, r))
@@ -272,23 +301,21 @@ def _cone_samples(rng, ix: _ConeIndex, variant: str, samples: int):
         yield _sample_cone_points(rng, ix, m, variant)
 
 
-def _project_to_cone(beta: np.ndarray, ix: _ConeIndex, variant: str):
-    """Rescale the tail onto the budget; heads are left untouched.  Returns
-    the projected point and the l1 norm of its head."""
+def _project_to_cone(beta: np.ndarray, ix: _ConeIndex, variant: str) -> np.ndarray:
+    """Rescale the tail onto the budget; heads are left untouched."""
     out = beta.copy()
     cone, comp = ix.cone, ix.comp
-    head = out[ix.S]
-    head_l1 = float(np.abs(head).sum())
     if not comp.size:
-        return out, head_l1
+        return out
+    head = out[ix.S]
     if variant == "plain":
-        budget = cone.L * head_l1
+        budget = cone.L * float(np.abs(head).sum())
     else:
         budget = math.sqrt(cone.s) * cone.L * float(np.linalg.norm(head))
     tail_l1 = float(np.abs(out[comp]).sum())
     if tail_l1 > budget:
         out[comp] *= 0.0 if budget == 0.0 else budget / tail_l1
-    return out, head_l1
+    return out
 
 
 def _restricted_ratio_row(entries: np.ndarray, ix: _ConeIndex, b: np.ndarray) -> float:
@@ -310,11 +337,75 @@ def _restricted_ratio_row(entries: np.ndarray, ix: _ConeIndex, b: np.ndarray) ->
     return float(q / nsq) if nsq > 1e-300 else math.inf
 
 
+# candidates per line-search step: eta, eta / 2, ..., eta / 2^24
+_LINE_STEPS = 25
+
+
+def _screen_candidates(entries: np.ndarray, ix: _ConeIndex, variant: str, raw: np.ndarray,
+                       thr: float, scale: float) -> np.ndarray:
+    """The indices, in order, of the unprojected line-search candidates raw
+    that the one-row path must evaluate: those with a nonzero head that a
+    batch score cannot prove rejected, fc >= thr.  A zero head is skipped
+    unscored, as the line search always did.  scale is max|Sigma_ij|.
+
+    The batch projects and scores all rows at once, as _project_to_cone and
+    _restricted_ratio_row do one row, but not bit for bit: its matrix
+    products sum in another order, and its adaptive budget takes the root of
+    a row sum, not a BLAS dot.  So a row counts as rejected only when its
+    score minus a margin is still at least thr.  The margin bounds the gap
+    between the two evaluations (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), with u = 2^-53, c a projected candidate and
+    A = |c|'|Sigma||c| <= scale ||c||_1^2:
+    * each evaluation of c'Sigma c is within gamma_{2p+2} A of the exact
+      value, its sum of squares n >= ||c_S||^2 within gamma_{p+1} n, and its
+      quotient within u;
+    * the two adaptive budgets are each within (s + 4) u of the exact one,
+      so the two projected tails differ by a factor within (p + 8) u of 1,
+      which moves c'Sigma c by at most 3 (p + 8) u A and n by 3 (p + 8) u n.
+    Together the two values differ by at most (7p + 30) u (|ratio| + A / n)
+    to first order.  rel = 16 (p + 8) u is twice that, for the second-order
+    terms and the rounding of the margin itself; the 1e-300 terms cover
+    underflow.  n is bounded below by max(||c_S||^2, 1e-300), since a finite
+    score has n > 1e-300."""
+    S, comp, L = ix.S, ix.comp, ix.cone.L
+    heads, tails = raw[:, S], raw[:, comp]
+    head_l1 = np.abs(heads).sum(axis=1)
+    hsq = (heads * heads).sum(axis=1)
+    tail_l1 = np.abs(tails).sum(axis=1)
+    B = raw
+    if comp.size:
+        if variant == "plain":
+            budget = L * head_l1
+        else:
+            budget = math.sqrt(ix.cone.s) * L * np.sqrt(hsq)
+        over = tail_l1 > budget
+        if over.any():
+            factor = np.divide(budget, tail_l1, out=np.ones(raw.shape[0]), where=over)
+            tails *= factor[:, None]
+            tail_l1 *= factor
+            B = raw.copy()
+            B[:, comp] = tails
+    scores = _restricted_ratio_parts(entries, B, heads, tails, ix.k)
+    l1 = head_l1 + tail_l1
+    rel = (entries.shape[0] + 8) * 2.0 ** -49
+    margin = rel * (np.abs(scores) + (scale * l1 * l1 + 1e-300) / np.maximum(hsq, 1e-300)) + 1e-300
+    rejected = np.isfinite(scores) & (scores - margin >= thr)
+    return np.flatnonzero((head_l1 != 0.0) & ~rejected)
+
+
 def _refine_ratio(entries: np.ndarray, ix: _ConeIndex, variant: str, beta: np.ndarray,
                   iters: int = 40) -> np.ndarray:
     """Descend the ratio with the enlargement frozen per step, reprojecting
-    onto the cone; every accepted iterate stays feasible."""
+    onto the cone; every accepted iterate stays feasible.
+
+    Each step scores its candidates in one batch and evaluates with the
+    one-row path, in order, only those the batch cannot prove rejected
+    (_screen_candidates); an accepted point and its value come from the
+    one-row path alone, so the iterates are those of trying every step size
+    in turn."""
     S, comp = ix.S, ix.comp
+    scale = float(np.max(np.abs(entries)))
+    halvings = np.full(_LINE_STEPS, 0.5)
     beta = beta.copy()
     f = _restricted_ratio_row(entries, ix, beta)
     for _ in range(iters):
@@ -330,19 +421,18 @@ def _refine_ratio(entries: np.ndarray, ix: _ConeIndex, variant: str, beta: np.nd
         gn = float(np.linalg.norm(grad))
         if gn == 0.0:
             break
-        eta = 0.2 * float(np.linalg.norm(beta)) / gn
+        # eta halved step by step, exactly as a running eta /= 2.0
+        halvings[0] = 0.2 * float(np.linalg.norm(beta)) / gn
+        raw = beta - np.multiply.accumulate(halvings)[:, None] * grad
+        thr = f - 1e-15 * max(1.0, abs(f))
         improved = False
-        for _ in range(25):
-            cand, head_l1 = _project_to_cone(beta - eta * grad, ix, variant)
-            if head_l1 == 0.0:
-                eta /= 2.0
-                continue
+        for j in _screen_candidates(entries, ix, variant, raw, thr, scale):
+            cand = _project_to_cone(raw[j], ix, variant)
             fc = _restricted_ratio_row(entries, ix, cand)
-            if fc < f - 1e-15 * max(1.0, abs(f)):
+            if fc < thr:
                 beta, f = cand, fc
                 improved = True
                 break
-            eta /= 2.0
         if not improved:
             break
     return beta
@@ -396,7 +486,16 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
 def _rr_value_head_only(sig11, sig21, heads, s, variant):
     """Exact inner tail maximization when the enlargement is S itself: the
     numerator is linear in the tail, so the whole budget goes on the
-    largest-response coordinate."""
+    largest-response coordinate.
+
+    Each head is first scaled by a power of two 2^-e that brings its largest
+    magnitude into [0.5, 1), so that no square overflows.  The scaling is
+    exact, and the ratio has degree 0 in the head, so its bits are those of
+    the unscaled head wherever that computation neither overflows nor
+    underflows; the absolute tests take denom and budget * w at the head's
+    own scale, 2^2e times the scaled values, exactly."""
+    e = np.frexp(np.max(np.abs(heads), axis=1))[1]
+    heads = np.ldexp(heads, -e[:, None])
     denom = np.einsum("ia,ab,ib->i", heads, sig11, heads)
     if sig21.shape[0]:
         w = np.max(np.abs(sig21 @ heads.T), axis=0)
@@ -409,9 +508,9 @@ def _rr_value_head_only(sig11, sig21, heads, s, variant):
     scale = float(np.max(np.abs(sig11))) if sig11.size else 1.0
     tiny = SINGULAR_RTOL * max(scale, 1.0)
     out = np.zeros(heads.shape[0])
-    ok = denom > tiny
+    ok = np.ldexp(denom, 2 * e) > tiny
     out[ok] = budget[ok] * w[ok] / denom[ok]
-    out[(~ok) & (budget * w > tiny)] = np.inf
+    out[(~ok) & (np.ldexp(budget * w, 2 * e) > tiny)] = np.inf
     return out
 
 
@@ -495,7 +594,7 @@ def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverCon
             heads.append(T @ inv.T)
     heads.append(rng.standard_normal((min(max(config.samples, 1), 4096), s)))
     H = np.concatenate(heads, axis=0)
-    H = H[np.linalg.norm(H, axis=1) > 0.0]
+    H = H[np.any(H != 0.0, axis=1)]
 
     scores = _rr_value_head_only(sig11, sig21, H, s, variant)
     if cone.N == cone.s:

@@ -270,7 +270,7 @@ def _generate_gaussian_design(params: dict) -> NoisyProblem:
             raise InvalidParameter("population spec must generate a Gram matrix")
     else:
         population = GramMatrix(np.asarray(pop, dtype=float))
-    x, _ = sample_gaussian_design(n, p, population, seed)
+    x = _design_rows(n, p, population, seed)
     beta0 = params.get("beta0")
     if beta0 is None:
         beta0 = np.zeros(p)
@@ -286,16 +286,21 @@ def _generate_gaussian_design(params: dict) -> NoisyProblem:
     return NoisyProblem(x, y, beta0=beta0, epsilon=eps)
 
 
-def sample_gaussian_design(n: int, p: int, population: GramMatrix, seed: int):
-    """n i.i.d. rows with the population covariance; returns (X, inner-product
-    matrix X'X / n)."""
+def _design_rows(n: int, p: int, population: GramMatrix, seed: int) -> np.ndarray:
+    """n i.i.d. rows with the population covariance, as an (n, p) array X."""
     if n < 1 or p < 1:
         raise InvalidParameter(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     if population.p != p:
         raise InvalidParameter(f"population is {population.p}x{population.p}, expected p={p}")
     root = _psd_sqrt(population.entries)
     z = _box_muller(derived_rng(seed, "gaussian-design", n, p), (n, p))
-    x = z @ root
+    return z @ root
+
+
+def sample_gaussian_design(n: int, p: int, population: GramMatrix, seed: int):
+    """n i.i.d. rows with the population covariance; returns (X, inner-product
+    matrix X'X / n)."""
+    x = _design_rows(n, p, population, seed)
     sighat = x.T @ x / n
     return x, GramMatrix((sighat + sighat.T) / 2.0)
 

@@ -578,6 +578,18 @@ class TestImplicationsCommand:
         assert all(v["holds"] for v in report["result"])
 
 
+    def test_tiny_scale_gram_reports_without_nan(self, tmp_path):
+        # the regression search's inverse-sign heads reach 1e160 here; their
+        # squares overflowed, and a nan reached the report's BoundedValue
+        gram_path = write_csv(tmp_path / "g.csv", 1e-160 * np.eye(4))
+        out = tmp_path / "report.json"
+        rc = main(["implications", "--gram", gram_path, "--S", "0", "--N", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        assert "NaN" not in out.read_text()
+        assert read_report(out)["result"]
+
+
 class TestMonteCarloCommand:
     def test_concentration_defaults_to_identity_population(self, tmp_path):
         out = tmp_path / "report.json"

@@ -190,6 +190,28 @@ class TestGeneratorSpec:
             generate(GeneratorSpec(kind, params))
 
 
+    def test_gaussian_design_draws_x_without_forming_a_gram(self, monkeypatch):
+        # X and Y as before, from the row sampler sample_gaussian_design
+        # shares, but no X'X / n is formed or validated
+        population = GramMatrix(np.eye(3) + 0.2)
+        beta0 = [1.0, 0.0, -1.0]
+        x_want, _ = sample_gaussian_design(12, 3, population, 4)
+        grams = []
+        real = core.GramMatrix.__post_init__
+
+        def counted(self):
+            grams.append(self)
+            real(self)
+
+        monkeypatch.setattr(core.GramMatrix, "__post_init__", counted)
+        problem = generate(GeneratorSpec("gaussian_design", {
+            "n": 12, "p": 3, "seed": 4, "beta0": beta0, "population": population}))
+        assert grams == []
+        assert problem.X.tobytes() == x_want.tobytes()
+        eps = _box_muller(derived_rng(4, "generate", "gaussian_design", "noise"), 12)
+        assert problem.Y.tobytes() == (x_want @ np.array(beta0) + eps).tobytes()
+
+
 class TestGenerateDispatcher:
     def test_every_matrix_kind_constructs_a_valid_gram(self):
         specs = {

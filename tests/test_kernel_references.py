@@ -14,6 +14,19 @@ and the helpers that build the index sets once per call must reproduce them
 bit for bit (compared with tobytes()).  So must the one-row ratio of the
 refinement against the batch ratio.
 
+The refinement's line search used to evaluate its step sizes one at a time
+with the one-row path; it now screens them with one batch score and a
+rounding margin.  ref_refine_ratio is that earlier loop: the screened
+refinement must reproduce it bit for bit, also on a head of 9 coordinates,
+a singular Sigma, N = p and the flat Sigma = I, where the candidates fall
+inside the margin and the one-row path decides.  The screen must keep every
+candidate whose one-row value passes even the tightest threshold.
+
+The head-only regression scores used to take each head at its own scale,
+where the squares of 1e160-sized heads overflow; ref_rr_value_head_only is
+that form, and the power-of-two scaled kernel must match it bit for bit
+wherever it neither overflows nor underflows.
+
 The projected-gradient fallback of compatibility_constant used to index with
 Python lists and call the checked project_l1_ball on every projection, and to
 recompute the objective of each accepted step; that loop is kept here as the
@@ -42,8 +55,10 @@ tail magnitudes as arrays of their own; _batch_regression_ratio a boolean
 mask, a scatter index, np.where and B - head; _restricted_ratio_parts a
 partitioned copy of the tail magnitudes; and the sample loops kept chunk i
 alive while chunk i + 1 was drawn.  Those forms are kept here, and the lean
-kernels must reproduce them bit for bit (compared with tobytes()).  So must
-the kernel's flat gather of the stacked blocks against the two-array one.
+kernels must reproduce them bit for bit (compared with tobytes()), for
+k = 0 to 3: they now also sum short rows by column and take the top two
+tail magnitudes by column maxima.  So must the kernel's flat gather of the
+stacked blocks against the two-array one.
 
 lower_phi_routes used to add a weak_rip route, (1 - L theta/Lambda^2)^2
 Lambda^2 at N' = 2s, after its regression routes, which it listed by
@@ -62,6 +77,7 @@ import numpy as np
 import pytest
 
 from lasso_audit import (
+    DEFAULT_CONFIG,
     BoundedValue,
     Certificate,
     ConeSpec,
@@ -617,9 +633,8 @@ def test_search_helpers_match_the_per_row_versions(p, S, N):
                             ref_batch_regression_ratio(entries, cone, row[None, :]))
                 got_row = estimators._restricted_ratio_row(entries, ix, row)
                 assert same(np.array([got_row]), want_row)
-                projected, head_l1 = estimators._project_to_cone(row, ix, variant)
-                assert same(projected, ref_project_to_cone(row, cone, variant))
-                assert head_l1 == float(np.abs(projected[list(S)]).sum())
+                assert same(estimators._project_to_cone(row, ix, variant),
+                            ref_project_to_cone(row, cone, variant))
 
             starts = [want[int(np.argmin(ref_batch_restricted_ratio(entries, cone, want)))]]
             starts += [row for row in edge_rows(p, list(S), rng_ref)[[1, 3, 4]]]
@@ -665,6 +680,118 @@ def test_one_row_ratio_squares_as_the_batch_does():
         row = np.array([float.fromhex(h) for h in hexes])
         want = estimators._batch_restricted_ratio(entries, ix, row[None, :])
         assert same(np.array([estimators._restricted_ratio_row(entries, ix, row)]), want)
+
+
+# -- the screened line search -------------------------------------------------
+
+
+def low_rank_entries(p):
+    # X'X / n with n = 3 < p: a singular Sigma
+    return sample_gaussian_design(3, p, GramMatrix(np.eye(p)), 11)[1].entries
+
+
+# (Gram, S, N): a head of 9 (s >= 8, so numpy sums heads pairwise), a
+# singular Sigma, N = p, and the flat Sigma = I
+SCREEN_CASES = {
+    "wide_head": (lambda: random_psd_entries(20, 4, 0.05), tuple(range(0, 18, 2)), 11),
+    "singular": (lambda: low_rank_entries(7), (1, 4), 3),
+    "n_equals_p": (lambda: random_psd_entries(6, 5, 0.05), (0, 3), 6),
+    "flat": (lambda: np.eye(6), (0, 1), 2),
+}
+
+
+def one_row_log(monkeypatch):
+    """The values _restricted_ratio_row returns, in call order."""
+    values = []
+    real = estimators._restricted_ratio_row
+
+    def logged(*args):
+        values.append(real(*args))
+        return values[-1]
+
+    monkeypatch.setattr(estimators, "_restricted_ratio_row", logged)
+    return values
+
+
+def rejected_evaluations(values):
+    """How many one-row evaluations of one _refine_ratio call were rejected:
+    the first value is the start's, and a later one is accepted when it falls
+    below the last accepted value by the line search's threshold."""
+    f, rejected = values[0], 0
+    for v in values[1:]:
+        if v < f - 1e-15 * max(1.0, abs(f)):
+            f = v
+        else:
+            rejected += 1
+    return rejected
+
+
+@pytest.mark.parametrize("name", SCREEN_CASES)
+def test_screened_refinement_matches_the_per_row_search(name):
+    make, S, N = SCREEN_CASES[name]
+    entries = make()
+    p = entries.shape[0]
+    gram = GramMatrix(entries)
+    config = SolverConfig(samples=600)
+    for variant in ("plain", "adaptive"):
+        for L in RE_L:
+            cone = ConeSpec(S, L, N)
+            ix = estimators._cone_index(p, cone)
+            rng = np.random.default_rng(p + N)
+            B = ref_sample_cone_points(rng, cone, p, 300, variant)
+            starts = [B[int(np.argmin(ref_batch_restricted_ratio(entries, cone, B)))], B[0], B[1]]
+            starts += list(edge_rows(p, list(S), rng)[[1, 3, 4]])
+            for beta in starts:
+                assert same(estimators._refine_ratio(entries, ix, variant, beta),
+                            ref_refine_ratio(entries, cone, variant, beta))
+            got = restricted_eigenvalue(gram, cone, variant, config)
+            want = ref_restricted_eigenvalue(gram, cone, variant, config)
+            assert (got.estimate, got.lower, got.upper, got.provenance) == \
+                (want.estimate, want.lower, want.upper, want.provenance)
+
+
+@pytest.mark.parametrize("p, S, N", re_cases())
+def test_screen_keeps_every_candidate_the_one_row_path_accepts(p, S, N):
+    # at the tightest threshold a candidate passes, one ulp above its
+    # one-row value, the batch score must not reject it
+    entries = random_psd_entries(p, 70 + p, 0.05) * 2.0 ** (p - 8)
+    scale = float(np.max(np.abs(entries)))
+    rng = np.random.default_rng(3 * p + N)
+    for variant in ("plain", "adaptive"):
+        for L in RE_L:
+            ix = estimators._cone_index(p, ConeSpec(S, L, N))
+            raw = rng.standard_normal((25, p)) * np.exp2(rng.integers(-4, 5, (25, p)))
+            for j, row in enumerate(raw):
+                fc = estimators._restricted_ratio_row(
+                    entries, ix, estimators._project_to_cone(row, ix, variant))
+                thr = np.nextafter(fc, np.inf)
+                assert j in estimators._screen_candidates(entries, ix, variant, raw, thr, scale)
+
+
+def test_flat_objective_evaluates_the_candidates_inside_the_margin(monkeypatch):
+    # on Sigma = I the ratio is 1 + ||tail||^2 / ||head||^2 at N = s; once the
+    # tail is nearly gone every candidate scores within the margin of the
+    # threshold, so the batch proves nothing and the one-row path decides
+    entries = np.eye(6)
+    cone = ConeSpec((0, 1), 1.0, 2)
+    ix = estimators._cone_index(6, cone)
+    beta = np.array([1.0, 0.5, 0.3, -0.2, 0.0, 0.1])
+    for variant in ("plain", "adaptive"):
+        with monkeypatch.context() as patch:
+            values = one_row_log(patch)
+            got = estimators._refine_ratio(entries, ix, variant, beta)
+        assert same(got, ref_refine_ratio(entries, cone, variant, beta))
+        assert rejected_evaluations(values) > 0
+
+
+def test_sweep_instance_682_evaluates_few_rows_exactly(monkeypatch):
+    # sweep-pool instance 682; trying every step size in turn took 545
+    # one-row evaluations for the same endpoints
+    values = one_row_log(monkeypatch)
+    gram = GramMatrix(random_psd_entries(6, 50_682, 0.2))
+    bv = restricted_eigenvalue(gram, ConeSpec((3, 4), 1.0, 4), "plain", DEFAULT_CONFIG.reduced())
+    assert (bv.upper, bv.lower) == (0.20871743881622967, 0.20783987134431056)
+    assert len(values) <= 70
 
 
 # -- the projected-gradient fallback of the compatibility constant -----------
@@ -810,7 +937,7 @@ def test_index_sets_are_built_once_per_call_and_never_per_step(monkeypatch):
     ix = estimators._cone_index(p, ConeSpec(S, 1.0, N))
     counts.update(_complement=0, top_nset=0)
     beta = derived_rng(0, "guard").standard_normal(p)
-    start, _ = estimators._project_to_cone(beta, ix, "plain")
+    start = estimators._project_to_cone(beta, ix, "plain")
     estimators._refine_ratio(entries, ix, "plain", start)
     assert counts == {"_complement": 0, "top_nset": 0}
 
@@ -981,6 +1108,63 @@ def test_regression_kernel_matches_its_definition(p, S, N):
             want = [evaluate_regression_ratio(gram, cone, b, variant) for b in B]
             np.testing.assert_allclose(estimators._batch_regression_ratio(gram.entries, ix, B),
                                        want, rtol=1e-12, atol=0.0)
+
+
+def ref_rr_value_head_only(sig11, sig21, heads, s, variant):
+    """_rr_value_head_only as it scored each head at its own scale."""
+    denom = np.einsum("ia,ab,ib->i", heads, sig11, heads)
+    w = np.max(np.abs(sig21 @ heads.T), axis=0) if sig21.shape[0] else np.zeros(heads.shape[0])
+    if variant == "plain":
+        budget = np.abs(heads).sum(axis=1)
+    else:
+        budget = math.sqrt(s) * np.linalg.norm(heads, axis=1)
+    tiny = SINGULAR_RTOL * max(float(np.max(np.abs(sig11))), 1.0)
+    out = np.zeros(heads.shape[0])
+    ok = denom > tiny
+    out[ok] = budget[ok] * w[ok] / denom[ok]
+    out[(~ok) & (budget * w > tiny)] = np.inf
+    return out
+
+
+@pytest.mark.parametrize("make, S", [(lambda: random_psd_entries(7, 77, 0.05), (1, 4)),
+                                     (lambda: random_psd_entries(9, 5, 0.0), (0, 4, 8)),
+                                     (fixed_singular_entries, (0, 1, 2, 3)),
+                                     (lambda: np.eye(5), (2,))],
+                         ids=["p7", "p9", "singular", "identity"])
+def test_head_only_scores_keep_their_bits_at_every_power_of_two(make, S):
+    entries = make()
+    comp = outside(entries.shape[0], S)
+    sig11, sig21 = entries[np.ix_(S, S)], entries[np.ix_(comp, S)]
+    s = len(S)
+    rng = np.random.default_rng(s)
+    w, V = np.linalg.eigh(sig11)
+    heads = [V.T, rng.standard_normal((50, s)), np.zeros((1, s))]
+    if w[0] > SINGULAR_RTOL * w[-1]:
+        heads.append(next(_sign_chunks(s, 2 ** s)) @ ((V / w) @ V.T))
+    H = np.concatenate(heads)
+    for variant in ("plain", "adaptive"):
+        for power in (-300, -40, 0, 1, 40, 300):
+            scaled = np.ldexp(H, power)
+            assert same(estimators._rr_value_head_only(sig11, sig21, scaled, s, variant),
+                        ref_rr_value_head_only(sig11, sig21, scaled, s, variant))
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_scale_regression_search_has_no_nan():
+    # on 1e-160 I the inverse-sign heads reach 1e160, whose squares overflow:
+    # the adaptive budget was inf, and inf * 0 a nan score
+    gram = GramMatrix(1e-160 * np.eye(4))
+    entries = gram.entries
+    sig11, sig21 = entries[:1, :1], entries[1:, :1]
+    witness = np.array([[1e160]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(ref_rr_value_head_only(sig11, sig21, witness, 1, "adaptive")).all()
+    assert same(estimators._rr_value_head_only(sig11, sig21, witness, 1, "adaptive"),
+                np.zeros(1))
+    for variant in ("plain", "adaptive"):
+        for N in (1, 2):
+            bv = restricted_regression(gram, ConeSpec((0,), 1.0, N), variant)
+            assert (bv.lower, bv.estimate) == (0.0, 0.0)
 
 
 def test_regression_search_decomposes_sigma_ss_once(monkeypatch):
@@ -1482,9 +1666,10 @@ def full_batch_regression_ratio(entries, ix, B):
     return out
 
 
-# (p, S, N): k = 0, k = 1, 1 < k < r, k = r (N = p), and r = 0 (S = all)
-LEAN_SHAPES = [(5, (1, 3), 2), (9, (0, 4, 8), 4), (9, (0, 4, 8), 6), (16, (2, 7, 11), 6),
-               (5, (1, 3), 5), (6, (0, 1, 2, 3, 4, 5), 6)]
+# (p, S, N): k = 0, k = 1, k = 2 < r, 2 < k < r, k = 2 = r and k = 3 = r
+# (N = p), and r = 0 (S = all)
+LEAN_SHAPES = [(5, (1, 3), 2), (9, (0, 4, 8), 4), (8, (2, 5), 4), (9, (0, 4, 8), 6),
+               (16, (2, 7, 11), 6), (4, (1, 2), 4), (5, (1, 3), 5), (6, (0, 1, 2, 3, 4, 5), 6)]
 
 
 @pytest.mark.parametrize("p, S, N", LEAN_SHAPES,
