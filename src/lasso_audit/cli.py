@@ -68,16 +68,25 @@ _FLOAT_FMT = "%.17g"
 
 
 def save_matrix_csv(path_or_file, matrix) -> None:
-    """Dense row-major CSV, no header, 17 significant digits per entry."""
+    """Dense row-major CSV, no header, 17 significant digits per entry.
+
+    Each row is formatted with one % operation and written at once, so only
+    one row's text is held; a matrix without rows is written as one "\\n".
+    """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-    row_fmt = ",".join([_FLOAT_FMT] * arr.shape[1])
-    lines = [row_fmt % tuple(row) for row in arr.tolist()]
-    text = "\n".join(lines) + "\n"
+    row_fmt = ",".join([_FLOAT_FMT] * arr.shape[1]) + "\n"
     if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
+        _write_rows(path_or_file, arr, row_fmt)
     else:
         with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_rows(fh, arr, row_fmt)
+
+
+def _write_rows(fh, arr: np.ndarray, row_fmt: str) -> None:
+    if arr.shape[0] == 0:
+        fh.write("\n")
+    for row in arr:
+        fh.write(row_fmt % tuple(row.tolist()))
 
 
 # np.loadtxt reads a file only when every byte is one of these; any other
@@ -86,26 +95,53 @@ def save_matrix_csv(path_or_file, matrix) -> None:
 _FAST_CSV_BYTES = b"0123456789eE+-.,nNaAiIfFtTyY \t\r\n"
 
 
+# lines are taken from a 64 KiB read buffer: with the default 8 KiB one a
+# 300-column row of %.17g cells costs a read call, and a p = 1000 Gram row
+# three, which made a load slower than one whole-file read
+_CSV_READ_BUFFER = 1 << 16
+
+
+class _NotFastCsv(Exception):
+    """A line outside _FAST_CSV_BYTES, or a file of whitespace alone."""
+
+
+def _fast_csv_lines(fh):
+    """The lines of a binary file, each checked against _FAST_CSV_BYTES as
+    np.loadtxt takes it; raises _NotFastCsv at the first line outside the
+    alphabet, or at the end of a file of whitespace alone (np.loadtxt would
+    warn and return an empty array, the loop names the file)."""
+    data = False
+    for line in fh:
+        if line.translate(None, _FAST_CSV_BYTES):
+            raise _NotFastCsv
+        data = data or not line.isspace()
+        yield line
+    if not data:
+        raise _NotFastCsv
+
+
 def load_matrix_csv(path: str) -> np.ndarray:
     """Parse a dense numeric CSV; malformed cells report 1-based line/column.
 
     Blank lines are skipped and each cell is parsed by float().  A file of
     digits, signs, exponents, nan/inf spellings, commas and whitespace alone
-    is parsed by np.loadtxt; a file it refuses is parsed again cell by cell,
-    so the accepted files, the values and the messages are the loop's.
+    is parsed by np.loadtxt, which reads it line by line, so the file's bytes
+    are never held whole; a file it refuses is read again and parsed cell by
+    cell, so the accepted files, the values and the messages are the loop's.
+    An input that cannot seek (a pipe) is read once into memory first.
     """
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        with open(path, "rb", buffering=_CSV_READ_BUFFER) as fh:
+            source = fh if fh.seekable() else io.BytesIO(fh.read())
+            try:
+                return np.loadtxt(_fast_csv_lines(source), delimiter=",",
+                                  comments=None, ndmin=2)
+            except (_NotFastCsv, ValueError):
+                pass
+            source.seek(0)
+            raw = source.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    # whitespace alone has no data row: np.loadtxt would warn and return an
-    # empty array, the loop names the file
-    if raw and not raw.isspace() and not raw.translate(None, _FAST_CSV_BYTES):
-        try:
-            return np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -28,6 +28,7 @@ from .errors import AuditError, CapExceeded, InvalidParameter, SingularBlock
 
 DEFAULT_SUBSET_CAP = 10 ** 6
 SINGULAR_RTOL = 1e-10
+_MAX_GRAM_ENTRY = float(np.finfo(float).max) / 2.0
 _POOL_MAX_WORKERS = 8
 
 
@@ -214,11 +215,12 @@ class GramMatrix:
     """Symmetric PSD matrix wrapper.
 
     Symmetry is enforced at construction (asymmetry beyond 1e-12 of the entry
-    scale is rejected, below that the matrix is symmetrized).  Positive
-    semidefiniteness is checked on the full spectrum: a smallest eigenvalue
-    below -1e-9 times the entry scale is rejected, so rank-deficient matrices
-    (eigenvalues at rounding level around 0) pass.  The spectrum is kept as
-    the memoized spectrum().
+    scale is rejected, below that the matrix is symmetrized; an entry above
+    half the largest double is rejected, as its sum with its mirror would
+    overflow).  Positive semidefiniteness is checked on the full spectrum: a
+    smallest eigenvalue below -1e-9 times the entry scale is rejected, so
+    rank-deficient matrices (eigenvalues at rounding level around 0) pass.
+    The spectrum is kept as the memoized spectrum().
 
     Derived quantities that several callers need (enumerated constants, the
     full spectrum) are memoized per instance; the memo takes no part in
@@ -237,6 +239,11 @@ class GramMatrix:
         if not np.all(np.isfinite(raw)):
             raise InvalidParameter("Gram matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(raw))))
+        # up to half the largest double, raw - raw.T and raw + raw.T are finite
+        if scale > _MAX_GRAM_ENTRY:
+            raise InvalidParameter(
+                f"Gram matrix entries overflow when symmetrized: |entry| {scale!r} "
+                f"exceeds half the largest double, {_MAX_GRAM_ENTRY!r}")
         if float(np.max(np.abs(raw - raw.T))) > 1e-12 * scale:
             raise InvalidParameter("Gram matrix is not symmetric within 1e-12")
         sym = (raw + raw.T) / 2.0

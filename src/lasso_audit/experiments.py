@@ -208,15 +208,19 @@ def block_equicorrelation_entries(p: int, block_size: int, rho: float) -> np.nda
 def random_psd_entries(p: int, seed: int, jitter: float = 0.0,
                        normalize: bool = True) -> np.ndarray:
     """A'A / p from Box-Muller normals, optional ridge, optionally rescaled
-    to unit diagonal."""
+    to unit diagonal.  The normals are dropped once A'A is formed and the
+    rest runs in place, so at most three p x p arrays are held at once."""
     rng = derived_rng(seed, "generate", "random_psd", p)
     a = _box_muller(rng, (p, p))
-    sig = a.T @ a / p + float(jitter) * np.eye(p)
+    sig = a.T @ a
+    del a  # a view of the draw block, which holds U1 and U2
+    sig /= p
+    sig += float(jitter) * np.eye(p)
     if normalize:
         d = np.sqrt(np.diag(sig))
         if float(np.min(d)) <= 0.0:
             raise InvalidParameter("cannot normalize a matrix with a zero diagonal entry")
-        sig = sig / np.outer(d, d)
+        sig /= np.outer(d, d)
     return (sig + sig.T) / 2.0
 
 

@@ -1,14 +1,21 @@
 """Command-line interface tests: CSV parsing, report envelopes, exit codes.
 
 Everything runs in-process through main(argv) so coverage tools and
-monkeypatching work; reports are validated against the published JSON schema
-and checked for byte-identical output modulo the wall_time_s field.
+monkeypatching work, except the tests of piped input and stdout bytes, which
+start the CLI in a fresh interpreter; reports are validated against the
+published JSON schema and checked for byte-identical output modulo the
+wall_time_s field.
 """
 
 import argparse
 import dataclasses
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -110,6 +117,119 @@ class TestCsvRoundTrip:
             path = tmp_path / "m.csv"
             save_matrix_csv(str(path), mat)
             assert path.read_bytes() == want.encode()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(argv, **kwargs):
+    """lasso-audit argv in a fresh interpreter, BLAS on one thread."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "lasso_audit.cli"] + argv, env=env,
+                          capture_output=True, timeout=300, **kwargs)
+
+
+def traced_peak(fn):
+    """fn()'s peak traced allocation in bytes; numpy's buffers are traced."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvStreaming:
+    """The writer holds one row's text and the reader never the file's
+    bytes; what is written and parsed stays byte for byte the same."""
+
+    P = 400
+
+    @pytest.fixture
+    def square(self, tmp_path):
+        mat = np.random.default_rng(0).standard_normal((self.P, self.P))
+        return mat, str(tmp_path / "m.csv")
+
+    def test_save_peaks_at_a_small_fraction_of_the_text(self, square):
+        mat, path = square
+        save_matrix_csv(path, mat[:2])  # first-call caches
+        peak = traced_peak(lambda: save_matrix_csv(path, mat))
+        # measured 1.2% of the 3.2 MB text; the joined text took 3.0 times it
+        assert peak < os.path.getsize(path) / 20
+
+    def test_load_peaks_below_the_file_size(self, square):
+        mat, path = square
+        save_matrix_csv(path, mat)
+        load_matrix_csv(path)  # first-call caches
+        peak = traced_peak(lambda: load_matrix_csv(path))
+        # measured 0.51 of the file (the 1.28 MB array and loadtxt's growth);
+        # reading the whole file first took 2.0 times it
+        assert peak < 0.65 * os.path.getsize(path)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (0,), (1, 0)])
+    def test_a_matrix_without_cells_is_one_newline(self, shape, tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(str(path), np.zeros(shape))
+        assert path.read_bytes() == b"\n"
+
+    def test_a_file_object_gets_the_bytes_of_the_file_form(self, tmp_path):
+        rng = np.random.default_rng(31)
+        special = [0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, 1e308, 0.1, -2.5e-310]
+        mats = [rng.standard_normal((9, 5)) * 10.0 ** rng.integers(-300, 300, (9, 5)),
+                np.array(special).reshape(3, 3), np.array(special), np.zeros((0, 4)),
+                random_psd_entries(30, 2)]
+        for mat in mats:
+            path = tmp_path / "m.csv"
+            save_matrix_csv(str(path), mat)
+            buffer = io.StringIO()
+            save_matrix_csv(buffer, mat)
+            assert buffer.getvalue().encode("utf-8") == path.read_bytes()
+
+    def test_generate_to_stdout_writes_the_bytes_of_the_out_file(self, tmp_path):
+        argv = ["generate", "--kind", "random_psd", "--p", "60", "--seed", "7",
+                "--jitter", "0.1"]
+        out = tmp_path / "g.csv"
+        assert run_cli(argv + ["--out", str(out)]).returncode == 0
+        piped = run_cli(argv)
+        assert piped.returncode == 0 and piped.stderr == b""
+        assert piped.stdout == out.read_bytes()
+        assert out.read_bytes().count(b"\n") == 60
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+class TestPipedInput:
+    """--gram /dev/stdin reads a pipe, which cannot seek, as well as a
+    redirected file, which can."""
+
+    def test_analyze_from_a_pipe_matches_the_file_report(self, tmp_path):
+        gram = write_csv(tmp_path / "g.csv", random_psd_entries(6, 4, 0.1))
+        argv = ["analyze", "--S", "0,1", "--N", "3"]
+        piped = run_cli(argv + ["--gram", "/dev/stdin"],
+                        input=Path(gram).read_bytes())
+        with open(gram, "rb") as fh:
+            redirected = run_cli(argv + ["--gram", "/dev/stdin"], stdin=fh)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--gram", gram, "--out", str(out)]) == 0
+        reports = []
+        for done in (piped, redirected):
+            assert done.returncode == 0, done.stderr
+            reports.append(json.loads(done.stdout))
+        reports.append(read_report(out))
+        for report in reports:
+            del report["meta"]["wall_time_s"]
+        assert reports[0] == reports[1]
+        # the file report names its input and output paths
+        piped_config, file_config = reports[0]["meta"]["config"], reports[2]["meta"]["config"]
+        assert (piped_config.pop("gram_path"), piped_config.pop("out")) == ("/dev/stdin", None)
+        assert (file_config.pop("gram_path"), file_config.pop("out")) == (gram, str(out))
+        assert reports[0] == reports[2]
+
+    def test_a_malformed_pipe_names_the_cell(self):
+        done = run_cli(["analyze", "--gram", "/dev/stdin", "--S", "0"],
+                       input=b"1,0\n0,x\n")
+        assert done.returncode == 1
+        assert done.stderr == b"error: ParseError: not a number: 'x' (line 2, column 2)\n"
 
 
 def _loop_load_matrix_csv(path):
@@ -557,6 +677,35 @@ class TestSupportOutOfRange:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: InvalidParameter: S index 7 out of range for p=5\n")
+        assert not out.exists()
+
+
+class TestOverflowingGram:
+    """Finite entries whose symmetrized value overflows are refused when the
+    Gram is built, before any solve, with one line on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--S", "0"],
+        ["lasso", "--S", "0", "--lambda", "0.1"],
+        ["implications", "--S", "0"],
+        ["recover", "--S", "0"],
+    ])
+    def test_every_command_exits_1_before_any_solve(self, argv, tmp_path, capsys,
+                                                     monkeypatch):
+        import lasso_audit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve started on an overflowing Gram")
+
+        for name in ("condition_report", "solve_noiseless", "check_all",
+                     "basis_pursuit_recover"):
+            monkeypatch.setattr(cli, name, refuse)
+        gram = write_csv(tmp_path / "g.csv", [[1e308, 0.0], [0.0, 1e308]])
+        out = tmp_path / "report.json"
+        assert main(argv + ["--gram", gram, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidParameter: Gram matrix entries overflow when symmetrized: "
+            "|entry| 1e+308 exceeds half the largest double, 8.988465674311579e+307\n")
         assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,28 @@ class TestGramMatrix:
         m[0, 1] = m[1, 0] = np.nan
         with pytest.raises(InvalidParameter, match="finite"):
             GramMatrix(m)
+
+    @pytest.mark.parametrize("entries", [
+        [[1e308, 0.0], [0.0, 1e308]],
+        [[1.0, 1.7e308], [1.7e308, 1.0]],
+        [[1.0, 1e308], [-1e308, 1.0]],
+        [[9e307, 0.0], [0.0, 1.0]],
+    ])
+    def test_rejects_entries_that_overflow_when_symmetrized(self, entries):
+        # (raw + raw.T) / 2 would hold inf, the spectrum nan, and the PSD
+        # test would pass on nan; no numpy overflow warning is shown
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="overflow when symmetrized"):
+                GramMatrix(np.array(entries))
+
+    def test_accepts_entries_up_to_half_the_largest_double(self):
+        half = np.finfo(float).max / 2.0
+        g = GramMatrix(np.diag([half, 1.0]))
+        assert g.entries[0, 0] == half
+        assert np.all(np.isfinite(g.spectrum()))
+        with pytest.raises(InvalidParameter, match="not symmetric"):
+            GramMatrix(np.array([[1.0, half], [-half, 1.0]]))
 
     def test_spot_check_catches_indefinite(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
