@@ -217,9 +217,10 @@ class GramMatrix:
     Symmetry is enforced at construction (asymmetry beyond 1e-12 of the entry
     scale is rejected, below that the matrix is symmetrized; an entry above
     half the largest double is rejected, as its sum with its mirror would
-    overflow).  Positive semidefiniteness is checked on the full spectrum: a
-    smallest eigenvalue below -1e-9 times the entry scale is rejected, so
-    rank-deficient matrices (eigenvalues at rounding level around 0) pass.
+    overflow).  A spectrum that is not all finite is rejected too.  Positive
+    semidefiniteness is checked on the full spectrum: a smallest eigenvalue
+    below -1e-9 times the entry scale is rejected, so rank-deficient matrices
+    (eigenvalues at rounding level around 0) pass.
     The spectrum is kept as the memoized spectrum().
 
     Derived quantities that several callers need (enumerated constants, the
@@ -250,6 +251,12 @@ class GramMatrix:
         if float(np.min(np.diag(sym))) < -1e-12 * scale:
             raise InvalidParameter("Gram matrix has a negative diagonal entry")
         spectrum = np.linalg.eigvalsh(sym)
+        # finite entries can still give an infinite eigenvalue, about p times
+        # the entry scale; every bound built on the spectrum would be void
+        if not np.all(np.isfinite(spectrum)):
+            raise InvalidParameter(
+                f"Gram matrix spectrum overflows: an eigenvalue is not finite at "
+                f"entry scale {scale!r}")
         if float(spectrum[0]) < -1e-9 * scale:
             raise InvalidParameter(
                 f"Gram matrix is not PSD: smallest eigenvalue {float(spectrum[0])!r} "

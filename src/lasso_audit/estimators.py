@@ -667,10 +667,18 @@ def regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str = "plain",
       row_sum.
 
     Enumerations above min(cap, ROUTE_CAP) are skipped.  With no applicable
-    route the bound is inf, noted "no applicable route".
+    route the bound is inf, noted "no applicable route".  The result is
+    memoized per Gram, keyed by S, N, the variant and both caps.
     """
     cone.validate_p(gram.p)
     _check_variant(variant)
+    return gram.memoized(("regression_upper", cone.S, cone.N, variant, cap, sign_cap),
+                         lambda: _regression_upper(gram, cone, variant, cap, sign_cap))
+
+
+def _regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str, cap: int,
+                      sign_cap: int) -> BoundedValue:
+    """regression_upper without the checks and the memo."""
     p, s = gram.p, cone.s
     route_cap = min(cap, ROUTE_CAP)
     maxdiag = float(np.max(np.diag(gram.entries)))

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -681,8 +682,9 @@ class TestSupportOutOfRange:
 
 
 class TestOverflowingGram:
-    """Finite entries whose symmetrized value overflows are refused when the
-    Gram is built, before any solve, with one line on stderr."""
+    """Finite entries whose symmetrized value or spectrum overflows are
+    refused when the Gram is built, before any solve, with one line on
+    stderr and no numpy warning."""
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--S", "0"],
@@ -690,8 +692,15 @@ class TestOverflowingGram:
         ["implications", "--S", "0"],
         ["recover", "--S", "0"],
     ])
-    def test_every_command_exits_1_before_any_solve(self, argv, tmp_path, capsys,
-                                                     monkeypatch):
+    @pytest.mark.parametrize("entries, message", [
+        ([[1e308, 0.0], [0.0, 1e308]],
+         "Gram matrix entries overflow when symmetrized: "
+         "|entry| 1e+308 exceeds half the largest double, 8.988465674311579e+307"),
+        (np.full((3, 3), 8e307),
+         "Gram matrix spectrum overflows: an eigenvalue is not finite at entry scale 8e+307"),
+    ])
+    def test_every_command_exits_1_before_any_solve(self, argv, entries, message, tmp_path,
+                                                     capsys, monkeypatch):
         import lasso_audit.cli as cli
 
         def refuse(*args, **kwargs):
@@ -700,12 +709,12 @@ class TestOverflowingGram:
         for name in ("condition_report", "solve_noiseless", "check_all",
                      "basis_pursuit_recover"):
             monkeypatch.setattr(cli, name, refuse)
-        gram = write_csv(tmp_path / "g.csv", [[1e308, 0.0], [0.0, 1e308]])
+        gram = write_csv(tmp_path / "g.csv", entries)
         out = tmp_path / "report.json"
-        assert main(argv + ["--gram", gram, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: InvalidParameter: Gram matrix entries overflow when symmetrized: "
-            "|entry| 1e+308 exceeds half the largest double, 8.988465674311579e+307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--gram", gram, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: InvalidParameter: {message}\n"
         assert not out.exists()
 
 
@@ -948,3 +957,78 @@ class TestFlagTable:
         for f in fields:
             default = list(f.default) if isinstance(f.default, tuple) else f.default
             assert config[f.name] == given.get(f.name, default), f.name
+
+
+class TestParserCache:
+    """main builds the parser tree once per process and reuses it: a parse
+    leaves nothing behind that a later call could see."""
+
+    def test_five_calls_build_one_tree(self, tmp_path, monkeypatch):
+        import lasso_audit.cli as cli
+
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._cached_parser.cache_clear()
+        gram = write_csv(tmp_path / "g.csv", np.eye(3))
+        out = str(tmp_path / "report.json")
+        for argv in (["recover", "--gram", gram, "--S", "0"],
+                     ["lasso", "--gram", gram, "--S", "0,2", "--lambda", "0.1"],
+                     ["generate", "--kind", "identity", "--p", "3"],
+                     ["recover", "--gram", gram, "--S", "1,2"],
+                     ["analyze", "--gram", gram, "--S", "0"]):
+            assert main(argv + ["--out", out]) == 0
+        # the top parser and one per command
+        assert len(built) == 1 + len(cli._COMMANDS) == 7
+        build_parser()
+        assert len(built) == 14
+
+    def test_a_flag_does_not_carry_into_the_next_call(self, tmp_path):
+        gram = write_csv(tmp_path / "g.csv", np.eye(3))
+        out = tmp_path / "report.json"
+        argv = ["lasso", "--gram", gram, "--S", "0", "--lambda", "0.1", "--out", str(out)]
+        assert main(argv + ["--L", "2"]) == 0
+        assert read_report(out)["meta"]["config"]["big_l"] == 2.0
+        assert main(argv) == 0
+        assert read_report(out)["meta"]["config"]["big_l"] == RunConfig.big_l == 1.0
+
+    def test_calls_after_a_usage_error_match_fresh_processes(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the usage and help text wrap at COLUMNS, here and in the children
+        monkeypatch.setenv("COLUMNS", "80")
+        gram = write_csv(tmp_path / "g.csv", random_psd_entries(6, 5, 0.1))
+        outs = [str(tmp_path / "recover.json"), str(tmp_path / "analyze.json")]
+        calls = [["recover", "--gram", gram, "--bogus", "1"],
+                 ["recover", "--gram", gram, "--S", "0,3", "--out", outs[0]],
+                 ["analyze", "--gram", gram, "--S", "1,4", "--N", "3", "--out", outs[1]],
+                 ["analyze", "--help"]]
+
+        def reports():
+            found = [json.loads(Path(out).read_text()) for out in outs]
+            for report in found:
+                del report["meta"]["wall_time_s"]
+            return found
+
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+        assert "unrecognized arguments: --bogus 1" in in_process[0][2]
+        assert in_process[3][1].startswith("usage: lasso-audit analyze")
+        first = reports()
+        fresh = []
+        for argv in calls:
+            done = run_cli(argv)
+            fresh.append((done.returncode, done.stdout.decode(), done.stderr.decode()))
+        assert in_process == fresh
+        assert first == reports()

@@ -188,6 +188,15 @@ class TestGramMatrix:
             with pytest.raises(InvalidParameter, match="overflow when symmetrized"):
                 GramMatrix(np.array(entries))
 
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_rejects_a_spectrum_that_overflows(self, p):
+        # entries below half the largest double whose top eigenvalue, p times
+        # the entry, is inf; the smallest passes the PSD test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="spectrum overflows"):
+                GramMatrix(np.full((p, p), 8e307))
+
     def test_accepts_entries_up_to_half_the_largest_double(self):
         half = np.finfo(float).max / 2.0
         g = GramMatrix(np.diag([half, 1.0]))

@@ -208,6 +208,38 @@ class TestHierarchyEdge:
         assert "adaptive lower vs plain upper" in v.bound_direction_note
 
 
+def test_check_all_computes_each_regression_upper_key_once(fast_config, monkeypatch):
+    # lower_phi_routes under each certified_lower_phi, restricted_regression
+    # and the rr_*_upper inputs ask for the same routes; the Gram's memo
+    # computes each (S, N, variant, cap, sign_cap) once
+    from lasso_audit import estimators
+    from lasso_audit.experiments import random_psd_entries
+
+    requests, computed = [], []
+    real_memoized, real_upper = GramMatrix.memoized, estimators._regression_upper
+
+    def memoized(self, key, compute):
+        if key[0] == "regression_upper":
+            requests.append(key[1:])
+        return real_memoized(self, key, compute)
+
+    def counted(gram, cone, variant, cap, sign_cap):
+        computed.append((cone.S, cone.N, variant, cap, sign_cap))
+        return real_upper(gram, cone, variant, cap, sign_cap)
+
+    monkeypatch.setattr(GramMatrix, "memoized", memoized)
+    monkeypatch.setattr(estimators, "_regression_upper", counted)
+    entries = random_psd_entries(8, 50_021, 0.05)
+    g = GramMatrix(entries)
+    check_all(g, ConeSpec(S=(2, 5), L=2.0, N=3), fast_config)
+    assert len(computed) == len(set(computed)) == len(set(requests))
+    assert len(requests) > len(computed)
+    fresh = GramMatrix(entries)
+    for S, N, variant, cap, sign_cap in computed:
+        alone = real_upper(fresh, ConeSpec(S, 1.0, N), variant, cap, sign_cap)
+        assert g._memo[("regression_upper", S, N, variant, cap, sign_cap)] == alone
+
+
 class TestInfiniteSide:
     """An infinite certified endpoint is no bound and never reads as holding."""
 
