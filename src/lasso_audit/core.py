@@ -28,7 +28,8 @@ from .errors import AuditError, CapExceeded, InvalidParameter, SingularBlock
 
 DEFAULT_SUBSET_CAP = 10 ** 6
 SINGULAR_RTOL = 1e-10
-_MAX_GRAM_ENTRY = float(np.finfo(float).max) / 2.0
+# the bound on p^1.5 max|entry|: see GramMatrix
+_MAX_GRAM_SCALE = 2.0 ** 511
 _POOL_MAX_WORKERS = 8
 
 
@@ -215,9 +216,10 @@ class GramMatrix:
     """Symmetric PSD matrix wrapper.
 
     Symmetry is enforced at construction (asymmetry beyond 1e-12 of the entry
-    scale is rejected, below that the matrix is symmetrized; an entry above
-    half the largest double is rejected, as its sum with its mirror would
-    overflow).  A spectrum that is not all finite is rejected too.  Positive
+    scale is rejected, below that the matrix is symmetrized).  An entry scale
+    with p^1.5 max|entry| above 2^511 is rejected, so that every sum of p
+    squares of p-term sums of entries the constants form stays below 2^1022.
+    A spectrum that is not all finite is rejected too.  Positive
     semidefiniteness is checked on the full spectrum: a smallest eigenvalue
     below -1e-9 times the entry scale is rejected, so rank-deficient matrices
     (eigenvalues at rounding level around 0) pass.
@@ -240,19 +242,19 @@ class GramMatrix:
         if not np.all(np.isfinite(raw)):
             raise InvalidParameter("Gram matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(raw))))
-        # up to half the largest double, raw - raw.T and raw + raw.T are finite
-        if scale > _MAX_GRAM_ENTRY:
+        limit = _MAX_GRAM_SCALE / raw.shape[0] ** 1.5
+        if scale > limit:
             raise InvalidParameter(
-                f"Gram matrix entries overflow when symmetrized: |entry| {scale!r} "
-                f"exceeds half the largest double, {_MAX_GRAM_ENTRY!r}")
+                f"Gram matrix entries too large: |entry| {scale!r} exceeds "
+                f"2^511 / p^1.5 = {limit!r} at p={raw.shape[0]}")
         if float(np.max(np.abs(raw - raw.T))) > 1e-12 * scale:
             raise InvalidParameter("Gram matrix is not symmetric within 1e-12")
         sym = (raw + raw.T) / 2.0
         if float(np.min(np.diag(sym))) < -1e-12 * scale:
             raise InvalidParameter("Gram matrix has a negative diagonal entry")
         spectrum = np.linalg.eigvalsh(sym)
-        # finite entries can still give an infinite eigenvalue, about p times
-        # the entry scale; every bound built on the spectrum would be void
+        # the entry bound keeps the eigenvalues below 2^511; a spectrum that
+        # is still not finite would void every bound built on it
         if not np.all(np.isfinite(spectrum)):
             raise InvalidParameter(
                 f"Gram matrix spectrum overflows: an eigenvalue is not finite at "

@@ -319,22 +319,8 @@ def _project_to_cone(beta: np.ndarray, ix: _ConeIndex, variant: str) -> np.ndarr
 
 
 def _restricted_ratio_row(entries: np.ndarray, ix: _ConeIndex, b: np.ndarray) -> float:
-    """_batch_restricted_ratio of the one row b, bit for bit, without the
-    batch's per-call array set-up."""
-    B = b[None, :]
-    q = np.einsum("ij,ij->i", B @ entries, B)[0]
-    nsq = (b[ix.S] ** 2).sum()
-    k = ix.k
-    if k == 1:
-        # a product, not np.float64 ** 2, which can differ from the array
-        # square in the last bit
-        m = np.abs(b[ix.comp]).max()
-        nsq = nsq + m * m
-    elif k > 1:
-        at = np.abs(b[ix.comp])
-        top = np.partition(at, at.size - k)[at.size - k:]
-        nsq = nsq + (top ** 2).sum()
-    return float(q / nsq) if nsq > 1e-300 else math.inf
+    """_batch_restricted_ratio of the one row b: the refinement's one-row path."""
+    return float(_batch_restricted_ratio(entries, ix, b[None, :])[0])
 
 
 # candidates per line-search step: eta, eta / 2, ..., eta / 2^24
@@ -473,7 +459,7 @@ def restricted_eigenvalue(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
         del B, heads, tails
 
     refined = _refine_ratio(entries, ix, variant, best_beta)
-    best_val = min(best_val, float(_batch_restricted_ratio(entries, ix, refined[None, :])[0]))
+    best_val = min(best_val, _restricted_ratio_row(entries, ix, refined))
 
     low = certified_lower_phi(gram, cone, "restricted_eigenvalue", variant, cap, sign_cap)
     lower = min(low.estimate, best_val)
@@ -488,29 +474,31 @@ def _rr_value_head_only(sig11, sig21, heads, s, variant):
     numerator is linear in the tail, so the whole budget goes on the
     largest-response coordinate.
 
-    Each head is first scaled by a power of two 2^-e that brings its largest
+    Each head is first scaled by a power of two that brings its largest
     magnitude into [0.5, 1), so that no square overflows.  The scaling is
-    exact, and the ratio has degree 0 in the head, so its bits are those of
+    exact, and the score has degree 0 in the head, so its bits are those of
     the unscaled head wherever that computation neither overflows nor
-    underflows; the absolute tests take denom and budget * w at the head's
-    own scale, 2^2e times the scaled values, exactly."""
-    e = np.frexp(np.max(np.abs(heads), axis=1))[1]
-    heads = np.ldexp(heads, -e[:, None])
+    underflows.  The singularity tests have degree 0 too: denom and
+    budget * w are compared with tiny times the squared norm of the head,
+    so a head and any power-of-two multiple of it get the same score."""
+    heads = np.ldexp(heads, -np.frexp(np.max(np.abs(heads), axis=1))[1][:, None])
     denom = np.einsum("ia,ab,ib->i", heads, sig11, heads)
     if sig21.shape[0]:
         w = np.max(np.abs(sig21 @ heads.T), axis=0)
     else:
         w = np.zeros(heads.shape[0])
+    # np.linalg.norm(heads, axis=1) squared: its root is the norm, bit for bit
+    hsq = (heads * heads).sum(axis=1)
     if variant == "plain":
         budget = np.abs(heads).sum(axis=1)
     else:
-        budget = math.sqrt(s) * np.linalg.norm(heads, axis=1)
+        budget = math.sqrt(s) * np.sqrt(hsq)
     scale = float(np.max(np.abs(sig11))) if sig11.size else 1.0
-    tiny = SINGULAR_RTOL * max(scale, 1.0)
+    tiny = SINGULAR_RTOL * max(scale, 1.0) * hsq
     out = np.zeros(heads.shape[0])
-    ok = np.ldexp(denom, 2 * e) > tiny
+    ok = denom > tiny
     out[ok] = budget[ok] * w[ok] / denom[ok]
-    out[(~ok) & (np.ldexp(budget * w, 2 * e) > tiny)] = np.inf
+    out[(~ok) & (budget * w > tiny)] = np.inf
     return out
 
 
@@ -740,6 +728,11 @@ def restricted_regression(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     return bv.scaled(cone.L)
 
 
+def _check_target(target: str) -> None:
+    if target not in ("compatibility", "restricted_eigenvalue"):
+        raise InvalidParameter(f"unknown target {target!r}")
+
+
 def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibility",
                      variant: str = "plain", cap: int = DEFAULT_SUBSET_CAP,
                      sign_cap: int = DEFAULT_SIGN_CAP) -> dict:
@@ -768,8 +761,7 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
     regression_upper enumerates sign vectors up to sign_cap.
     """
     cone.validate_p(gram.p)
-    if target not in ("compatibility", "restricted_eigenvalue"):
-        raise InvalidParameter(f"unknown target {target!r}")
+    _check_target(target)
     _check_variant(variant)
     p, s, L = gram.p, cone.s, cone.L
     route_cap = min(cap, ROUTE_CAP)
@@ -807,9 +799,15 @@ def certified_lower_phi(gram: GramMatrix, cone: ConeSpec, target: str = "compati
     """Best certified closed-form lower bound for a cone-restricted minimum:
     the largest value of lower_phi_routes, its note listing every route.
     When no route applies the result is the trivial lower 0 with certificate
-    Estimate, noted "route=none".
+    Estimate, noted "route=none".  The result is memoized per Gram, keyed by
+    the target, the variant, S, L, N and both caps.
     """
-    return _best_route(lower_phi_routes(gram, cone, target, variant, cap, sign_cap))
+    cone.validate_p(gram.p)
+    _check_target(target)
+    _check_variant(variant)
+    return gram.memoized(
+        ("certified_lower_phi", target, variant, cone.S, cone.L, cone.N, cap, sign_cap),
+        lambda: _best_route(lower_phi_routes(gram, cone, target, variant, cap, sign_cap)))
 
 
 def _best_route(found: dict) -> BoundedValue:

@@ -471,8 +471,8 @@ def basis_pursuit_recover(gram: GramMatrix, beta0, config: SolverConfig = DEFAUL
     "dual_certificate") and no LP is solved.  Otherwise the two-phase simplex
     decides: the constraint ||f_beta - f0|| = 0 is equivalent to
     V'(beta - beta0) = 0 with V spanning the eigenvectors of Sigma above the
-    rank cutoff, and recovered = ||beta_lp - beta0||_inf <= 1e-6 (route
-    "simplex").
+    rank cutoff (none for a zero Sigma, whose LP has no rows and gives 0),
+    and recovered = ||beta_lp - beta0||_inf <= 1e-6 (route "simplex").
     """
     beta0 = np.asarray(beta0, dtype=float).ravel()
     if beta0.shape[0] != gram.p:
@@ -485,10 +485,6 @@ def basis_pursuit_recover(gram: GramMatrix, beta0, config: SolverConfig = DEFAUL
     lam_max = max(float(vals[-1]), 0.0)
     keep = vals > 1e-10 * max(lam_max, 1e-300)
     v_r = vecs[:, keep]
-    if v_r.shape[1] == 0:
-        # Sigma is (numerically) zero: every beta is feasible, minimum is 0
-        beta_lp = np.zeros(gram.p)
-        return beta_lp, bool(np.max(np.abs(beta_lp - beta0), initial=0.0) <= 1e-6), "simplex"
     a_eq = np.concatenate([v_r.T, -v_r.T], axis=1)
     b_eq = v_r.T @ beta0
     c = np.ones(2 * gram.p)

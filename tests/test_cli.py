@@ -682,9 +682,9 @@ class TestSupportOutOfRange:
 
 
 class TestOverflowingGram:
-    """Finite entries whose symmetrized value or spectrum overflows are
-    refused when the Gram is built, before any solve, with one line on
-    stderr and no numpy warning."""
+    """Entries too large for the constants' squares and p-fold sums
+    (p^1.5 max|entry| above 2^511) are refused when the Gram is built,
+    before any solve, with one line on stderr and no numpy warning."""
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--S", "0"],
@@ -694,10 +694,14 @@ class TestOverflowingGram:
     ])
     @pytest.mark.parametrize("entries, message", [
         ([[1e308, 0.0], [0.0, 1e308]],
-         "Gram matrix entries overflow when symmetrized: "
-         "|entry| 1e+308 exceeds half the largest double, 8.988465674311579e+307"),
+         "|entry| 1e+308 exceeds 2^511 / p^1.5 = 2.370187977027294e+153 at p=2"),
         (np.full((3, 3), 8e307),
-         "Gram matrix spectrum overflows: an eigenvalue is not finite at entry scale 8e+307"),
+         "|entry| 8e+307 exceeds 2^511 / p^1.5 = 1.290166919599193e+153 at p=3"),
+        # finite spectra whose constants overflowed: coherence squared inf
+        (np.full((2, 2), 8e307),
+         "|entry| 8e+307 exceeds 2^511 / p^1.5 = 2.370187977027294e+153 at p=2"),
+        (np.diag([8e307, 8e307, 1.0]),
+         "|entry| 8e+307 exceeds 2^511 / p^1.5 = 1.290166919599193e+153 at p=3"),
     ])
     def test_every_command_exits_1_before_any_solve(self, argv, entries, message, tmp_path,
                                                      capsys, monkeypatch):
@@ -714,8 +718,27 @@ class TestOverflowingGram:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv + ["--gram", gram, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: InvalidParameter: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: InvalidParameter: Gram matrix entries too large: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("p", [3, 8])
+    @pytest.mark.parametrize("kind", ["full", "diagonal", "random_psd"])
+    def test_entries_just_below_the_bound_raise_no_runtime_warning(self, kind, p, tmp_path):
+        # 0.99 of the bound: every command runs to a report; lasso is left
+        # out, as coordinate descent stops on an absolute tolerance
+        shape = {"full": np.ones((p, p)), "diagonal": np.diag(np.linspace(1.0, 0.5, p)),
+                 "random_psd": random_psd_entries(p, 3, 0.05)}[kind]
+        entries = 0.99 * 2.0 ** 511 / p ** 1.5 * shape / np.max(np.abs(shape))
+        gram = write_csv(tmp_path / "g.csv", entries)
+        out = tmp_path / "report.json"
+        for argv in (["analyze", "--S", "0"], ["analyze", "--S", "0,1", "--N", "2"],
+                     ["implications", "--S", "0"], ["recover", "--S", "0"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv + ["--gram", gram, "--out", str(out)]) in (0, 2)
+            assert "NaN" not in out.read_text()
+            read_report(out)
 
 
 class TestImplicationsCommand:

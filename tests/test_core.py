@@ -182,28 +182,37 @@ class TestGramMatrix:
     ])
     def test_rejects_entries_that_overflow_when_symmetrized(self, entries):
         # (raw + raw.T) / 2 would hold inf, the spectrum nan, and the PSD
-        # test would pass on nan; no numpy overflow warning is shown
+        # test would pass on nan; the entry bound refuses them first, and no
+        # numpy overflow warning is shown
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidParameter, match="overflow when symmetrized"):
+            with pytest.raises(InvalidParameter, match="entries too large"):
                 GramMatrix(np.array(entries))
 
-    @pytest.mark.parametrize("p", [3, 4])
-    def test_rejects_a_spectrum_that_overflows(self, p):
-        # entries below half the largest double whose top eigenvalue, p times
-        # the entry, is inf; the smallest passes the PSD test
+    @pytest.mark.parametrize("entries", [np.full((2, 2), 8e307), np.full((3, 3), 8e307),
+                                         np.full((4, 4), 8e307), np.diag([8e307, 8e307, 1.0])])
+    def test_rejects_a_spectrum_that_overflows(self, entries):
+        # finite symmetric entries whose spectrum, or whose squared p-term
+        # sums in the constants, overflow: refused by the entry bound
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidParameter, match="spectrum overflows"):
-                GramMatrix(np.full((p, p), 8e307))
+            with pytest.raises(InvalidParameter, match="entries too large"):
+                GramMatrix(entries)
 
-    def test_accepts_entries_up_to_half_the_largest_double(self):
-        half = np.finfo(float).max / 2.0
-        g = GramMatrix(np.diag([half, 1.0]))
-        assert g.entries[0, 0] == half
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_accepts_entries_up_to_the_scale_bound(self, p):
+        # p^1.5 * |entry| <= 2^511; p^1.5 is exact at these p
+        bound = 2.0 ** 511 / p ** 1.5
+        g = GramMatrix(np.diag([bound] + [1.0] * (p - 1)))
+        assert g.entries[0, 0] == bound
         assert np.all(np.isfinite(g.spectrum()))
-        with pytest.raises(InvalidParameter, match="not symmetric"):
-            GramMatrix(np.array([[1.0, half], [-half, 1.0]]))
+        with pytest.raises(InvalidParameter, match="entries too large"):
+            GramMatrix(np.diag([np.nextafter(bound, np.inf)] + [1.0] * (p - 1)))
+        if p > 1:
+            asym = np.eye(p)
+            asym[0, 1], asym[1, 0] = bound, -bound
+            with pytest.raises(InvalidParameter, match="not symmetric"):
+                GramMatrix(asym)
 
     def test_spot_check_catches_indefinite(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1

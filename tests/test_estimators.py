@@ -181,6 +181,21 @@ class TestRestrictedRegression:
         b = restricted_regression(g, cone3)
         assert b.upper == pytest.approx(3.0 * a.upper, rel=1e-12)
 
+    @pytest.mark.parametrize("variant", ["plain", "adaptive"])
+    def test_small_heads_keep_a_finite_lower_endpoint(self, variant):
+        # the ratio is a / eps at every head; the singularity tests once took
+        # the head's own scale, and a head below about 0.14 scored inf
+        eps, a = 5e-9, 0.9 * math.sqrt(5e-7)
+        g = GramMatrix(np.array([[eps, a, 0.0], [a, 100.0, 0.0], [0.0, 0.0, 1.0]]))
+        cone = ConeSpec(S=(0,), L=1.0, N=1)
+        bv = restricted_regression(g, cone, variant)
+        assert bv.lower == pytest.approx(a / eps, rel=1e-12)
+        assert bv.estimate == bv.lower
+        if variant == "adaptive":
+            e4 = next(v for v in check_all(g, cone) if v.edge_id == "E4")
+            assert math.isfinite(e4.lhs_value) and math.isfinite(e4.rhs_value)
+            assert e4.lhs_value == pytest.approx(e4.rhs_value, rel=1e-12)
+
     def test_lower_never_exceeds_upper(self, fast_config):
         rng = np.random.default_rng(79)
         for _ in range(3):

@@ -240,6 +240,42 @@ def test_check_all_computes_each_regression_upper_key_once(fast_config, monkeypa
         assert g._memo[("regression_upper", S, N, variant, cap, sign_cap)] == alone
 
 
+def test_check_all_computes_each_certified_lower_phi_key_once(fast_config, monkeypatch):
+    # several edge inputs ask for the same certified lower bound; the Gram's
+    # memo computes each (target, variant, S, L, N, cap, sign_cap) once
+    from lasso_audit import estimators
+    from lasso_audit.experiments import random_psd_entries
+
+    requests, computed = [], []
+    real_memoized, real_best = GramMatrix.memoized, estimators._best_route
+
+    def memoized(self, key, compute):
+        if key[0] == "certified_lower_phi":
+            requests.append(key[1:])
+            return real_memoized(self, key, lambda: (computed.append(key[1:]), compute())[1])
+        return real_memoized(self, key, compute)
+
+    monkeypatch.setattr(GramMatrix, "memoized", memoized)
+    entries = random_psd_entries(8, 50_021, 0.05)
+    g = GramMatrix(entries)
+    # at L = 1 and N = 2s, phi_lower_plain, phi_lower_plain_2s and
+    # phi_lower_2s name one bound
+    cone = ConeSpec(S=(2, 5), L=1.0, N=4)
+    check_all(g, cone, fast_config)
+    assert len(computed) == len(set(computed)) == len(set(requests))
+    assert len(requests) > len(computed)
+    fresh = GramMatrix(entries)
+    for target, variant, S, L, N, cap, sign_cap in computed:
+        alone = real_best(estimators.lower_phi_routes(fresh, ConeSpec(S, L, N), target, variant,
+                                                      cap, sign_cap))
+        assert g._memo[("certified_lower_phi", target, variant, S, L, N, cap, sign_cap)] == alone
+    # the target and variant checks run before the memo
+    with pytest.raises(InvalidParameter, match="unknown target"):
+        estimators.certified_lower_phi(g, cone, "sparse")
+    with pytest.raises(InvalidParameter, match="unknown cone variant"):
+        estimators.certified_lower_phi(g, cone, "restricted_eigenvalue", "adaptiv")
+
+
 class TestInfiniteSide:
     """An infinite certified endpoint is no bound and never reads as holding."""
 

@@ -11,8 +11,7 @@ and provenance notes compare with ==, at several chunk sizes.
 The search helpers of restricted_eigenvalue used to rebuild S, its complement
 and the top enlargement on every evaluation; those versions are kept here too,
 and the helpers that build the index sets once per call must reproduce them
-bit for bit (compared with tobytes()).  So must the one-row ratio of the
-refinement against the batch ratio.
+bit for bit (compared with tobytes()).
 
 The refinement's line search used to evaluate its step sizes one at a time
 with the one-row path; it now screens them with one batch score and a
@@ -23,9 +22,11 @@ inside the margin and the one-row path decides.  The screen must keep every
 candidate whose one-row value passes even the tightest threshold.
 
 The head-only regression scores used to take each head at its own scale,
-where the squares of 1e160-sized heads overflow; ref_rr_value_head_only is
-that form, and the power-of-two scaled kernel must match it bit for bit
-wherever it neither overflows nor underflows.
+where the squares of 1e160-sized heads overflow, with absolute singularity
+tests; ref_rr_value_head_only is that form.  The power-of-two scaled kernel
+tests relative to the head's squared norm: it must match the reference bit
+for bit on heads of moderate size, and give every power-of-two multiple of
+a head the same bits.
 
 The projected-gradient fallback of compatibility_constant used to index with
 Python lists and call the checked project_l1_ball on every projection, and to
@@ -658,30 +659,6 @@ def test_restricted_eigenvalue_matches_the_per_row_search(p, S, N, monkeypatch):
                 (want.estimate, want.lower, want.upper, want.certificate, want.provenance)
 
 
-# the k = 1 rows of sweep-pool instance 0 (p = 5, seed 50000, jitter 0.05,
-# S = (0, 1), L = 3, N = 3) on which np.float64 ** 2 of the top tail
-# magnitude rounded differently from the array square the batch ratio takes
-# (numpy 2.4.6, glibc pow); that moved two E7 values of the instance
-SCALAR_SQUARE_ROWS = [
-    ["0x1.0200e790d99c0p+0", "-0x1.04aa8686166eap-1", "0x1.4a0af7345eb3ap+0",
-     "0x1.12fb606638045p-2", "-0x1.6ba36c56faea1p-1"],
-    ["0x1.fde6b6eeb39d0p-1", "-0x1.be94bb74dc966p-2", "0x1.5641b11477546p+0",
-     "0x1.f3fc4c8eb0a90p-3", "-0x1.61292d59faf4dp-1"],
-    ["0x1.da073c581d78cp-1", "-0x1.fafb48ebf3bf8p-4", "0x1.83be3ed506c7dp+0",
-     "0x1.57f95ecdd1df8p-3", "-0x1.578a97e5404cdp-1"],
-]
-
-
-def test_one_row_ratio_squares_as_the_batch_does():
-    entries = random_psd_entries(5, 50_000, 0.05)
-    ix = estimators._cone_index(5, ConeSpec((0, 1), 3.0, 3))
-    assert ix.k == 1
-    for hexes in SCALAR_SQUARE_ROWS:
-        row = np.array([float.fromhex(h) for h in hexes])
-        want = estimators._batch_restricted_ratio(entries, ix, row[None, :])
-        assert same(np.array([estimators._restricted_ratio_row(entries, ix, row)]), want)
-
-
 # -- the screened line search -------------------------------------------------
 
 
@@ -1143,10 +1120,11 @@ def test_head_only_scores_keep_their_bits_at_every_power_of_two(make, S):
         heads.append(next(_sign_chunks(s, 2 ** s)) @ ((V / w) @ V.T))
     H = np.concatenate(heads)
     for variant in ("plain", "adaptive"):
-        for power in (-300, -40, 0, 1, 40, 300):
-            scaled = np.ldexp(H, power)
-            assert same(estimators._rr_value_head_only(sig11, sig21, scaled, s, variant),
-                        ref_rr_value_head_only(sig11, sig21, scaled, s, variant))
+        at_one = estimators._rr_value_head_only(sig11, sig21, H, s, variant)
+        assert same(at_one, ref_rr_value_head_only(sig11, sig21, H, s, variant))
+        for power in (-300, -40, 1, 40, 300):
+            assert same(estimators._rr_value_head_only(sig11, sig21, np.ldexp(H, power), s,
+                                                        variant), at_one)
 
 
 @pytest.mark.filterwarnings("error")

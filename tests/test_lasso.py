@@ -259,6 +259,15 @@ class TestBasisPursuit:
         blp, recovered, _ = basis_pursuit_recover(g, [1.0, 0.0])
         np.testing.assert_array_equal(blp, [0.0, 0.0])
         assert not recovered
+        # every beta is feasible: the simplex, with no constraint rows,
+        # returns +0.0 in every coordinate
+        for p in (1, 3, 5):
+            g = GramMatrix(np.zeros((p, p)))
+            for beta0 in (np.eye(p)[0], -np.ones(p)):
+                blp, recovered, route = basis_pursuit_recover(g, beta0)
+                assert route == "simplex"
+                assert blp.tobytes() == np.zeros(p).tobytes()
+                assert not recovered
 
 
 def _exact_dual_norm(entries, beta0):
