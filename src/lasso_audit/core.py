@@ -253,8 +253,8 @@ class GramMatrix:
         if float(np.min(np.diag(sym))) < -1e-12 * scale:
             raise InvalidParameter("Gram matrix has a negative diagonal entry")
         spectrum = np.linalg.eigvalsh(sym)
-        # the entry bound keeps the eigenvalues below 2^511; a spectrum that
-        # is still not finite would void every bound built on it
+        # the entry bound keeps the eigenvalues below 2^511: this guards against
+        # an eigensolver fault, which would void every bound built on them
         if not np.all(np.isfinite(spectrum)):
             raise InvalidParameter(
                 f"Gram matrix spectrum overflows: an eigenvalue is not finite at "

@@ -478,9 +478,11 @@ def _rr_value_head_only(sig11, sig21, heads, s, variant):
     magnitude into [0.5, 1), so that no square overflows.  The scaling is
     exact, and the score has degree 0 in the head, so its bits are those of
     the unscaled head wherever that computation neither overflows nor
-    underflows.  The singularity tests have degree 0 too: denom and
-    budget * w are compared with tiny times the squared norm of the head,
-    so a head and any power-of-two multiple of it get the same score."""
+    underflows.  The singularity tests have degree 0 in the head and in
+    Sigma: denom and budget * w are compared with SINGULAR_RTOL times the
+    largest |entry| of Sigma_SS times the squared norm of the head, so a
+    head and any power-of-two multiple of it get the same score, and when
+    Sigma_SS is nonsingular every head's Rayleigh quotient passes."""
     heads = np.ldexp(heads, -np.frexp(np.max(np.abs(heads), axis=1))[1][:, None])
     denom = np.einsum("ia,ab,ib->i", heads, sig11, heads)
     if sig21.shape[0]:
@@ -493,8 +495,7 @@ def _rr_value_head_only(sig11, sig21, heads, s, variant):
         budget = np.abs(heads).sum(axis=1)
     else:
         budget = math.sqrt(s) * np.sqrt(hsq)
-    scale = float(np.max(np.abs(sig11))) if sig11.size else 1.0
-    tiny = SINGULAR_RTOL * max(scale, 1.0) * hsq
+    tiny = SINGULAR_RTOL * (float(np.max(np.abs(sig11))) if sig11.size else 1.0) * hsq
     out = np.zeros(heads.shape[0])
     ok = denom > tiny
     out[ok] = budget[ok] * w[ok] / denom[ok]
@@ -728,11 +729,6 @@ def restricted_regression(gram: GramMatrix, cone: ConeSpec, variant: str = "plai
     return bv.scaled(cone.L)
 
 
-def _check_target(target: str) -> None:
-    if target not in ("compatibility", "restricted_eigenvalue"):
-        raise InvalidParameter(f"unknown target {target!r}")
-
-
 def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibility",
                      variant: str = "plain", cap: int = DEFAULT_SUBSET_CAP,
                      sign_cap: int = DEFAULT_SIGN_CAP) -> dict:
@@ -761,7 +757,8 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
     regression_upper enumerates sign vectors up to sign_cap.
     """
     cone.validate_p(gram.p)
-    _check_target(target)
+    if target not in ("compatibility", "restricted_eigenvalue"):
+        raise InvalidParameter(f"unknown target {target!r}")
     _check_variant(variant)
     p, s, L = gram.p, cone.s, cone.L
     route_cap = min(cap, ROUTE_CAP)
@@ -800,11 +797,9 @@ def certified_lower_phi(gram: GramMatrix, cone: ConeSpec, target: str = "compati
     the largest value of lower_phi_routes, its note listing every route.
     When no route applies the result is the trivial lower 0 with certificate
     Estimate, noted "route=none".  The result is memoized per Gram, keyed by
-    the target, the variant, S, L, N and both caps.
+    the target, the variant, S, L, N and both caps; lower_phi_routes checks
+    them, and a call it refuses stores nothing.
     """
-    cone.validate_p(gram.p)
-    _check_target(target)
-    _check_variant(variant)
     return gram.memoized(
         ("certified_lower_phi", target, variant, cone.S, cone.L, cone.N, cap, sign_cap),
         lambda: _best_route(lower_phi_routes(gram, cone, target, variant, cap, sign_cap)))

@@ -191,13 +191,23 @@ class TestGramMatrix:
 
     @pytest.mark.parametrize("entries", [np.full((2, 2), 8e307), np.full((3, 3), 8e307),
                                          np.full((4, 4), 8e307), np.diag([8e307, 8e307, 1.0])])
-    def test_rejects_a_spectrum_that_overflows(self, entries):
+    def test_rejects_entries_above_the_scale_bound(self, entries):
         # finite symmetric entries whose spectrum, or whose squared p-term
         # sums in the constants, overflow: refused by the entry bound
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameter, match="entries too large"):
                 GramMatrix(entries)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_a_spectrum_lapack_returns_not_finite(self, monkeypatch, bad):
+        # the entry bound keeps every eigenvalue finite, so only an
+        # eigensolver fault reaches this check
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: np.append(eigvalsh(a)[:-1], bad))
+        with pytest.raises(InvalidParameter, match="spectrum overflows"):
+            GramMatrix(np.eye(3))
 
     @pytest.mark.parametrize("p", [1, 4, 9])
     def test_accepts_entries_up_to_the_scale_bound(self, p):

@@ -181,11 +181,12 @@ class TestRestrictedRegression:
         b = restricted_regression(g, cone3)
         assert b.upper == pytest.approx(3.0 * a.upper, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [5e-9, 5e-11])
     @pytest.mark.parametrize("variant", ["plain", "adaptive"])
-    def test_small_heads_keep_a_finite_lower_endpoint(self, variant):
-        # the ratio is a / eps at every head; the singularity tests once took
-        # the head's own scale, and a head below about 0.14 scored inf
-        eps, a = 5e-9, 0.9 * math.sqrt(5e-7)
+    def test_small_heads_keep_a_finite_lower_endpoint(self, variant, eps):
+        # the ratio is a / eps at every head, whatever its norm and however
+        # far below 1 Sigma_SS lies: no head may score inf
+        a = 0.9 * math.sqrt(100.0 * eps)
         g = GramMatrix(np.array([[eps, a, 0.0], [a, 100.0, 0.0], [0.0, 0.0, 1.0]]))
         cone = ConeSpec(S=(0,), L=1.0, N=1)
         bv = restricted_regression(g, cone, variant)
@@ -195,6 +196,17 @@ class TestRestrictedRegression:
             e4 = next(v for v in check_all(g, cone) if v.edge_id == "E4")
             assert math.isfinite(e4.lhs_value) and math.isfinite(e4.rhs_value)
             assert e4.lhs_value == pytest.approx(e4.rhs_value, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+    def test_witness_heads_reach_the_uniform_leverage_at_any_scale(self, scale):
+        # the search's value at N = s is at least irr_uniform, which has
+        # degree 0 in Sigma: so is the singularity test, and E4 holds
+        g = GramMatrix(scale * np.array([[1.0, 0.5], [0.5, 1.0]]))
+        cone = ConeSpec(S=(0,), L=1.0, N=1)
+        for variant in ("plain", "adaptive"):
+            assert restricted_regression(g, cone, variant).lower == 0.5
+        e4 = next(v for v in check_all(g, cone) if v.edge_id == "E4")
+        assert (e4.lhs_value, e4.rhs_value, e4.holds) == (0.5, 0.5, True)
 
     def test_lower_never_exceeds_upper(self, fast_config):
         rng = np.random.default_rng(79)
