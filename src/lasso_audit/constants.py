@@ -398,8 +398,8 @@ def rip_constant(gram: GramMatrix, s_size: int, cap: int = DEFAULT_SUBSET_CAP) -
 
 def _lambda2_vanishes(gram: GramMatrix, lam2: float) -> bool:
     """The one rule for a numerically zero Lambda^2(S, N):
-    lam2 <= SINGULAR_RTOL * max(max_j Sigma_jj, 1)."""
-    return lam2 <= SINGULAR_RTOL * max(float(np.max(np.diag(gram.entries))), 1.0)
+    lam2 <= SINGULAR_RTOL * max_j Sigma_jj, so it holds at every scale of Sigma."""
+    return lam2 <= SINGULAR_RTOL * float(np.max(np.diag(gram.entries)))
 
 
 def weak_rip_constant(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
@@ -604,13 +604,14 @@ def block_norm_2q(gram: GramMatrix, nset: SubsetN, q, mode: str = "exact",
 def restricted_diagonal_holds(gram: GramMatrix, s_set, varphi: float) -> bool:
     """Whether Sigma - varphi * diag(indicator of s_set) is positive semidefinite.
 
-    Direct eigenvalue test; a tiny negative tolerance absorbs roundoff.
+    Direct eigenvalue test; a negative tolerance of 1e-12 max|Sigma_ij|
+    absorbs roundoff.
     """
     members = tuple(sorted(int(j) for j in s_set))
     shifted = gram.entries.copy()
     for j in members:
         shifted[j, j] -= varphi
-    scale = max(float(np.max(np.abs(gram.entries))), 1.0)
+    scale = float(np.max(np.abs(gram.entries)))
     return float(np.linalg.eigvalsh(shifted)[0]) >= -1e-12 * scale
 
 

@@ -215,10 +215,12 @@ def _jsonable(obj):
 class GramMatrix:
     """Symmetric PSD matrix wrapper.
 
-    Symmetry is enforced at construction (asymmetry beyond 1e-12 of the entry
-    scale is rejected, below that the matrix is symmetrized).  An entry scale
-    with p^1.5 max|entry| above 2^511 is rejected, so that every sum of p
-    squares of p-term sums of entries the constants form stays below 2^1022.
+    The entry scale is max|entry|, with no floor, so every tolerance below
+    scales with the matrix.  Symmetry is enforced at construction (asymmetry
+    beyond 1e-12 of the entry scale is rejected, below that the matrix is
+    symmetrized).  An entry scale with p^1.5 max|entry| above 2^511 is
+    rejected, so that every sum of p squares of p-term sums of entries the
+    constants form stays below 2^1022.
     A spectrum that is not all finite is rejected too.  Positive
     semidefiniteness is checked on the full spectrum: a smallest eigenvalue
     below -1e-9 times the entry scale is rejected, so rank-deficient matrices
@@ -241,7 +243,7 @@ class GramMatrix:
             raise InvalidParameter("Gram matrix must be nonempty")
         if not np.all(np.isfinite(raw)):
             raise InvalidParameter("Gram matrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(raw))))
+        scale = float(np.max(np.abs(raw)))
         limit = _MAX_GRAM_SCALE / raw.shape[0] ** 1.5
         if scale > limit:
             raise InvalidParameter(
@@ -474,11 +476,15 @@ def cone_membership(beta, cone: ConeSpec, nset: SubsetN = None, variant: str = "
     return True
 
 
-def tail_order(beta, cone: ConeSpec) -> list:
-    """Indices of S^c sorted by descending |beta_j|, ties by ascending index."""
-    beta = _as_vector(beta)
-    comp = _complement(beta.shape[0], cone.S)
-    return sorted(comp, key=lambda j: (-abs(beta[j]), j))
+def _top_tail(magnitudes: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the k largest entries in each row of magnitudes
+    (2-D), largest first, ties by ascending position: the one rule that
+    picks the top enlargement.  All positions when k is at least the row
+    length."""
+    # the stable ascending order of the reversed rows, read backwards: ties
+    # come out by ascending position, and no negated copy is made
+    r = magnitudes.shape[1]
+    return r - 1 - np.argsort(magnitudes[:, ::-1], axis=1, kind="stable")[:, ::-1][:, :k]
 
 
 def top_nset(beta, cone: ConeSpec) -> SubsetN:
@@ -486,11 +492,12 @@ def top_nset(beta, cone: ConeSpec) -> SubsetN:
 
     This is the ratio-minimizing admissible enlargement for the restricted
     eigenvalue: the sup-norm cap holds by construction and the denominator
-    ||beta_nset||_2 is maximal.  Ties break by ascending index.
+    ||beta_nset||_2 is maximal.  Ties break by ascending index (_top_tail).
     """
-    order = tail_order(beta, cone)
-    extra = order[: cone.N - cone.s]
-    return SubsetN(tuple(sorted(set(cone.S) | set(extra))))
+    beta = _as_vector(beta)
+    comp = np.array(_complement(beta.shape[0], cone.S), dtype=np.intp)
+    extra = comp[_top_tail(np.abs(beta[comp])[None, :], cone.N - cone.s)[0]]
+    return SubsetN(tuple(sorted(cone.S + tuple(extra.tolist()))))
 
 
 def d_infinity(a, b) -> float:

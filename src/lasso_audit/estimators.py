@@ -51,10 +51,10 @@ from .core import (
     _check_variant,
     _complement,
     _nonsingular,
+    _top_tail,
     cone_membership,
     derived_rng,
     superset_count,
-    top_nset,
 )
 from .errors import (
     AllSubmatricesSingular,
@@ -395,8 +395,7 @@ def _refine_ratio(entries: np.ndarray, ix: _ConeIndex, variant: str, beta: np.nd
     beta = beta.copy()
     f = _restricted_ratio_row(entries, ix, beta)
     for _ in range(iters):
-        # the top enlargement, ties by ascending index as in top_nset
-        extra = comp[np.argsort(-np.abs(beta[comp]), kind="stable")[:ix.k]]
+        extra = comp[_top_tail(np.abs(beta[comp])[None, :], ix.k)[0]]
         mask = np.zeros(entries.shape[0])
         mask[S] = 1.0
         mask[extra] = 1.0
@@ -507,49 +506,28 @@ def evaluate_regression_ratio(gram: GramMatrix, cone: ConeSpec, beta, variant: s
                               atol: float = 0.0) -> float:
     """The restricted-regression objective at one cone point:
     |t' Sigma[nset^c, nset] beta_nset| / beta_nset' Sigma_11(nset) beta_nset
-    with nset the top enlargement and t the remaining tail."""
+    with nset = top_nset(beta, cone) and t the remaining tail."""
     beta = np.asarray(beta, dtype=float)
     if not cone_membership(beta, cone, variant=variant, atol=atol):
         raise InvalidParameter("beta is not in the requested cone")
-    p = gram.p
-    nset = top_nset(beta, cone)
-    mask = np.zeros(p, dtype=bool)
-    mask[list(nset.members)] = True
-    head = np.where(mask, beta, 0.0)
-    tail = beta - head
-    g = gram.entries @ head
-    denom = float(head @ g)
-    numer = abs(float(tail @ g))
-    tiny = SINGULAR_RTOL * max(float(np.max(np.abs(gram.entries))), 1.0)
-    if denom <= tiny:
-        return math.inf if numer > tiny else 0.0
-    return numer / denom
+    return float(_batch_regression_ratio(gram.entries, _cone_index(gram.p, cone), beta[None, :])[0])
 
 
 def _batch_regression_ratio(entries: np.ndarray, ix: _ConeIndex, B: np.ndarray) -> np.ndarray:
-    """evaluate_regression_ratio for each row of B, up to which of several
-    tied tail magnitudes enters the top enlargement (argpartition's choice
-    here, the lowest index in top_nset)."""
-    m, p = B.shape
-    k, r = ix.k, ix.comp.size
-    # head is B with the r - k tail coordinates outside the enlargement
-    # zeroed: the complement of the top k of argpartition's split
-    drop = ix.comp[None, :]
-    if 0 < k < r:
-        at = B[:, ix.comp]
-        np.abs(at, out=at)
-        drop = ix.comp[np.argpartition(at, r - k, axis=1)[:, :r - k]]
-        del at
+    """evaluate_regression_ratio for each row of B: the head is the row on
+    its top enlargement (_top_tail), the tail the rest.  A denominator at
+    most SINGULAR_RTOL * max|Sigma_ij| counts as zero."""
     head = B.copy()
-    if k < r:
-        head.reshape(-1)[drop + np.arange(0, m * p, p)[:, None]] = 0.0
-    del drop
+    if ix.k < ix.comp.size:
+        top = ix.comp[_top_tail(np.abs(B[:, ix.comp]), ix.k)]
+        head[:, ix.comp] = 0.0
+        np.put_along_axis(head, top, np.take_along_axis(B, top, axis=1), axis=1)
     g = head @ entries
     denom = np.einsum("ij,ij->i", g, head)
     # the tail part, in the head's buffer
     numer = np.abs(np.einsum("ij,ij->i", g, np.subtract(B, head, out=head)))
-    tiny = SINGULAR_RTOL * max(float(np.max(np.abs(entries))), 1.0)
-    out = np.zeros(m)
+    tiny = SINGULAR_RTOL * float(np.max(np.abs(entries)))
+    out = np.zeros(B.shape[0])
     ok = denom > tiny
     out[ok] = numer[ok] / denom[ok]
     out[(~ok) & (numer > tiny)] = np.inf

@@ -41,6 +41,7 @@ from .solvers import (
     DEFAULT_CONFIG,
     LPProblem,
     SolverConfig,
+    _gamma,
     _stationarity_residual,
     coordinate_descent_lasso,
     simplex_lp,
@@ -396,18 +397,6 @@ def oracle_verdict(gram: GramMatrix, solution: LassoSolution, cone: ConeSpec, la
     return OracleVerdict(lhs=lhs, rhs=rhs, holds=holds, empirical_phi0=phi0,
                          l1_error=l1_error, l1_bound=l1_bound, l1_holds=l1_holds,
                          l2_error=l2_error, l2_bound=l2_bound, l2_holds=l2_holds)
-
-
-# unit roundoff of IEEE double precision
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u): a dot product of length n computed in
-    floating point, in any summation order, is off by at most gamma_n |x|'|y|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
-    nu = n * _UNIT_ROUNDOFF
-    return nu / (1.0 - nu)
 
 
 def _dual_certificate_bound(gram: GramMatrix, beta0: np.ndarray) -> float:

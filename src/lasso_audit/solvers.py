@@ -46,6 +46,17 @@ class SolverConfig:
 
 DEFAULT_CONFIG = SolverConfig()
 
+# unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): a dot product of length n computed in
+    floating point, in any summation order, is off by at most gamma_n |x|'|y|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
 
 def project_l1_ball(v, radius: float) -> np.ndarray:
     """Euclidean projection onto {x : ||x||_1 <= radius} by sort and threshold."""
@@ -157,8 +168,12 @@ def coordinate_descent_lasso(quadratic, correlation, lam: float, config: SolverC
     """Minimize beta'Q beta - 2 c'beta + lam ||beta||_1 by cyclic coordinate descent.
 
     Termination is on the KKT residual (sup-norm <= config.tol), which is the
-    exact optimality certificate for this convex objective.  Returns
-    (beta, residual, sweeps).
+    exact optimality certificate for this convex objective, or on a residual
+    within 2 gamma_{p+1} (max|Q_ij| ||beta||_1 + ||c||_inf), a bound on the
+    rounding of the gradient 2(Q beta - c) it is computed from, below which
+    it no longer measures the distance to optimality.  That bound scales
+    with Q and c, so a large-scale problem whose rounding exceeds tol still
+    stops.  Returns (beta, residual, sweeps).
     """
     q = np.asarray(quadratic, dtype=float)
     c = np.asarray(correlation, dtype=float)
@@ -174,6 +189,8 @@ def coordinate_descent_lasso(quadratic, correlation, lam: float, config: SolverC
     g = q @ beta
     half = lam / 2.0
     best = None
+    q_max = float(max(q.max(initial=0.0), -q.min(initial=0.0)))
+    c_max = float(np.abs(c).max(initial=0.0))
     for sweep in range(1, config.max_iters + 1):
         for j in range(p):
             old = beta[j]
@@ -185,7 +202,8 @@ def coordinate_descent_lasso(quadratic, correlation, lam: float, config: SolverC
         residual = _stationarity_residual(2.0 * (g - c), lam, beta)
         if best is None or residual < best[1]:
             best = (beta.copy(), residual, sweep)
-        if residual <= config.tol:
+        if residual <= config.tol or residual <= 2.0 * _gamma(p + 1) * (
+                q_max * float(np.abs(beta).sum()) + c_max):
             return beta, residual, sweep
     raise MaxItersExceeded(
         f"coordinate descent did not reach tol={config.tol} in {config.max_iters} sweeps",

@@ -422,6 +422,26 @@ class TestAnalyze:
         assert "error: InvalidParameter: Gram matrix is not PSD" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", ["--S", "0"]), ("implications", ["--S", "0"]),
+        ("lasso", ["--S", "0", "--lambda", "0.1"]), ("recover", ["--S", "0"])])
+    def test_a_small_indefinite_gram_is_refused_at_load(self, command, flags, tmp_path, capsys,
+                                                        monkeypatch):
+        # eigenvalues 3e-12 and -1e-12: the PSD tolerance is relative to
+        # max|entry|, so no scale makes an indefinite matrix pass
+        import lasso_audit.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve started on an indefinite Gram")
+
+        for name in ("condition_report", "solve_noiseless", "check_all",
+                     "basis_pursuit_recover"):
+            monkeypatch.setattr(cli, name, refuse)
+        gram = write_csv(tmp_path / "g.csv", 1e-12 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert main([command, "--gram", gram] + flags + ["--out", str(tmp_path / "r.json")]) == 1
+        assert "error: InvalidParameter: Gram matrix is not PSD" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_byte_identical_modulo_wall_time(self, tmp_path):
         gram = write_csv(tmp_path / "g.csv", np.eye(5))
         out = tmp_path / "report.json"
@@ -725,15 +745,16 @@ class TestOverflowingGram:
     @pytest.mark.parametrize("p", [3, 8])
     @pytest.mark.parametrize("kind", ["full", "diagonal", "random_psd"])
     def test_entries_just_below_the_bound_raise_no_runtime_warning(self, kind, p, tmp_path):
-        # 0.99 of the bound: every command runs to a report; lasso is left
-        # out, as coordinate descent stops on an absolute tolerance
+        # 0.99 of the bound: every command runs to a report; coordinate
+        # descent stops within the rounding of its scaled gradient
         shape = {"full": np.ones((p, p)), "diagonal": np.diag(np.linspace(1.0, 0.5, p)),
                  "random_psd": random_psd_entries(p, 3, 0.05)}[kind]
         entries = 0.99 * 2.0 ** 511 / p ** 1.5 * shape / np.max(np.abs(shape))
         gram = write_csv(tmp_path / "g.csv", entries)
         out = tmp_path / "report.json"
         for argv in (["analyze", "--S", "0"], ["analyze", "--S", "0,1", "--N", "2"],
-                     ["implications", "--S", "0"], ["recover", "--S", "0"]):
+                     ["implications", "--S", "0"], ["recover", "--S", "0"],
+                     ["lasso", "--S", "0", "--lambda", "0.1"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 assert main(argv + ["--gram", gram, "--out", str(out)]) in (0, 2)

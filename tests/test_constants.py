@@ -401,6 +401,15 @@ def test_restricted_diagonal_holds():
     assert restricted_diagonal_holds(GramMatrix(np.eye(4)), (0, 1), 1.0)
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+def test_restricted_diagonal_holds_at_every_scale(scale):
+    # a shift 1% past the admissible 2/3 fails at every scale: the roundoff
+    # tolerance is relative to max|Sigma_ij|
+    g = GramMatrix(scale * equicorr(3, 0.5).entries)
+    assert restricted_diagonal_holds(g, (0,), scale * 0.66)
+    assert not restricted_diagonal_holds(g, (0,), scale * 0.67)
+
+
 class TestAlphaConstant:
     def test_identity_is_zero(self):
         g = GramMatrix(np.eye(6))

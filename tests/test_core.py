@@ -26,7 +26,7 @@ from lasso_audit import (
     uniform_eigenvalue,
 )
 from lasso_audit.constants import _supersets
-from lasso_audit.core import check_superset_cap, tail_order
+from lasso_audit.core import check_superset_cap
 from lasso_audit.errors import CapExceeded, InvalidParameter, SingularBlock
 
 from conftest import random_gram
@@ -229,6 +229,20 @@ class TestGramMatrix:
         with pytest.raises(InvalidParameter, match="PSD"):
             GramMatrix(m)
 
+    @pytest.mark.parametrize("scale", [1e-12, 2.0 ** -40, 2.0 ** 40])
+    def test_psd_tolerance_is_relative_at_every_scale(self, scale):
+        with pytest.raises(InvalidParameter, match="not PSD"):
+            GramMatrix(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(InvalidParameter, match="not symmetric"):
+            GramMatrix(scale * np.array([[1.0, 1e-6], [0.0, 1.0]]))
+        with pytest.raises(InvalidParameter, match="negative diagonal"):
+            GramMatrix(scale * np.diag([1.0, -1e-6]))
+        assert GramMatrix(scale * np.eye(3)).p == 3
+
+    def test_accepts_the_zero_matrix(self):
+        g = GramMatrix(np.zeros((3, 3)))
+        assert not np.any(g.entries) and not np.any(g.spectrum())
+
     def test_accepts_singular_psd(self):
         m = np.ones((3, 3))  # rank one
         g = GramMatrix(m)
@@ -379,16 +393,15 @@ class TestConeMembership:
             cone_membership([1.0, 0.0], cone, variant="fancy")
 
 
-def test_tail_order_ties_break_by_index():
-    cone = ConeSpec(S=(2,), L=1.0, N=3)
-    beta = np.array([0.5, -0.5, 1.0, 0.2])
-    assert tail_order(beta, cone) == [0, 1, 3]
-
-
 def test_top_nset():
     cone = ConeSpec(S=(2,), L=1.0, N=2)
     beta = np.array([0.5, -0.5, 1.0, 0.2])
     assert top_nset(beta, cone).members == (0, 2)
+    # ties break by ascending index, at every enlargement size
+    assert top_nset(beta, ConeSpec(S=(2,), L=1.0, N=3)).members == (0, 1, 2)
+    assert top_nset(beta, ConeSpec(S=(2,), L=1.0, N=4)).members == (0, 1, 2, 3)
+    assert top_nset(beta, ConeSpec(S=(2,), L=1.0, N=1)).members == (2,)
+    assert top_nset([0.0, 0.5, 0.0, 1.0, 0.0], ConeSpec(S=(3,), L=1.0, N=3)).members == (0, 1, 3)
 
 
 def test_d_infinity():

@@ -28,9 +28,10 @@ from lasso_audit import (
     restricted_orthogonality,
     restricted_regression,
     superset_count,
+    top_nset,
     uniform_eigenvalue,
 )
-from lasso_audit import DEFAULT_CONFIG, constants
+from lasso_audit import DEFAULT_CONFIG, constants, estimators
 from lasso_audit.cli import condition_report
 from lasso_audit.constants import block_norm_maxima
 from lasso_audit.errors import CapExceeded, InvalidParameter
@@ -247,6 +248,17 @@ class TestPointEvaluators:
         cone = ConeSpec(S=(0, 1), L=1.0, N=2)
         assert evaluate_regression_ratio(g, cone, np.array([1.0, -1.0, 0.0, 0.0])) == 0.0
 
+    def test_tied_tail_enters_by_ascending_index_in_both_evaluators(self):
+        # |beta_1| = |beta_2| = |beta_3| tie for the one place N - s = 1;
+        # top_nset takes coordinate 1, and so must the batch
+        g = GramMatrix(random_psd_entries(5, 7, 0.1))
+        cone = ConeSpec(S=(0,), L=3.0, N=2)
+        beta = np.array([1.0, 0.5, -0.5, 0.5, 0.25])
+        assert top_nset(beta, cone).members == (0, 1)
+        ix = estimators._cone_index(5, cone)
+        assert evaluate_regression_ratio(g, cone, beta) == 0.0976031064281026
+        assert estimators._batch_regression_ratio(g.entries, ix, beta[None, :])[0] == 0.0976031064281026
+
 
 class TestCertifiedLowerPhi:
     def test_identity_lambda_min(self):
@@ -388,3 +400,40 @@ def test_lower_routes_honour_the_sign_cap(audit):
     audit(gram, ConeSpec((2, 7, 11), 1.0, 6), DEFAULT_CONFIG.reduced(), 200_000, 1000)
     assert ("block_norm_maxima", (2, 7, 11), 6, False) in gram._memo
     assert [key for key in gram._memo if isinstance(key, tuple) and key[-1] is True] == []
+
+
+# (entry, degree in Sigma) for the entries of condition_report that neither
+# compare with 1 (delta_N, rip, alpha) nor come from a search whose stream
+# is keyed by the Gram's fingerprint
+SCALE_COVARIANT = [("lambda2", 1), ("theta", 1), ("theta_uniform", 1), ("phi_lower_routes", 1),
+                   ("weak_rip", 0), ("mutual", 0), ("cumulative", 0),
+                   ("irr_uniform", 0), ("irr_part2", 0), ("irr_part3", 0)]
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** 40])
+def test_report_entries_scale_with_sigma(scale):
+    # Lambda^2 = 0.23 * scale vanishes only relative to max_j Sigma_jj; a
+    # power-of-two scale is exact, so each entry scales bit for bit
+    entries = random_psd_entries(7, 11, 0.1)
+    cone = ConeSpec((1, 4), 1.0, 4)
+    config = SolverConfig(samples=500)
+    base = condition_report(GramMatrix(entries), cone, config)
+    got = condition_report(GramMatrix(scale * entries), cone, config)
+    assert sorted(got.entries) == sorted(base.entries)
+    assert sorted(got.errors) == sorted(base.errors)
+    for key, degree in SCALE_COVARIANT:
+        want, have = base.entries[key], got.entries[key]
+        assert (have.estimate, have.lower, have.upper) == tuple(
+            scale ** degree * v for v in (want.estimate, want.lower, want.upper)), key
+
+
+def test_restricted_regression_holds_at_small_scale():
+    entries = random_psd_entries(6, 4, 0.1)
+    cone = ConeSpec((0,), 1.0, 2)
+    config = DEFAULT_CONFIG.reduced()
+    want = restricted_regression(GramMatrix(entries), cone, "plain", config)
+    assert 0.26 < want.lower <= want.upper < 1.18
+    for scale in (1e-12, 2.0 ** -40, 2.0 ** -80):
+        got = restricted_regression(GramMatrix(scale * entries), cone, "plain", config)
+        assert got.lower == pytest.approx(want.lower, rel=1e-12)
+        assert got.upper == pytest.approx(want.upper, rel=1e-12)

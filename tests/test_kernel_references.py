@@ -37,7 +37,10 @@ The restricted-regression search used to rebuild S, its complement and k on
 every ratio evaluation, to decompose Sigma_SS twice (once for the eigenvector
 heads, once in inverse_11) and to extract the spike-and-greedy block once per
 spike size; that search and its ratio kernel are kept here as the reference
-restricted_regression must reproduce bit for bit.
+restricted_regression must reproduce bit for bit.  The batch ratio kernel
+used to pick the top enlargement by argpartition, which breaks ties among
+tail magnitudes its own way; the reference builds each row's enlargement
+with top_nset, ties by ascending index, so the kernel must take that rule.
 
 The superset chunks used to be sorted row by row even when the base is
 empty; that sorted form is kept here as the reference the chunks must equal
@@ -52,8 +55,7 @@ the bounds must hold with room to spare, and no chunk may be gathered twice.
 
 The cone-search sample kernels used to allocate every intermediate they
 formed: _sample_cone_points a zero-filled B, the keep uniforms and the
-tail magnitudes as arrays of their own; _batch_regression_ratio a boolean
-mask, a scatter index, np.where and B - head; _restricted_ratio_parts a
+tail magnitudes as arrays of their own; _restricted_ratio_parts a
 partitioned copy of the tail magnitudes; and the sample loops kept chunk i
 alive while chunk i + 1 was drawn.  Those forms are kept here, and the lean
 kernels must reproduce them bit for bit (compared with tobytes()), for
@@ -901,7 +903,6 @@ def counting(monkeypatch, module, name, counts):
 def test_index_sets_are_built_once_per_call_and_never_per_step(monkeypatch):
     counts = {"_complement": 0, "top_nset": 0}
     counting(monkeypatch, estimators, "_complement", counts)
-    counting(monkeypatch, estimators, "top_nset", counts)
     counting(monkeypatch, core, "top_nset", counts)
 
     make, S, _ = PG_CASES["singular"]
@@ -923,26 +924,18 @@ def test_index_sets_are_built_once_per_call_and_never_per_step(monkeypatch):
 
 
 def ref_batch_regression_ratio(entries, cone, B):
-    p = entries.shape[0]
-    S = list(cone.S)
-    comp = outside(p, S)
-    m = B.shape[0]
-    mask = np.zeros((m, p), dtype=bool)
-    mask[:, S] = True
-    k = min(cone.N - cone.s, len(comp))
-    if k > 0:
-        at = np.abs(B[:, comp])
-        order = np.argpartition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
-        comp_arr = np.array(comp)
-        rows = np.repeat(np.arange(m), k)
-        mask[rows, comp_arr[order].ravel()] = True
+    """The regression ratio of each row of B, its head the row on its own
+    top_nset: one row at a time, apart from the shared arithmetic."""
+    mask = np.zeros(B.shape, dtype=bool)
+    for i, row in enumerate(B):
+        mask[i, list(top_nset(row, cone).members)] = True
     head = np.where(mask, B, 0.0)
     tailp = B - head
     g = head @ entries
     denom = np.einsum("ij,ij->i", g, head)
     numer = np.abs(np.einsum("ij,ij->i", g, tailp))
-    tiny = SINGULAR_RTOL * max(float(np.max(np.abs(entries))), 1.0)
-    out = np.zeros(m)
+    tiny = SINGULAR_RTOL * float(np.max(np.abs(entries)))
+    out = np.zeros(B.shape[0])
     ok = denom > tiny
     out[ok] = numer[ok] / denom[ok]
     out[(~ok) & (numer > tiny)] = np.inf
@@ -1068,7 +1061,7 @@ def test_restricted_regression_matches_the_per_row_search(make, S, N, monkeypatc
 
 @pytest.mark.parametrize("p, S, N", re_cases())
 def test_regression_kernel_matches_its_definition(p, S, N):
-    # dense tails inside the budget: no tied magnitudes at the enlargement's edge
+    # dense tails inside the budget
     gram = GramMatrix(random_psd_entries(p, 70 + p, 0.05))
     rng = np.random.default_rng(10 * p + N)
     for variant in ("plain", "adaptive"):
@@ -1082,9 +1075,10 @@ def test_regression_kernel_matches_its_definition(p, S, N):
             else:
                 budget = math.sqrt(len(S)) * L * np.linalg.norm(heads, axis=1)
             B[:, ix.comp] *= (0.9 * budget / np.abs(B[:, ix.comp]).sum(axis=1))[:, None]
-            want = [evaluate_regression_ratio(gram, cone, b, variant) for b in B]
-            np.testing.assert_allclose(estimators._batch_regression_ratio(gram.entries, ix, B),
-                                       want, rtol=1e-12, atol=0.0)
+            got = estimators._batch_regression_ratio(gram.entries, ix, B)
+            assert same(got, ref_batch_regression_ratio(gram.entries, cone, B))
+            one_row = [evaluate_regression_ratio(gram, cone, b, variant) for b in B]
+            np.testing.assert_allclose(got, one_row, rtol=1e-12, atol=0.0)
 
 
 def ref_rr_value_head_only(sig11, sig21, heads, s, variant):
@@ -1621,29 +1615,6 @@ def full_restricted_ratio_parts(entries, B, heads, tails, k):
     return np.divide(qs, nsq, out=np.full(B.shape[0], np.inf), where=nsq > 1e-300)
 
 
-def full_batch_regression_ratio(entries, ix, B):
-    """_batch_regression_ratio as it masked, scattered and subtracted."""
-    m, p = B.shape
-    mask = np.zeros((m, p), dtype=bool)
-    mask[:, ix.S] = True
-    k = ix.k
-    if k > 0:
-        at = np.abs(B[:, ix.comp])
-        order = np.argpartition(at, at.shape[1] - k, axis=1)[:, at.shape[1] - k:]
-        mask[np.repeat(np.arange(m), k), ix.comp[order].ravel()] = True
-    head = np.where(mask, B, 0.0)
-    tailp = B - head
-    g = head @ entries
-    denom = np.einsum("ij,ij->i", g, head)
-    numer = np.abs(np.einsum("ij,ij->i", g, tailp))
-    tiny = SINGULAR_RTOL * max(float(np.max(np.abs(entries))), 1.0)
-    out = np.zeros(m)
-    ok = denom > tiny
-    out[ok] = numer[ok] / denom[ok]
-    out[(~ok) & (numer > tiny)] = np.inf
-    return out
-
-
 # (p, S, N): k = 0, k = 1, k = 2 < r, 2 < k < r, k = 2 = r and k = 3 = r
 # (N = p), and r = 0 (S = all)
 LEAN_SHAPES = [(5, (1, 3), 2), (9, (0, 4, 8), 4), (8, (2, 5), 4), (9, (0, 4, 8), 6),
@@ -1676,7 +1647,7 @@ def test_lean_sample_kernels_match_the_full_forms(p, S, N):
                 assert same(estimators._restricted_ratio_parts(entries, rows, heads, tails, ix.k),
                             full_restricted_ratio_parts(entries, rows, heads, tails, ix.k))
                 assert same(estimators._batch_regression_ratio(entries, ix, rows),
-                            full_batch_regression_ratio(entries, ix, rows))
+                            ref_batch_regression_ratio(entries, ix.cone, rows))
     if p - len(S):
         assert signed_zero_tails > 0
 

@@ -2,7 +2,7 @@
 
 In constants, SINGULAR_RTOL is read only by _lambda2_vanishes, the rule that
 decides Lambda^2(S, N) is numerically zero.  In estimators it is read only by
-the three regression-ratio denominators, and restricted_orthogonality is
+the two regression-ratio denominators, and restricted_orthogonality is
 never called there: theta(S, N) / Lambda^2(S, N) is formed only by
 weak_rip_constant.  A read counts for the outermost function or class around
 it, as in test_one_cone_index.
@@ -44,7 +44,7 @@ def test_one_floor_and_one_ratio():
     assert readers(parse("constants"), "SINGULAR_RTOL") == ["_lambda2_vanishes"]
     estimators = parse("estimators")
     assert sorted(set(readers(estimators, "SINGULAR_RTOL"))) == [
-        "_batch_regression_ratio", "_rr_value_head_only", "evaluate_regression_ratio"]
+        "_batch_regression_ratio", "_rr_value_head_only"]
     assert callers(estimators, "restricted_orthogonality") == []
 
 

@@ -18,7 +18,8 @@ from lasso_audit import (
     soft_threshold,
 )
 from lasso_audit.errors import InvalidParameter, MaxItersExceeded, ZeroDiagonal
-from lasso_audit.experiments import equicorrelation_entries, sample_gaussian_design
+from lasso_audit import solvers
+from lasso_audit.experiments import equicorrelation_entries, random_psd_entries, sample_gaussian_design
 from lasso_audit.lasso import kkt_residual
 from lasso_audit.solvers import (
     _PIVOT_TOL,
@@ -306,6 +307,27 @@ class TestCoordinateDescent:
         beta, res, sweeps = info.value.best
         assert beta.shape == (2,)
         assert sweeps == 1
+
+    @pytest.mark.parametrize("scale", [2.0 ** 27, 2.0 ** 40])
+    def test_stops_at_the_rounding_of_its_gradient(self, scale):
+        # at scale 1 the residual reaches tol; scaled, it stalls above the
+        # absolute tol but within the rounding of the scaled gradient
+        q = random_psd_entries(3, 3, 0.05)
+        want, _, _ = coordinate_descent_lasso(q, q[:, 0], 0.1)
+        got, res, _ = coordinate_descent_lasso(scale * q, scale * q[:, 0], scale * 0.1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert res > DEFAULT_CONFIG.tol
+
+    def test_unit_scale_stops_on_tol_alone(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            a = rng.standard_normal((6, 5))
+            q, c = a.T @ a / 6.0 + 0.1 * np.eye(5), rng.standard_normal(5)
+            got = coordinate_descent_lasso(q, c, 0.1)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_gamma", lambda n: 0.0)
+                want = coordinate_descent_lasso(q, c, 0.1)
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
