@@ -26,18 +26,14 @@ from .core import (
     top_nset,
 )
 from .errors import (
-    AllSubmatricesSingular,
     AuditError,
     CapExceeded,
     DenominatorNonPositive,
     InvalidParameter,
     MaxItersExceeded,
     MissingInput,
-    MissingNoise,
     ParseError,
     SingularBlock,
-    SingularUniformEigenvalue,
-    ZeroDiagonal,
 )
 from .solvers import (
     DEFAULT_CONFIG,

@@ -61,13 +61,7 @@ from .core import (
     check_superset_cap,
     superset_count,
 )
-from .errors import (
-    AllSubmatricesSingular,
-    CapExceeded,
-    DenominatorNonPositive,
-    InvalidParameter,
-    SingularUniformEigenvalue,
-)
+from .errors import CapExceeded, DenominatorNonPositive, InvalidParameter, SingularBlock
 
 DEFAULT_SIGN_CAP = 2 ** 20
 
@@ -405,14 +399,14 @@ def _lambda2_vanishes(gram: GramMatrix, lam2: float) -> bool:
 def weak_rip_constant(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT_SUBSET_CAP) -> BoundedValue:
     """theta(S, N) / Lambda^2(S, N), the only place this ratio is formed
     (regression_upper's weak_rip route calls it).  Raises
-    SingularUniformEigenvalue when Lambda^2(S, N) vanishes (_lambda2_vanishes)
+    SingularBlock when Lambda^2(S, N) vanishes (_lambda2_vanishes)
     and CapExceeded, before either is enumerated, when either is over cap."""
     if cone.N > cone.s:
         check_superset_cap(cone, gram.p, cap)
     _ortho_plan(gram.p, cone, cap)
     lam2 = uniform_eigenvalue(gram, cone, cap).estimate
     if _lambda2_vanishes(gram, lam2):
-        raise SingularUniformEigenvalue(f"Lambda^2(S,N) = {lam2!r} is numerically zero")
+        raise SingularBlock(f"Lambda^2(S,N) = {lam2!r} is numerically zero")
     theta = restricted_orthogonality(gram, cone, cap).estimate
     return BoundedValue.exact(theta / lam2, provenance=f"theta={theta!r}, lambda2={lam2!r}")
 
@@ -462,7 +456,7 @@ def irrepresentable_uniform(gram: GramMatrix, cone: ConeSpec, cap: int = DEFAULT
             if worst[i] < best:
                 best, witness = float(worst[i]), tuple(nsets[i].tolist())
         if singular == total:
-            raise AllSubmatricesSingular(f"all {total} candidate Sigma_11 blocks are singular")
+            raise SingularBlock(f"all {total} candidate Sigma_11 blocks are singular")
         return BoundedValue.exact(best, provenance=f"argmin nset={witness}, singular_skipped={singular}")
 
     return gram.memoized(("irrepresentable_uniform", cone.S, cone.N), compute)
@@ -547,7 +541,7 @@ def coherence(gram: GramMatrix, cone: ConeSpec, kind: str) -> BoundedValue:
     s_idx = list(cone.S)
     lam2 = uniform_eigenvalue(gram, cone.with_(N=s)).estimate
     if _lambda2_vanishes(gram, lam2):
-        raise SingularUniformEigenvalue(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
+        raise SingularBlock(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
     outside = _complement(gram.p, cone.S)
     if not outside:
         return BoundedValue.exact(0.0, provenance="empty complement")
@@ -620,19 +614,20 @@ def alpha_constant(gram: GramMatrix, cone: ConeSpec, phi2_s2s_lower: float,
     """Selection-error constant
     (sqrt(2) theta(S,s) + sqrt((1+delta_s) theta(S,s))) / (phi(S,2s) Lambda(S,s)),
     evaluated with a certified lower bound for phi^2(S,2s), hence an upper bound.
-    Raises DenominatorNonPositive when that lower bound is not positive or
-    Lambda^2(S, s) vanishes (_lambda2_vanishes), and CapExceeded, before any
-    enumeration, when theta(S, s) or delta_s is over cap."""
+    Raises DenominatorNonPositive when that lower bound is not positive,
+    CapExceeded when theta(S, s) or delta_s is over cap, and SingularBlock
+    when Lambda^2(S, s) vanishes (_lambda2_vanishes), each before either
+    enumeration."""
     cone.validate_p(gram.p)
     if not (phi2_s2s_lower > 0.0):
         raise DenominatorNonPositive(f"phi^2(S,2s) lower bound {phi2_s2s_lower!r} must be positive")
     _ortho_plan(gram.p, cone.with_(N=cone.s), cap)
     _check_isometry(gram.p, cone.s, cap)
-    theta_s = restricted_orthogonality(gram, cone.with_(N=cone.s), cap).estimate
-    delta_s = restricted_isometry(gram, cone.s, cap).estimate
     lam2 = uniform_eigenvalue(gram, cone.with_(N=cone.s)).estimate
     if _lambda2_vanishes(gram, lam2):
-        raise DenominatorNonPositive(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
+        raise SingularBlock(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
+    theta_s = restricted_orthogonality(gram, cone.with_(N=cone.s), cap).estimate
+    delta_s = restricted_isometry(gram, cone.s, cap).estimate
     value = (math.sqrt(2.0) * theta_s + math.sqrt((1.0 + delta_s) * theta_s)) / (
         math.sqrt(phi2_s2s_lower) * math.sqrt(lam2)
     )

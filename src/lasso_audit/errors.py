@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all modules.
 
 Every error raised by this package derives from AuditError so callers can
-catch one base class at the CLI boundary.
+catch one base class at the CLI boundary, and each failure mode has one class.
 """
 
 
@@ -43,28 +43,14 @@ class MaxItersExceeded(AuditError):
         super().__init__(message)
 
 
-class ZeroDiagonal(AuditError):
-    pass
-
-
 class SingularBlock(AuditError):
-    pass
-
-
-class SingularUniformEigenvalue(AuditError):
-    pass
-
-
-class AllSubmatricesSingular(AuditError):
-    pass
+    """A Sigma block a computation needs is numerically singular: a Sigma_11
+    block, every candidate block, Lambda^2(S, N) or a diagonal entry."""
 
 
 class DenominatorNonPositive(AuditError):
-    pass
-
-
-class MissingNoise(AuditError):
-    pass
+    """A denominator that must be positive, such as 1 - delta_s - theta_ss or
+    a certified phi^2 lower bound, is not."""
 
 
 class MissingInput(AuditError):

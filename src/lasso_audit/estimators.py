@@ -56,12 +56,7 @@ from .core import (
     derived_rng,
     superset_count,
 )
-from .errors import (
-    AllSubmatricesSingular,
-    CapExceeded,
-    InvalidParameter,
-    MaxItersExceeded,
-)
+from .errors import CapExceeded, InvalidParameter, MaxItersExceeded, SingularBlock
 from .solvers import DEFAULT_CONFIG, SolverConfig, _project_l1_ball, projected_gradient_qp
 
 # enumeration budget for bound routes that are optional extras; routes above
@@ -495,10 +490,16 @@ def _rr_value_head_only(sig11, sig21, heads, s, variant):
     else:
         budget = math.sqrt(s) * np.sqrt(hsq)
     tiny = SINGULAR_RTOL * (float(np.max(np.abs(sig11))) if sig11.size else 1.0) * hsq
-    out = np.zeros(heads.shape[0])
+    return _ratio_or_limit(budget * w, denom, tiny)
+
+
+def _ratio_or_limit(numer, denom, tiny):
+    """numer / denom row by row, where a denominator at most tiny counts as
+    zero: the ratio is then inf if the numerator exceeds tiny, else 0."""
+    out = np.zeros(numer.shape[0])
     ok = denom > tiny
-    out[ok] = budget[ok] * w[ok] / denom[ok]
-    out[(~ok) & (budget * w > tiny)] = np.inf
+    out[ok] = numer[ok] / denom[ok]
+    out[(~ok) & (numer > tiny)] = np.inf
     return out
 
 
@@ -516,7 +517,8 @@ def evaluate_regression_ratio(gram: GramMatrix, cone: ConeSpec, beta, variant: s
 def _batch_regression_ratio(entries: np.ndarray, ix: _ConeIndex, B: np.ndarray) -> np.ndarray:
     """evaluate_regression_ratio for each row of B: the head is the row on
     its top enlargement (_top_tail), the tail the rest.  A denominator at
-    most SINGULAR_RTOL * max|Sigma_ij| counts as zero."""
+    most SINGULAR_RTOL * max|Sigma_ij| * ||row||^2 counts as zero, so the
+    result, like the ratio, has degree 0 in the row."""
     head = B.copy()
     if ix.k < ix.comp.size:
         top = ix.comp[_top_tail(np.abs(B[:, ix.comp]), ix.k)]
@@ -526,12 +528,8 @@ def _batch_regression_ratio(entries: np.ndarray, ix: _ConeIndex, B: np.ndarray) 
     denom = np.einsum("ij,ij->i", g, head)
     # the tail part, in the head's buffer
     numer = np.abs(np.einsum("ij,ij->i", g, np.subtract(B, head, out=head)))
-    tiny = SINGULAR_RTOL * float(np.max(np.abs(entries)))
-    out = np.zeros(B.shape[0])
-    ok = denom > tiny
-    out[ok] = numer[ok] / denom[ok]
-    out[(~ok) & (numer > tiny)] = np.inf
-    return out
+    tiny = SINGULAR_RTOL * float(np.max(np.abs(entries))) * np.einsum("ij,ij->i", B, B)
+    return _ratio_or_limit(numer, denom, tiny)
 
 
 def _rr_search(gram: GramMatrix, cone: ConeSpec, variant: str, config: SolverConfig):
@@ -753,7 +751,7 @@ def lower_phi_routes(gram: GramMatrix, cone: ConeSpec, target: str = "compatibil
             if L * irr < 1.0:
                 lam2_s = uniform_eigenvalue(gram, cone.with_(N=s)).estimate
                 found["uniform_leverage"] = (1.0 - L * irr) ** 2 * max(0.0, lam2_s)
-        except AllSubmatricesSingular:
+        except SingularBlock:
             pass
 
     for n_prime in dict.fromkeys((s, cone.N, min(2 * s, p))):

@@ -65,15 +65,7 @@ from .core import (
     SubsetN,
     _jsonable,
 )
-from .errors import (
-    AllSubmatricesSingular,
-    CapExceeded,
-    DenominatorNonPositive,
-    InvalidParameter,
-    MissingInput,
-    SingularBlock,
-    SingularUniformEigenvalue,
-)
+from .errors import CapExceeded, DenominatorNonPositive, InvalidParameter, MissingInput, SingularBlock
 from .estimators import (
     ROUTE_CAP,
     compatibility_constant,
@@ -94,8 +86,7 @@ _EDGE_RTOL = 1e-7
 _DIRECTION_NOTE = "certified endpoints: lower on the >=-side, upper on the <=-side"
 
 # errors that mean "could not evaluate on this instance", turned into skips
-_SKIP_ERRORS = (CapExceeded, AllSubmatricesSingular, SingularUniformEigenvalue,
-                DenominatorNonPositive, SingularBlock)
+_SKIP_ERRORS = (CapExceeded, SingularBlock, DenominatorNonPositive)
 
 
 @dataclass(frozen=True)
@@ -124,6 +115,12 @@ class ImplicationVerdict:
 
 def _skip(edge_id: str, reason: str) -> ImplicationVerdict:
     return ImplicationVerdict(edge_id, None, None, None, None, f"skipped: {reason}")
+
+
+def _refused(edge_id: str, exc: Exception) -> ImplicationVerdict:
+    """The skip for an input whose computation was refused, naming the
+    exception's class first so the reason reads by machine."""
+    return _skip(edge_id, f"{type(exc).__name__}: {exc}")
 
 
 def _verdict(edge_id: str, lhs: float, rhs: float, relation: str, note: str) -> ImplicationVerdict:
@@ -200,8 +197,6 @@ class _Inputs:
         if key == "alpha":
             # alpha(S) fed with the certified phi^2(S,2s) lower bound
             phi_low = self.get(edge_id, "phi_lower_2s")
-            if not float(phi_low.estimate) > 0.0:
-                raise DenominatorNonPositive("no positive certified phi^2(S,2s) lower bound")
             return alpha_constant(gram, cone.with_(N=s), float(phi_low.estimate), self.cap)
         if key == "phi_compat":
             return compatibility_constant(gram, cone, self.config, self.sign_cap)
@@ -420,8 +415,8 @@ def _edge_e10(edge_id, inputs):
         return _skip(edge_id, f"premise 1 - delta_s - theta_ss - theta_s2s > 0 fails ({denom!r})")
     try:
         alpha = inputs.get(edge_id, "alpha")
-    except DenominatorNonPositive as exc:
-        return _skip(edge_id, str(exc))
+    except (SingularBlock, DenominatorNonPositive) as exc:
+        return _refused(edge_id, exc)
     lhs = float(alpha.upper)
     rhs = math.sqrt(2.0) * (theta_ss + math.sqrt(theta_ss)) / denom
     return _verdict(edge_id, lhs, rhs, "le",
@@ -435,8 +430,8 @@ def _edge_e11(edge_id, inputs):
         return _skip(edge_id, "requires 2s <= p")
     try:
         alpha = inputs.get(edge_id, "alpha")
-    except DenominatorNonPositive as exc:
-        return _skip(edge_id, str(exc))
+    except (SingularBlock, DenominatorNonPositive) as exc:
+        return _refused(edge_id, exc)
     lhs = float(alpha.upper)
     if not lhs < 1.0:
         return _skip(edge_id, f"premise alpha(S) < 1 fails (upper={lhs!r})")
@@ -479,7 +474,7 @@ def check_all(gram: GramMatrix, cone: ConeSpec, config: SolverConfig = DEFAULT_C
         try:
             out.append(_EDGE_CHECKS[edge_id](edge_id, inputs))
         except _SKIP_ERRORS as exc:
-            out.append(_skip(edge_id, f"{type(exc).__name__}: {exc}"))
+            out.append(_refused(edge_id, exc))
     return out
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .constants import irrepresentable_signed, irrepresentable_uniform, uniform_eigenvalue
 from .core import (
+    SINGULAR_RTOL,
     BoundedValue,
     ConeSpec,
     GramMatrix,
@@ -28,14 +29,7 @@ from .core import (
     d_infinity,
     inverse_11,
 )
-from .errors import (
-    AllSubmatricesSingular,
-    AuditError,
-    CapExceeded,
-    InvalidParameter,
-    MissingNoise,
-    SingularBlock,
-)
+from .errors import AuditError, CapExceeded, InvalidParameter, SingularBlock
 from .estimators import certified_lower_phi
 from .solvers import (
     DEFAULT_CONFIG,
@@ -299,7 +293,7 @@ def selection_report(gram_or_noisy, solution: LassoSolution, cone: ConeSpec, bet
         part1_value = float(irr.estimate)
         limit = math.inf if big_l == 0 else 1.0 / big_l
         part1_premise = part1_value < limit
-    except (AllSubmatricesSingular, CapExceeded):
+    except (SingularBlock, CapExceeded):
         pass
     part1_conclusion = false_pos <= n_size - s
     part1_holds = None if part1_premise is None else ((not part1_premise) or part1_conclusion)
@@ -472,7 +466,7 @@ def basis_pursuit_recover(gram: GramMatrix, beta0, config: SolverConfig = DEFAUL
         return beta0.copy(), True, "dual_certificate"
     vals, vecs = np.linalg.eigh(gram.entries)
     lam_max = max(float(vals[-1]), 0.0)
-    keep = vals > 1e-10 * max(lam_max, 1e-300)
+    keep = vals > SINGULAR_RTOL * max(lam_max, 1e-300)
     v_r = vecs[:, keep]
     a_eq = np.concatenate([v_r.T, -v_r.T], axis=1)
     b_eq = v_r.T @ beta0
@@ -488,7 +482,7 @@ def basis_pursuit_recover(gram: GramMatrix, beta0, config: SolverConfig = DEFAUL
 def lambda0_of_data(noisy: NoisyProblem) -> float:
     """2 max_j |(psi_j, epsilon)_n| for the realized noise."""
     if noisy.epsilon is None:
-        raise MissingNoise("epsilon is required to evaluate the noise level")
+        raise InvalidParameter("epsilon is required to evaluate the noise level")
     return float(noisy.lambda0)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameter, MaxItersExceeded, ZeroDiagonal
+from .errors import InvalidParameter, MaxItersExceeded, SingularBlock
 
 _PIVOT_TOL = 1e-10
 
@@ -184,7 +184,7 @@ def coordinate_descent_lasso(quadratic, correlation, lam: float, config: SolverC
         raise InvalidParameter("lam must be nonnegative")
     diag = np.diag(q).copy()
     if np.any(diag <= 0.0):
-        raise ZeroDiagonal("coordinate descent needs strictly positive diagonal")
+        raise SingularBlock("coordinate descent needs strictly positive diagonal")
     beta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
     g = q @ beta
     half = lam / 2.0

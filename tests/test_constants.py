@@ -28,13 +28,7 @@ from lasso_audit import (
     uniform_eigenvalue,
     weak_rip_constant,
 )
-from lasso_audit.errors import (
-    AllSubmatricesSingular,
-    CapExceeded,
-    DenominatorNonPositive,
-    InvalidParameter,
-    SingularUniformEigenvalue,
-)
+from lasso_audit.errors import CapExceeded, DenominatorNonPositive, InvalidParameter, SingularBlock
 from lasso_audit import constants
 from lasso_audit.estimators import regression_upper
 from lasso_audit.experiments import random_psd_entries
@@ -211,7 +205,7 @@ class TestRipAndWeakRip:
 
     def test_weak_rip_singular_guard(self):
         g = GramMatrix(np.ones((3, 3)))
-        with pytest.raises(SingularUniformEigenvalue):
+        with pytest.raises(SingularBlock):
             weak_rip_constant(g, ConeSpec(S=(0,), L=1.0, N=2))
 
 
@@ -239,7 +233,7 @@ class TestIrrepresentableUniform:
     def test_all_singular(self):
         # with |S| = 2 every candidate block of the all-ones matrix is singular
         g = GramMatrix(np.ones((3, 3)))
-        with pytest.raises(AllSubmatricesSingular):
+        with pytest.raises(SingularBlock):
             irrepresentable_uniform(g, ConeSpec(S=(0, 1), L=1.0, N=2))
 
 
@@ -313,7 +307,7 @@ class TestCoherence:
         with pytest.raises(InvalidParameter):
             coherence(g, ConeSpec(S=(0, 1), L=1.0, N=2), "spectral")
         ones = GramMatrix(np.ones((3, 3)))
-        with pytest.raises(SingularUniformEigenvalue):
+        with pytest.raises(SingularBlock):
             coherence(ones, ConeSpec(S=(0, 1), L=1.0, N=2), "mutual")
 
 
@@ -434,7 +428,7 @@ class TestAlphaConstant:
         with pytest.raises(DenominatorNonPositive):
             alpha_constant(g, ConeSpec(S=(0,), L=1.0, N=1), 0.0)
         ones = GramMatrix(np.ones((3, 3)))
-        with pytest.raises(DenominatorNonPositive):
+        with pytest.raises(SingularBlock):
             alpha_constant(ones, ConeSpec(S=(0, 1), L=1.0, N=2), 1.0)
 
 
@@ -463,14 +457,23 @@ class TestOneLambda2Rule:
 
     def test_at_the_floor_every_reader_refuses(self):
         g = self.gram(5e-11)
-        with pytest.raises(SingularUniformEigenvalue):
+        with pytest.raises(SingularBlock):
             weak_rip_constant(g, self.cone)
         for kind in ("mutual", "cumulative"):
-            with pytest.raises(SingularUniformEigenvalue):
+            with pytest.raises(SingularBlock):
                 coherence(g, self.cone, kind)
         assert regression_upper(g, self.cone).provenance == "no applicable route"
-        with pytest.raises(DenominatorNonPositive):
+        with pytest.raises(SingularBlock):
             alpha_constant(g, self.cone, 1.0)
+
+    def test_alpha_refuses_before_either_enumeration(self, monkeypatch):
+        def enumerated(*args, **kwargs):
+            raise AssertionError("enumerated before the Lambda^2 test")
+
+        monkeypatch.setattr(constants, "restricted_orthogonality", enumerated)
+        monkeypatch.setattr(constants, "restricted_isometry", enumerated)
+        with pytest.raises(SingularBlock, match=r"Lambda\^2\(S,s\) = .* is numerically zero"):
+            alpha_constant(self.gram(5e-11), self.cone, 1.0)
 
 
 # -- the batched enumeration kernel against a plain per-subset loop ----------

@@ -259,6 +259,16 @@ class TestPointEvaluators:
         assert evaluate_regression_ratio(g, cone, beta) == 0.0976031064281026
         assert estimators._batch_regression_ratio(g.entries, ix, beta[None, :])[0] == 0.0976031064281026
 
+    def test_regression_ratio_has_degree_zero_in_beta(self):
+        # the singularity test scales with ||beta||^2, as the ratio does
+        g = GramMatrix(random_psd_entries(5, 7, 0.1))
+        cone = ConeSpec(S=(0,), L=3.0, N=2)
+        beta = np.array([1.0, 0.5, -0.5, 0.5, 0.25])
+        want = evaluate_regression_ratio(g, cone, beta)
+        assert want == 0.0976031064281026
+        for scale in (1e-4, 1e-6, 1e-100):
+            assert evaluate_regression_ratio(g, cone, scale * beta) == pytest.approx(want, rel=1e-14)
+
 
 class TestCertifiedLowerPhi:
     def test_identity_lambda_min(self):

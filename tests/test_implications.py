@@ -102,6 +102,40 @@ class TestRankOneCrossInstance:
         assert all(v.holds is not False for v in cross_verdicts)
 
 
+class TestAlphaRefusal:
+    """On diag(1, 0, 1, 1) with S = {0} and N = 2 no certified route bounds
+    phi^2(S, 2s) away from 0, so alpha_constant refuses its input."""
+
+    gram = GramMatrix(np.diag([1.0, 0.0, 1.0, 1.0]))
+    cone = ConeSpec(S=(0,), L=1.0, N=2)
+    reason = "skipped: DenominatorNonPositive: phi^2(S,2s) lower bound 0.0 must be positive"
+
+    def test_e10_and_e11_skip_with_the_class_through_check_edge(self, fast_config):
+        # E10's premises supplied as they would hold, so it reaches alpha
+        premise = {key: BoundedValue.exact(0.0) for key in ("delta_s", "theta_ss", "theta_s2s")}
+        e10 = check_edge("E10", self.gram, self.cone, premise, fast_config)
+        e11 = check_edge("E11", self.gram, self.cone, None, fast_config)
+        assert e10.bound_direction_note == self.reason
+        assert e11.bound_direction_note == self.reason
+
+    def test_a_vanishing_lambda2_skips_as_a_singular_block(self, fast_config):
+        # S = {1} puts the zero diagonal entry in Sigma_SS, and a supplied
+        # positive phi^2(S,2s) lower bound gets alpha past its first check
+        cone = ConeSpec(S=(1,), L=1.0, N=2)
+        supplied = {"phi_lower_2s": BoundedValue.exact(1.0),
+                    **{key: BoundedValue.exact(0.0) for key in ("delta_s", "theta_ss", "theta_s2s")}}
+        for edge_id in ("E10", "E11"):
+            verdict = check_edge(edge_id, self.gram, cone, supplied, fast_config)
+            assert verdict.bound_direction_note == (
+                "skipped: SingularBlock: Lambda^2(S,s) = 0.0 is numerically zero")
+
+    def test_check_all_gives_the_same_skip(self, fast_config):
+        verdicts = {v.edge_id: v for v in check_all(self.gram, self.cone, fast_config)}
+        assert verdicts["E11"].bound_direction_note == self.reason
+        # E10's own premise 1 - delta_s - theta_ss - theta_s2s > 0 fails first here
+        assert verdicts["E10"].bound_direction_note.startswith("skipped: premise")
+
+
 def test_random_instances_never_fail(fast_config):
     # failures would be counterexamples to proved statements; skips are fine
     rng = np.random.default_rng(113)

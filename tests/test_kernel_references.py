@@ -109,7 +109,7 @@ from lasso_audit import (
 from lasso_audit import constants, core, estimators
 from lasso_audit.constants import _sign_chunks, block_norm_maxima
 from lasso_audit.core import SINGULAR_RTOL, derived_rng
-from lasso_audit.errors import AllSubmatricesSingular, CapExceeded, MaxItersExceeded, SingularBlock
+from lasso_audit.errors import CapExceeded, MaxItersExceeded, SingularBlock
 from lasso_audit.estimators import ROUTE_CAP, certified_lower_phi, restricted_eigenvalue
 from lasso_audit.experiments import block_equicorrelation_entries, random_psd_entries
 
@@ -139,7 +139,7 @@ def loop_irrepresentable_uniform(gram, cone):
         if val < best:
             best, witness = val, nset.members
     if singular == total:
-        raise AllSubmatricesSingular(f"all {total} candidate Sigma_11 blocks are singular")
+        raise SingularBlock(f"all {total} candidate Sigma_11 blocks are singular")
     return BoundedValue.exact(best, provenance=f"argmin nset={witness}, singular_skipped={singular}")
 
 
@@ -335,7 +335,7 @@ def outcome(fn, *args):
     """fn(*args), or the type and text of the audit error it raised."""
     try:
         return fn(*args)
-    except AllSubmatricesSingular as exc:
+    except SingularBlock as exc:
         return type(exc), str(exc)
 
 
@@ -925,7 +925,8 @@ def test_index_sets_are_built_once_per_call_and_never_per_step(monkeypatch):
 
 def ref_batch_regression_ratio(entries, cone, B):
     """The regression ratio of each row of B, its head the row on its own
-    top_nset: one row at a time, apart from the shared arithmetic."""
+    top_nset: one row at a time, apart from the shared arithmetic.  A
+    denominator at most SINGULAR_RTOL * max|Sigma_ij| * ||row||^2 is zero."""
     mask = np.zeros(B.shape, dtype=bool)
     for i, row in enumerate(B):
         mask[i, list(top_nset(row, cone).members)] = True
@@ -934,7 +935,7 @@ def ref_batch_regression_ratio(entries, cone, B):
     g = head @ entries
     denom = np.einsum("ij,ij->i", g, head)
     numer = np.abs(np.einsum("ij,ij->i", g, tailp))
-    tiny = SINGULAR_RTOL * float(np.max(np.abs(entries)))
+    tiny = SINGULAR_RTOL * float(np.max(np.abs(entries))) * np.einsum("ij,ij->i", B, B)
     out = np.zeros(B.shape[0])
     ok = denom > tiny
     out[ok] = numer[ok] / denom[ok]
@@ -1173,7 +1174,7 @@ def ref_lower_phi_routes(gram, cone, target, variant):
             if L * irr < 1.0:
                 lam2_s = uniform_eigenvalue(gram, cone.with_(N=s)).estimate
                 found["uniform_leverage"] = (1.0 - L * irr) ** 2 * max(0.0, lam2_s)
-        except AllSubmatricesSingular:
+        except SingularBlock:
             pass
     for n_prime in sorted({s, cone.N, min(2 * s, p)}):
         if target == "restricted_eigenvalue" and n_prime < cone.N:

@@ -30,7 +30,7 @@ from lasso_audit import (
     soft_threshold,
 )
 from lasso_audit import lasso
-from lasso_audit.errors import InvalidParameter, MissingNoise
+from lasso_audit.errors import InvalidParameter
 
 from conftest import random_gram
 
@@ -446,7 +446,7 @@ class TestNoise:
 
     def test_missing_noise(self):
         noisy = NoisyProblem(X=np.eye(2), Y=np.ones(2))
-        with pytest.raises(MissingNoise):
+        with pytest.raises(InvalidParameter, match="epsilon is required"):
             lambda0_of_data(noisy)
 
     def test_problem_validation(self):

@@ -17,7 +17,7 @@ from lasso_audit import (
     simplex_lp,
     soft_threshold,
 )
-from lasso_audit.errors import InvalidParameter, MaxItersExceeded, ZeroDiagonal
+from lasso_audit.errors import InvalidParameter, MaxItersExceeded, SingularBlock
 from lasso_audit import solvers
 from lasso_audit.experiments import equicorrelation_entries, random_psd_entries, sample_gaussian_design
 from lasso_audit.lasso import kkt_residual
@@ -296,7 +296,7 @@ class TestCoordinateDescent:
 
     def test_zero_diagonal_rejected(self):
         q = np.array([[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ZeroDiagonal):
+        with pytest.raises(SingularBlock):
             coordinate_descent_lasso(q, np.ones(2), 0.1)
 
     def test_iteration_limit_carries_best(self):
