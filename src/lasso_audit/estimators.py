@@ -91,7 +91,6 @@ def compatibility_constant(gram: GramMatrix, cone: ConeSpec, config: SolverConfi
         raise CapExceeded(2 ** (s - 1), sign_cap, what="compatibility sign enumeration")
     ix = _cone_index(p, cone)
     vals, vecs = np.linalg.eigh(gram.entries)
-    lam_max = max(float(vals[-1]), 0.0)
     nonsingular = _nonsingular(vals)
     if nonsingular:
         inv_cols = (vecs / vals) @ vecs.T[:, ix.S]
@@ -119,7 +118,9 @@ def compatibility_constant(gram: GramMatrix, cone: ConeSpec, config: SolverConfi
         hard.append(full[~feasible])
     hard = np.concatenate(hard)
 
-    lip = 2.0 * max(lam_max, 1e-12)
+    # 2 lambda_max(Sigma) is the gradient's Lipschitz constant; Sigma = 0
+    # has gradient 0, and any positive step converges there at once
+    lip = 2.0 * float(vals[-1]) if vals[-1] > 0.0 else 1.0
     diverged = 0
     for tau in hard:
         v, tau_t, converged = _equality_tail_qp(gram, ix, tau, config, lip)

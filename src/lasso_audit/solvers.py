@@ -84,28 +84,15 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def lipschitz_estimate(quadratic: np.ndarray, iters: int = 50) -> float:
-    """2 * lambda_max(Q) estimated by fixed-count power iteration."""
-    q = np.asarray(quadratic, dtype=float)
-    n = q.shape[0]
-    x = np.ones(n) / np.sqrt(n)
-    # deterministic tie-breaker so symmetric sign structures cannot stall
-    x += np.arange(n) * (1e-6 / max(n, 1))
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        y = q @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        lam = float(x @ y)
-        x = y / norm
-    return 2.0 * abs(lam)
-
-
 def projected_gradient_qp(quadratic, linear, projection, config: SolverConfig = DEFAULT_CONFIG,
-                          x0=None, lipschitz=None):
+                          x0=None, *, lipschitz: float):
     """Minimize x'Qx + c'x over a convex set given by an exact projection map.
+
+    Steps x <- P(x - grad / (1.01 lipschitz)) from P(x0) (P(0) by default).
+    The caller supplies lipschitz >= 2 lambda_max(Q), the Lipschitz constant
+    of the gradient 2Qx + c; with it every step decreases the objective
+    (Beck & Teboulle, SIAM J. Imaging Sci. 2, 2009).  A lipschitz that is
+    not positive and finite raises InvalidParameter.
 
     Returns (x, value, residual) where residual is the sup-norm of the
     projected-gradient step x - P(x - grad/L).  Raises MaxItersExceeded with
@@ -115,34 +102,25 @@ def projected_gradient_qp(quadratic, linear, projection, config: SolverConfig = 
     c = np.asarray(linear, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or c.shape != (q.shape[0],):
         raise InvalidParameter("quadratic must be square and linear must match")
-    lip = lipschitz if lipschitz is not None else lipschitz_estimate(q)
-    lip = max(lip * 1.01, 1e-12)
+    if not 0.0 < lipschitz < math.inf:
+        raise InvalidParameter(f"lipschitz must be positive and finite, got {lipschitz}")
+    lip = lipschitz * 1.01
 
     def value(x):
         return float(x @ q @ x + c @ x)
 
     x = projection(np.zeros(q.shape[0]) if x0 is None else np.asarray(x0, dtype=float))
-    fx = value(x)
     residual = np.inf
     for _ in range(config.max_iters):
         grad = 2.0 * (q @ x) + c
         nxt = projection(x - grad / lip)
-        fn = value(nxt)
-        doublings = 0
-        # fixed step is only valid when lip >= 2 lambda_max; recover if the
-        # power-iteration estimate was low
-        while fn > fx + 1e-12 * max(1.0, abs(fx)) and doublings < 60:
-            lip *= 2.0
-            nxt = projection(x - grad / lip)
-            fn = value(nxt)
-            doublings += 1
         residual = float(np.max(np.abs(x - nxt)))
-        x, fx = nxt, fn
+        x = nxt
         if residual <= config.tol:
-            return x, fx, residual
+            return x, value(x), residual
     raise MaxItersExceeded(
         f"projected gradient did not reach tol={config.tol} in {config.max_iters} iters",
-        best=(x, fx, residual),
+        best=(x, value(x), residual),
     )
 
 

@@ -1,0 +1,141 @@
+"""Scale and sign-flip covariance of the condition report and the audit.
+
+The paper's conditions have known symmetries, so one metamorphic test checks
+them together (T. Y. Chen et al., "Metamorphic testing: a review of
+challenges and opportunities", ACM Comput. Surv. 51(1), 2018):
+
+- c * Sigma with c a power of two scales every enumerated or closed-form
+  degree-1 entry by c exactly and keeps every degree-0 entry's bits.
+  delta_N, rip and alpha compare with 1 and are not scale-covariant, so they
+  are left out; so are E9-E11, whose premises read them.
+- D Sigma D with D = diag(+-1) keeps every entry, since every cone in the
+  package is sign-symmetric.
+
+Searched endpoints (phi_re, theta_rr and their adaptive forms) come from
+random cone searches, which move under either map; their intervals must
+still overlap.  Each case that fails today is marked xfail(strict=True)
+with the absolute floor it trips, so removing that floor flips its mark.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from lasso_audit import DEFAULT_CONFIG, ConeSpec, GramMatrix
+from lasso_audit.cli import condition_report
+from lasso_audit.experiments import random_psd_entries, sample_gaussian_design
+from lasso_audit.implications import check_all
+
+CONFIG = DEFAULT_CONFIG.reduced()
+
+GRAMS = {
+    # the enum benchmark Gram: p = 16, unit diagonal, nonsingular
+    "enum": (lambda: random_psd_entries(16, 10_000, 0.1), ConeSpec((6, 9, 10), 1.0, 6)),
+    # X'X / n with n = 8 < p = 12: rank deficient
+    "rank8_p12": (lambda: sample_gaussian_design(8, 12, GramMatrix(np.eye(12)), 5)[1].entries,
+                  ConeSpec((1, 4, 7), 1.0, 5)),
+}
+
+SCALES = (2.0 ** -60, 2.0 ** -40, 2.0 ** 40)
+
+# entries of degree 1 in Sigma, enumerated or closed form
+SCALED = ("lambda2", "theta", "theta_uniform", "phi_lower_routes")
+# entries of degree 0 in Sigma, enumerated or closed form
+INVARIANT = ("irr_uniform", "irr_part2", "irr_part3", "mutual", "cumulative", "weak_rip")
+# searched entries and their degree in Sigma
+SEARCHED = {"phi_re": 1, "phi_re_adaptive": 1, "theta_rr": 0, "theta_rr_adaptive": 0}
+# edges whose inputs avoid delta_N, rip and alpha
+SCALE_EDGES = 8
+
+COMPAT_MARGIN = pytest.mark.xfail(
+    strict=True, reason="floor: the 10 * tol * max(1, |value|) margin below the "
+    "compatibility constant (estimators.compatibility_constant, ROADMAP item 1)")
+
+# the compatibility margin moves the lower endpoint wherever it does not
+# clamp to 0 at both scales: everywhere on the enum Gram, and at 2^40 on
+# the rank-deficient one, whose constant is about 1e-15
+COMPAT_LOWER_CASES = [
+    pytest.param(name, c, marks=COMPAT_MARGIN if name == "enum" or c > 1.0 else ())
+    for name in GRAMS for c in SCALES]
+
+
+def sign_flip(p: int) -> np.ndarray:
+    """D = diag((-1)^j): it flips some coordinates of S and some off it."""
+    return np.where(np.arange(p) % 2 == 1, -1.0, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def audit(name: str, scale: float = 1.0, flip: bool = False):
+    """(condition report, check_all verdicts) on the named Gram, scaled by
+    scale and, if flip, conjugated by sign_flip."""
+    make, cone = GRAMS[name]
+    entries = scale * make()
+    if flip:
+        d = sign_flip(entries.shape[0])
+        entries = d[:, None] * entries * d[None, :]
+    gram = GramMatrix(entries)
+    return condition_report(gram, cone, CONFIG), check_all(gram, cone, CONFIG)
+
+
+def endpoints(bv) -> tuple:
+    return bv.estimate, bv.lower, bv.upper
+
+
+def overlap(a, b, scale: float = 1.0) -> bool:
+    """The interval of b, divided by scale, meets the interval of a."""
+    return b.lower / scale <= a.upper and a.lower <= b.upper / scale
+
+
+def verdicts(results, edges) -> list:
+    """Each edge's verdict, and its reason when skipped.  The note of an
+    evaluated edge names its binding check, which a searched endpoint can
+    move, so it is left out."""
+    return [(v.edge_id, v.holds, v.bound_direction_note if v.skipped else None)
+            for v in results[:edges]]
+
+
+@pytest.mark.parametrize("name", GRAMS)
+@pytest.mark.parametrize("c", SCALES)
+def test_scale_covariance(name, c):
+    (base, base_edges), (report, edges) = audit(name), audit(name, c)
+    for key in SCALED:
+        want, got = base.entries[key], report.entries[key]
+        assert endpoints(got) == tuple(c * v for v in endpoints(want)), key
+        assert got.certificate is want.certificate, key
+    for key in INVARIANT:
+        want, got = base.entries[key], report.entries[key]
+        assert endpoints(got) == endpoints(want), key
+        assert got.certificate is want.certificate, key
+    compat, want = report.entries["phi_compat"], base.entries["phi_compat"]
+    assert (compat.estimate, compat.upper) == (c * want.estimate, c * want.upper)
+    assert compat.certificate is want.certificate
+    assert compat.provenance == want.provenance
+    for key, degree in SEARCHED.items():
+        assert overlap(base.entries[key], report.entries[key], c ** degree), key
+    assert verdicts(edges, SCALE_EDGES) == verdicts(base_edges, SCALE_EDGES)
+
+
+@pytest.mark.parametrize("name, c", COMPAT_LOWER_CASES)
+def test_scale_covariance_of_the_compatibility_lower_endpoint(name, c):
+    base, report = audit(name)[0], audit(name, c)[0]
+    assert report.entries["phi_compat"].lower == c * base.entries["phi_compat"].lower
+
+
+@pytest.mark.parametrize("name", GRAMS)
+def test_sign_flip_covariance(name):
+    (base, base_edges), (report, edges) = audit(name), audit(name, flip=True)
+    assert report.entries.keys() == base.entries.keys()
+    assert report.errors == base.errors
+    for key, want in base.entries.items():
+        got = report.entries[key]
+        if key in SEARCHED:
+            assert overlap(want, got), key
+        elif key == "phi_compat":
+            # the minimizing sign vector maps to D_S tau, so only the values
+            # are compared
+            assert endpoints(got) == endpoints(want)
+            assert got.certificate is want.certificate
+        else:
+            assert got.to_json_dict() == want.to_json_dict(), key
+    assert verdicts(edges, len(edges)) == verdicts(base_edges, len(base_edges))

@@ -83,6 +83,28 @@ class TestCompatibility:
         assert bv.certificate is Certificate.ESTIMATE
         assert "unconverged=1" in bv.provenance
 
+    def test_tiny_scale_converges_as_at_scale_one(self):
+        # the enum Gram at 2^-60: a step floored at 1e-12 was about 10^6
+        # times too short, and all three gradient signs hit the iteration
+        # limit; the exact 2 lambda_max(Sigma) step scales with Sigma
+        entries = random_psd_entries(16, 10_000, 0.1)
+        cone = ConeSpec((6, 9, 10), 1.0, 6)
+        one = compatibility_constant(GramMatrix(entries), cone)
+        tiny = compatibility_constant(GramMatrix(2.0 ** -60 * entries), cone)
+        assert tiny.certificate is Certificate.INTERVAL
+        assert "unconverged" not in tiny.provenance
+        assert tiny.estimate == 2.0 ** -60 * one.estimate
+        assert tiny.upper == 2.0 ** -60 * one.upper
+        assert tiny.provenance == one.provenance
+        assert "projected_gradient=3," in one.provenance
+
+    def test_zero_gram_is_zero(self):
+        # Sigma = 0 has gradient 0, so the first step converges
+        bv = compatibility_constant(GramMatrix(np.zeros((4, 4))), ConeSpec((0, 1), 1.0, 2))
+        assert (bv.estimate, bv.lower, bv.upper) == (0.0, 0.0, 0.0)
+        assert bv.certificate is Certificate.INTERVAL
+        assert bv.provenance == "signs=2, closed_form=0, projected_gradient=2, argmin_tau=(1, 1)"
+
     def test_sign_cap(self):
         g = GramMatrix(np.eye(6))
         with pytest.raises(CapExceeded):

@@ -26,7 +26,6 @@ from lasso_audit.solvers import (
     SimplexResult,
     _pivot,
     _stationarity_residual,
-    lipschitz_estimate,
 )
 
 
@@ -106,16 +105,9 @@ def test_soft_threshold():
     assert soft_threshold(-1.0, 1.0) == 0.0
 
 
-def test_lipschitz_estimate_tracks_top_eigenvalue():
-    # fixed-count power iteration can undershoot when the spectrum is tight;
-    # the gradient solver absorbs that with its own safety factor
-    rng = np.random.default_rng(47)
-    for _ in range(10):
-        a = rng.standard_normal((5, 5))
-        q = a.T @ a
-        lam = float(np.linalg.eigvalsh(q)[-1])
-        est = lipschitz_estimate(q)
-        assert est == pytest.approx(2.0 * lam, rel=1e-3)
+def exact_lipschitz(q) -> float:
+    """2 lambda_max(Q), the Lipschitz constant of the gradient of x'Qx + c'x."""
+    return 2.0 * float(np.linalg.eigvalsh(q)[-1])
 
 
 class TestProjectedGradientQP:
@@ -123,7 +115,7 @@ class TestProjectedGradientQP:
         # min x'x - 2 x1 + 2 x2 over x >= 0 has minimizer (1, 0), value -1
         q = np.eye(2)
         c = np.array([-2.0, 2.0])
-        x, fx, res = projected_gradient_qp(q, c, lambda v: np.maximum(v, 0.0))
+        x, fx, res = projected_gradient_qp(q, c, lambda v: np.maximum(v, 0.0), lipschitz=2.0)
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-7)
         assert fx == pytest.approx(-1.0, abs=1e-9)
         assert res <= DEFAULT_CONFIG.tol
@@ -135,7 +127,7 @@ class TestProjectedGradientQP:
         def proj(v):
             return v - (v.sum() - 1.0) / n
 
-        x, fx, _ = projected_gradient_qp(np.eye(n), np.zeros(n), proj)
+        x, fx, _ = projected_gradient_qp(np.eye(n), np.zeros(n), proj, lipschitz=2.0)
         np.testing.assert_allclose(x, np.full(n, 0.25), atol=1e-7)
         assert fx == pytest.approx(0.25, abs=1e-9)
 
@@ -144,7 +136,7 @@ class TestProjectedGradientQP:
         q = np.diag([1.0, 100.0])
         c = np.array([-1.0, -1.0])
         with pytest.raises(MaxItersExceeded) as info:
-            projected_gradient_qp(q, c, lambda v: np.maximum(v, 0.0), cfg)
+            projected_gradient_qp(q, c, lambda v: np.maximum(v, 0.0), cfg, lipschitz=200.0)
         x, fx, res = info.value.best
         assert x.shape == (2,)
         assert math.isfinite(fx)
@@ -152,16 +144,19 @@ class TestProjectedGradientQP:
 
     def test_shape_validation(self):
         with pytest.raises(InvalidParameter):
-            projected_gradient_qp(np.eye(2), np.zeros(3), lambda v: v)
+            projected_gradient_qp(np.eye(2), np.zeros(3), lambda v: v, lipschitz=2.0)
 
-    # converged runs, unconverged ones, and runs whose low Lipschitz estimate
-    # makes the loop double its step
-    @pytest.mark.parametrize("max_iters, lip, radius, converged", [
-        (100_000, None, 0.7, True), (100_000, 0.1, 0.7, True),
-        (1, None, 0.7, False), (3, 0.1, 5.0, False)])
-    def test_value_is_the_objective_of_the_returned_point(self, max_iters, lip, radius, converged):
-        # the value the loop keeps from its accepted step equals the
-        # objective of the returned point, bit for bit
+    @pytest.mark.parametrize("lip", [0.0, -1.0, math.nan, math.inf])
+    def test_lipschitz_must_be_positive_and_finite(self, lip):
+        with pytest.raises(InvalidParameter):
+            projected_gradient_qp(np.eye(2), np.zeros(2), lambda v: v, lipschitz=lip)
+
+    # converged runs and unconverged ones
+    @pytest.mark.parametrize("max_iters, radius, converged", [
+        (100_000, 0.7, True), (1, 0.7, False), (3, 5.0, False)])
+    def test_value_is_the_objective_of_the_returned_point(self, max_iters, radius, converged):
+        # the returned value is the objective of the returned point, bit for
+        # bit
         rng = np.random.default_rng(53)
         for _ in range(5):
             a = rng.standard_normal((5, 5))
@@ -169,7 +164,8 @@ class TestProjectedGradientQP:
             c = rng.standard_normal(5)
             try:
                 x, fx, _ = projected_gradient_qp(q, c, lambda v: project_l1_ball(v, radius),
-                                                 SolverConfig(max_iters=max_iters), lipschitz=lip)
+                                                 SolverConfig(max_iters=max_iters),
+                                                 lipschitz=exact_lipschitz(q))
                 assert converged
             except MaxItersExceeded as exc:
                 x, fx, _ = exc.best
