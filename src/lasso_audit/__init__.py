@@ -31,7 +31,6 @@ from .errors import (
     DenominatorNonPositive,
     InvalidParameter,
     MaxItersExceeded,
-    MissingInput,
     ParseError,
     SingularBlock,
 )

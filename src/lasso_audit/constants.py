@@ -142,9 +142,8 @@ def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float, boun
     score of each row: an upper bound when maximizing, a lower one when
     minimizing.  A plan entry of more than one chunk then streams each chunk
     once and scores only the rows whose bound is no worse than the running
-    best by more than margin = _PRUNE_RTOL * max(1, lambda_max(Sigma)); a
-    chunk with no such row is skipped.  No score exceeds max(1,
-    lambda_max(Sigma)) in size.
+    best by more than margin = _PRUNE_RTOL * max(|best|, lambda_max(Sigma)),
+    recomputed per chunk; a chunk with no such row is skipped.
 
     Rounding cannot let a pruned row be the answer.  Every block is a
     submatrix of Sigma, so its norm and the norms of its rows are at most
@@ -154,16 +153,20 @@ def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float, boun
     multiple of p u lambda_max(Sigma), and a bound that sums the k entries of
     a block moves by at most about k^(5/4) u lambda_max(Sigma) (a Frobenius
     norm, the worst case): about 1e-11 lambda_max(Sigma) at k = 2^14, a whole
-    chunk, and of order sqrt(k) u in practice.  _PRUNE_RTOL = 1e-10 sits above
-    all of these, so a pruned row scores strictly worse than a real score
-    already found, and neither the value nor the first witness can change.
-    A plan entry of one chunk keeps its single stacked call and computes no
-    bound.
+    chunk, and of order sqrt(k) u in practice.  A score or bound that ends in
+    a subtraction from 1 (delta_N's) moves by u times its own size more, and
+    a row that could still beat best has a score and a bound of about
+    |best| in size.  _PRUNE_RTOL = 1e-10 sits above all of these, so a
+    pruned row scores strictly worse than a real score already found, and
+    neither the value nor the first witness can change.  The margin scales
+    with Sigma, so theta(S, N) and theta_{s,N} on c * Sigma, c a power of
+    two, score the same rows as on Sigma.  A plan entry of one chunk keeps
+    its single stacked call and computes no bound.
     """
     p = gram.p
     flat = gram.entries.ravel()
     sign = 1.0 if maximize else -1.0
-    margin = _PRUNE_RTOL * max(1.0, float(gram.spectrum()[-1]))
+    lam_max = float(gram.spectrum()[-1])
     witness = None
     for base, n, m in plan:
         count = math.comb(p - len(base), n - len(base)) * math.comb(p - n, m)
@@ -173,6 +176,7 @@ def _first_best(gram: GramMatrix, plan, score, maximize: bool, best: float, boun
             cols = nsets if msets is None else msets
             blocks = np.take(flat, nsets[:, :, None] * p + cols[:, None, :])
             if prune:
+                margin = _PRUNE_RTOL * max(abs(best), lam_max)
                 keep = np.flatnonzero(sign * bound(blocks) >= sign * best - margin)
                 if len(keep) == 0:
                     continue

@@ -51,10 +51,3 @@ class SingularBlock(AuditError):
 class DenominatorNonPositive(AuditError):
     """A denominator that must be positive, such as 1 - delta_s - theta_ss or
     a certified phi^2 lower bound, is not."""
-
-
-class MissingInput(AuditError):
-    def __init__(self, edge_id, key):
-        self.edge_id = edge_id
-        self.key = key
-        super().__init__(f"edge {edge_id} needs input '{key}' which was not supplied and cannot be computed")

@@ -54,7 +54,6 @@ from .core import (
     _top_tail,
     cone_membership,
     derived_rng,
-    superset_count,
 )
 from .errors import CapExceeded, InvalidParameter, MaxItersExceeded, SingularBlock
 from .solvers import DEFAULT_CONFIG, SolverConfig, _project_l1_ball, projected_gradient_qp
@@ -645,7 +644,7 @@ def regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str = "plain",
 def _regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str, cap: int,
                       sign_cap: int) -> BoundedValue:
     """regression_upper without the checks and the memo."""
-    p, s = gram.p, cone.s
+    s = cone.s
     route_cap = min(cap, ROUTE_CAP)
     maxdiag = float(np.max(np.diag(gram.entries)))
     try:
@@ -660,7 +659,7 @@ def _regression_upper(gram: GramMatrix, cone: ConeSpec, variant: str, cap: int,
             routes["column_norm"] = math.sqrt(s) * column / lam2
             routes["mutual"] = coherence(gram, cone, "mutual").estimate
             routes["cumulative"] = coherence(gram, cone, "cumulative").estimate
-        elif cone.N == 2 * s and superset_count(cone, p) <= route_cap:
+        elif cone.N == 2 * s:
             # theta(S, 2s) enumerates far more pairs than the maxima do sets
             try:
                 routes["weak_rip"] = weak_rip_constant(gram, cone, route_cap).estimate

@@ -43,6 +43,7 @@ import numpy as np
 
 from .constants import (
     DEFAULT_SIGN_CAP,
+    _lambda2_vanishes,
     alpha_constant,
     block_norm_2q,
     block_norm_maxima,
@@ -65,7 +66,7 @@ from .core import (
     SubsetN,
     _jsonable,
 )
-from .errors import CapExceeded, DenominatorNonPositive, InvalidParameter, MissingInput, SingularBlock
+from .errors import CapExceeded, DenominatorNonPositive, InvalidParameter, SingularBlock
 from .estimators import (
     ROUTE_CAP,
     compatibility_constant,
@@ -117,12 +118,6 @@ def _skip(edge_id: str, reason: str) -> ImplicationVerdict:
     return ImplicationVerdict(edge_id, None, None, None, None, f"skipped: {reason}")
 
 
-def _refused(edge_id: str, exc: Exception) -> ImplicationVerdict:
-    """The skip for an input whose computation was refused, naming the
-    exception's class first so the reason reads by machine."""
-    return _skip(edge_id, f"{type(exc).__name__}: {exc}")
-
-
 def _verdict(edge_id: str, lhs: float, rhs: float, relation: str, note: str) -> ImplicationVerdict:
     """relation 'ge' means lhs >= rhs must hold; 'le' means lhs <= rhs.
 
@@ -142,11 +137,10 @@ class _Inputs:
     """Lazy cache of the per-instance quantities the edges consume.
 
     Keys present in the user-supplied mapping win; everything else is
-    computed on demand from the Gram matrix.  Without a Gram matrix a miss
-    raises MissingInput.
+    computed on demand from the Gram matrix.
     """
 
-    def __init__(self, gram, cone: ConeSpec, config: SolverConfig,
+    def __init__(self, gram: GramMatrix, cone: ConeSpec, config: SolverConfig,
                  cap: int, sign_cap: int, supplied=None):
         self.gram = gram
         self.cone = cone
@@ -155,16 +149,12 @@ class _Inputs:
         self.sign_cap = sign_cap
         self.cache = dict(supplied) if supplied else {}
 
-    def get(self, edge_id: str, key: str):
-        if key in self.cache:
-            return self.cache[key]
-        if self.gram is None:
-            raise MissingInput(edge_id, key)
-        value = self._build(edge_id, key)
-        self.cache[key] = value
-        return value
+    def get(self, key: str):
+        if key not in self.cache:
+            self.cache[key] = self._build(key)
+        return self.cache[key]
 
-    def _build(self, edge_id: str, key: str):
+    def _build(self, key: str):
         gram, cone = self.gram, self.cone
         p, s = gram.p, cone.s
         route_cap = min(self.cap, ROUTE_CAP)
@@ -196,7 +186,7 @@ class _Inputs:
                                        "restricted_eigenvalue", "plain", self.cap, self.sign_cap)
         if key == "alpha":
             # alpha(S) fed with the certified phi^2(S,2s) lower bound
-            phi_low = self.get(edge_id, "phi_lower_2s")
+            phi_low = self.get("phi_lower_2s")
             return alpha_constant(gram, cone.with_(N=s), float(phi_low.estimate), self.cap)
         if key == "phi_compat":
             return compatibility_constant(gram, cone, self.config, self.sign_cap)
@@ -235,30 +225,38 @@ class _Inputs:
         raise InvalidParameter(f"unknown input key {key!r}")
 
 
-def check_edge(edge_id: str, gram: Optional[GramMatrix], cone: ConeSpec,
+def check_edge(edge_id: str, gram: GramMatrix, cone: ConeSpec,
                reports=None, config: SolverConfig = DEFAULT_CONFIG,
                cap: int = DEFAULT_SUBSET_CAP, sign_cap: int = DEFAULT_SIGN_CAP) -> ImplicationVerdict:
     """Evaluate one edge of the implication graph on one instance.
 
     reports may supply precomputed inputs keyed by the names in _Inputs;
-    anything missing is computed from the Gram matrix (MissingInput when no
-    Gram matrix was given).  Premise failures yield a skip verdict.
+    they win over the Gram matrix, which computes the rest.  Premise
+    failures and refused inputs yield a skip verdict, as in check_all.
     """
     if edge_id not in EDGE_IDS:
         raise InvalidParameter(f"unknown edge {edge_id!r}")
-    if gram is not None:
-        cone.validate_p(gram.p)
-    inputs = _Inputs(gram, cone, config, cap, sign_cap, reports)
-    return _EDGE_CHECKS[edge_id](edge_id, inputs)
+    cone.validate_p(gram.p)
+    return _evaluate(edge_id, _Inputs(gram, cone, config, cap, sign_cap, reports))
+
+
+def _evaluate(edge_id: str, inputs: _Inputs) -> ImplicationVerdict:
+    """One edge on shared inputs.  An input refused with one of _SKIP_ERRORS
+    makes the edge a skip whose reason names the exception's class first,
+    so it reads by machine."""
+    try:
+        return _EDGE_CHECKS[edge_id](edge_id, inputs)
+    except _SKIP_ERRORS as exc:
+        return _skip(edge_id, f"{type(exc).__name__}: {exc}")
 
 
 def _edge_e1(edge_id, inputs):
     cone = inputs.cone
-    ru = float(inputs.get(edge_id, "rr_plain_upper").upper)
+    ru = float(inputs.get("rr_plain_upper").upper)
     if not cone.L * ru < 1.0:
         return _skip(edge_id, f"premise theta_rr(S,N) < 1/L fails (upper={ru!r})")
-    lam2 = float(inputs.get(edge_id, "lambda2").estimate)
-    lhs = float(inputs.get(edge_id, "phi_lower_plain").estimate)
+    lam2 = float(inputs.get("lambda2").estimate)
+    lhs = float(inputs.get("phi_lower_plain").estimate)
     rhs = (1.0 - cone.L * ru) ** 2 * lam2
     return _verdict(edge_id, lhs, rhs, "ge",
                     "phi^2 certified lower vs (1 - L * theta_rr upper)^2 * Lambda^2")
@@ -274,16 +272,16 @@ def _edge_e2(edge_id, inputs):
     gram, cone = inputs.gram, inputs.cone
     s = cone.s
     checks = []
-    lam2_s = float(inputs.get(edge_id, "lambda2_s").estimate)
-    if lam2_s > 0.0:
-        lhs_s = float(inputs.get(edge_id, "rr_ad_upper_s").upper)
-        norm_s = inputs.get(edge_id, "norm_s_2inf")
+    lam2_s = float(inputs.get("lambda2_s").estimate)
+    if not _lambda2_vanishes(gram, lam2_s):
+        lhs_s = float(inputs.get("rr_ad_upper_s").upper)
+        norm_s = inputs.get("norm_s_2inf")
         checks.append((lhs_s, math.sqrt(s) * norm_s / lam2_s, "at N=s: column 2-norm form"))
-    if gram is None or 2 * s <= gram.p:
-        lam2_2s = float(inputs.get(edge_id, "lambda2_2s").estimate)
-        if lam2_2s > 0.0:
-            lhs_2s = float(inputs.get(edge_id, "rr_ad_upper_2s").upper)
-            worst = inputs.get(edge_id, "max_norm_2s_2inf")
+    if 2 * s <= gram.p:
+        lam2_2s = float(inputs.get("lambda2_2s").estimate)
+        if not _lambda2_vanishes(gram, lam2_2s):
+            lhs_2s = float(inputs.get("rr_ad_upper_2s").upper)
+            worst = inputs.get("max_norm_2s_2inf")
             checks.append((lhs_2s, math.sqrt(s) * worst / lam2_2s,
                            "at N=2s: q=inf block-norm form"))
     if not checks:
@@ -300,21 +298,21 @@ def _edge_e3(edge_id, inputs):
     gram, cone = inputs.gram, inputs.cone
     s = cone.s
     checks = []
-    lam2_s = float(inputs.get(edge_id, "lambda2_s").estimate)
-    if lam2_s > 0.0:
-        lhs_s = float(inputs.get(edge_id, "rr_ad_upper_s").upper)
-        norm_s = inputs.get(edge_id, "norm_s_2inf")
+    lam2_s = float(inputs.get("lambda2_s").estimate)
+    if not _lambda2_vanishes(gram, lam2_s):
+        lhs_s = float(inputs.get("rr_ad_upper_s").upper)
+        norm_s = inputs.get("norm_s_2inf")
         intermediate = math.sqrt(s) * norm_s / lam2_s
-        mutual = float(inputs.get(edge_id, "mutual").estimate)
+        mutual = float(inputs.get("mutual").estimate)
         checks.append((lhs_s, intermediate, "mutual step 1: rr_ad <= sqrt(s) max col norm / Lambda^2"))
         checks.append((intermediate, mutual, "mutual step 2: intermediate <= mutual coherence"))
-        cumulative = float(inputs.get(edge_id, "cumulative").estimate)
+        cumulative = float(inputs.get("cumulative").estimate)
         checks.append((lhs_s, cumulative, "cumulative: rr_ad <= cumulative coherence"))
-    if gram is None or 2 * s <= gram.p:
-        lam2_2s = float(inputs.get(edge_id, "lambda2_2s").estimate)
-        if lam2_2s > 0.0:
-            lhs_2s = float(inputs.get(edge_id, "rr_ad_upper_2s").upper)
-            worst = inputs.get(edge_id, "max_norm_2s_22")
+    if 2 * s <= gram.p:
+        lam2_2s = float(inputs.get("lambda2_2s").estimate)
+        if not _lambda2_vanishes(gram, lam2_2s):
+            lhs_2s = float(inputs.get("rr_ad_upper_2s").upper)
+            worst = inputs.get("max_norm_2s_22")
             checks.append((lhs_2s, worst / lam2_2s, "spectral: rr_ad(2s) <= max spectral norm / Lambda^2"))
     if not checks:
         return _skip(edge_id, "no applicable coherence bound (singular or 2s > p)")
@@ -326,40 +324,40 @@ def _edge_e3(edge_id, inputs):
 
 
 def _edge_e4(edge_id, inputs):
-    lhs = float(inputs.get(edge_id, "irr_uniform_s").estimate)
-    rhs = float(inputs.get(edge_id, "rr_ad_s").lower)
+    lhs = float(inputs.get("irr_uniform_s").estimate)
+    rhs = float(inputs.get("rr_ad_s").lower)
     return _verdict(edge_id, lhs, rhs, "le",
                     "irr_uniform(S,s) exact vs theta_rr_adaptive(S,s) certified lower")
 
 
 def _edge_e5(edge_id, inputs):
     gram, cone = inputs.gram, inputs.cone
-    if gram is not None and 2 * cone.s > gram.p:
+    if 2 * cone.s > gram.p:
         return _skip(edge_id, "requires 2s <= p")
-    lhs = float(inputs.get(edge_id, "rr_ad_upper_2s").upper)
-    rhs = float(inputs.get(edge_id, "weak_rip_2s").estimate)
+    lhs = float(inputs.get("rr_ad_upper_2s").upper)
+    rhs = float(inputs.get("weak_rip_2s").estimate)
     return _verdict(edge_id, lhs, rhs, "le",
                     "theta_rr_adaptive(S,2s) upper vs weak isometry ratio (exact)")
 
 
 def _edge_e6(edge_id, inputs):
     gram, cone = inputs.gram, inputs.cone
-    if gram is not None and 2 * cone.s > gram.p:
+    if 2 * cone.s > gram.p:
         return _skip(edge_id, "requires 2s <= p")
-    wr = float(inputs.get(edge_id, "weak_rip_2s").estimate)
+    wr = float(inputs.get("weak_rip_2s").estimate)
     if not cone.L * wr < 1.0:
         return _skip(edge_id, f"premise theta_wRIP(S,2s) < 1/L fails (value={wr!r})")
-    lam2 = float(inputs.get(edge_id, "lambda2_2s").estimate)
-    lhs = float(inputs.get(edge_id, "phi_lower_plain_2s").estimate)
+    lam2 = float(inputs.get("lambda2_2s").estimate)
+    lhs = float(inputs.get("phi_lower_plain_2s").estimate)
     rhs = (1.0 - cone.L * wr) ** 2 * lam2
     return _verdict(edge_id, lhs, rhs, "ge",
                     "phi^2(L,S,2s) certified lower vs (1 - L * theta_wRIP)^2 * Lambda^2(S,2s)")
 
 
 def _edge_e7(edge_id, inputs):
-    ad = inputs.get(edge_id, "phi_re_adaptive")
-    plain = inputs.get(edge_id, "phi_re")
-    compat = inputs.get(edge_id, "phi_compat")
+    ad = inputs.get("phi_re_adaptive")
+    plain = inputs.get("phi_re")
+    compat = inputs.get("phi_compat")
     checks = [
         (float(ad.lower), float(plain.upper), "adaptive lower vs plain upper"),
         (float(plain.lower), float(compat.upper), "plain lower vs compatibility upper"),
@@ -370,11 +368,11 @@ def _edge_e7(edge_id, inputs):
 
 def _edge_e8(edge_id, inputs):
     cone = inputs.cone
-    irr = float(inputs.get(edge_id, "irr_uniform_s").estimate)
+    irr = float(inputs.get("irr_uniform_s").estimate)
     if not cone.L * irr < 1.0:
         return _skip(edge_id, f"premise irr_uniform(S,s) < 1/L fails (value={irr!r})")
-    lam2 = float(inputs.get(edge_id, "lambda2_s").estimate)
-    lhs = float(inputs.get(edge_id, "phi_compat").lower)
+    lam2 = float(inputs.get("lambda2_s").estimate)
+    lhs = float(inputs.get("phi_compat").lower)
     rhs = (1.0 - cone.L * irr) ** 2 * lam2
     return _verdict(edge_id, lhs, rhs, "ge",
                     "phi^2_compat interval lower vs (1 - L * irr_uniform)^2 * Lambda^2(S,s)")
@@ -384,10 +382,10 @@ def _edge_e9(edge_id, inputs):
     cone = inputs.cone
     if cone.N > 2 * cone.s:
         return _skip(edge_id, "guaranteed only for N <= 2s")
-    rip = float(inputs.get(edge_id, "rip").estimate)
-    wr = float(inputs.get(edge_id, "weak_rip_n").estimate)
-    lam2 = float(inputs.get(edge_id, "lambda2").estimate)
-    delta_n = float(inputs.get(edge_id, "delta_n").estimate)
+    rip = float(inputs.get("rip").estimate)
+    wr = float(inputs.get("weak_rip_n").estimate)
+    lam2 = float(inputs.get("lambda2").estimate)
+    delta_n = float(inputs.get("delta_n").estimate)
     checks = [
         (wr, rip, "theta_wRIP(S,N) <= theta_RIP"),
         (1.0 - delta_n, lam2, "1 - delta_N <= Lambda^2(S,N)"),
@@ -399,25 +397,21 @@ def _edge_e9(edge_id, inputs):
 def _edge_e10(edge_id, inputs):
     gram, cone = inputs.gram, inputs.cone
     s = cone.s
-    if gram is not None and 2 * s > gram.p:
+    if 2 * s > gram.p:
         return _skip(edge_id, "requires 2s <= p")
-    delta_s = float(inputs.get(edge_id, "delta_s").estimate)
+    delta_s = float(inputs.get("delta_s").estimate)
     if delta_s > 1.0:
         return _skip(edge_id, f"premise delta_s <= 1 fails (value={delta_s!r})")
     # both theta enumerations must fit the cap before either one runs
     for key, n_size in (("theta_ss", s), ("theta_s2s", 2 * s)):
-        if gram is not None and key not in inputs.cache:
+        if key not in inputs.cache:
             theta_uniform_plan(gram.p, s, n_size, inputs.cap)
-    theta_ss = float(inputs.get(edge_id, "theta_ss").estimate)
-    theta_s2s = float(inputs.get(edge_id, "theta_s2s").estimate)
+    theta_ss = float(inputs.get("theta_ss").estimate)
+    theta_s2s = float(inputs.get("theta_s2s").estimate)
     denom = 1.0 - delta_s - theta_ss - theta_s2s
     if denom <= 0.0:
         return _skip(edge_id, f"premise 1 - delta_s - theta_ss - theta_s2s > 0 fails ({denom!r})")
-    try:
-        alpha = inputs.get(edge_id, "alpha")
-    except (SingularBlock, DenominatorNonPositive) as exc:
-        return _refused(edge_id, exc)
-    lhs = float(alpha.upper)
+    lhs = float(inputs.get("alpha").upper)
     rhs = math.sqrt(2.0) * (theta_ss + math.sqrt(theta_ss)) / denom
     return _verdict(edge_id, lhs, rhs, "le",
                     "alpha(S) certified upper vs uniform-constant assembly bound")
@@ -426,21 +420,15 @@ def _edge_e10(edge_id, inputs):
 def _edge_e11(edge_id, inputs):
     gram, cone = inputs.gram, inputs.cone
     s = cone.s
-    if gram is not None and 2 * s > gram.p:
+    if 2 * s > gram.p:
         return _skip(edge_id, "requires 2s <= p")
-    try:
-        alpha = inputs.get(edge_id, "alpha")
-    except (SingularBlock, DenominatorNonPositive) as exc:
-        return _refused(edge_id, exc)
-    lhs = float(alpha.upper)
+    lhs = float(inputs.get("alpha").upper)
     if not lhs < 1.0:
         return _skip(edge_id, f"premise alpha(S) < 1 fails (upper={lhs!r})")
-    if gram is None:
-        raise MissingInput(edge_id, "gram")
     part3_ok, _ = irrepresentable_signed(gram, cone.with_(L=1.0, N=2 * s), part=3,
                                          cap=inputs.cap, sign_cap=inputs.sign_cap)
     lam = 0.1
-    phi2 = float(inputs.get(edge_id, "phi_lower_2s").estimate)
+    phi2 = float(inputs.get("phi_lower_2s").estimate)
     magnitude = 2.0 * lam * math.sqrt(s) / phi2
     beta0 = np.zeros(gram.p)
     beta0[list(cone.S)] = magnitude
@@ -469,32 +457,24 @@ def check_all(gram: GramMatrix, cone: ConeSpec, config: SolverConfig = DEFAULT_C
     """
     cone.validate_p(gram.p)
     inputs = _Inputs(gram, cone, config, cap, sign_cap)
-    out = []
-    for edge_id in EDGE_IDS:
-        try:
-            out.append(_EDGE_CHECKS[edge_id](edge_id, inputs))
-        except _SKIP_ERRORS as exc:
-            out.append(_refused(edge_id, exc))
-    return out
+    return [_evaluate(edge_id, inputs) for edge_id in EDGE_IDS]
 
 
-def perturbation_transfer(pair: PerturbationPair, cone: ConeSpec, phi0: BoundedValue,
-                          which: str = "compat") -> BoundedValue:
+def perturbation_transfer(pair: PerturbationPair, cone: ConeSpec, phi0: BoundedValue) -> BoundedValue:
     """Transfer a certified phi^2 lower bound across an entrywise perturbation.
 
     phi0 must be a certified lower bound for the squared constant on the
-    reference matrix; the result is the certified lower bound
-    max(0, sqrt(phi0) - (L+1) sqrt(d_inf * s))^2 for the perturbed matrix.
+    reference matrix (compatibility, restricted eigenvalue or its adaptive
+    form: the bound is the same for each); the result is the certified
+    lower bound max(0, sqrt(phi0) - (L+1) sqrt(d_inf * s))^2 for the
+    perturbed matrix.
     The provenance also records the relative-change bound
     (L+1)^2 d_inf s / phi0 for reporting.
     """
-    if which not in ("compat", "re", "re_adaptive"):
-        raise InvalidParameter(f"unknown constant family {which!r}")
     phi0_sq = max(float(phi0.estimate), 0.0)
     margin = (cone.L + 1.0) * math.sqrt(pair.d_inf * cone.s)
     root = max(0.0, math.sqrt(phi0_sq) - margin)
     value = root * root
     ratio = (cone.L + 1.0) ** 2 * pair.d_inf * cone.s / phi0_sq if phi0_sq > 0 else math.inf
-    note = (f"which={which}; d_inf={pair.d_inf!r}; margin={margin!r}; "
-            f"ratio_bound={ratio!r}")
+    note = f"d_inf={pair.d_inf!r}; margin={margin!r}; ratio_bound={ratio!r}"
     return BoundedValue.certified_lower(value, provenance=note)

@@ -275,7 +275,7 @@ def test_criterion_09_perturbation_transfer(verdict):
         support = tuple(sorted(rng.choice(p, size=s, replace=False).tolist()))
         cone = ConeSpec(support, 1.0, s)
         phi0 = certified_lower_phi(pair.sigma0, cone, target="compatibility")
-        moved = perturbation_transfer(pair, cone, phi0, "compat")
+        moved = perturbation_transfer(pair, cone, phi0)
         direct = compatibility_constant(pair.sigma1, cone, REDUCED)
         if not moved.estimate <= direct.estimate + 1e-6:
             bad += 1

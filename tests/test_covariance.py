@@ -10,6 +10,8 @@ challenges and opportunities", ACM Comput. Surv. 51(1), 2018):
   are left out; so are E9-E11, whose premises read them.
 - D Sigma D with D = diag(+-1) keeps every entry, since every cone in the
   package is sign-symmetric.
+- The enumeration kernel prunes the same rows of theta(S, N) and
+  theta_{s,N} under c * Sigma, since its margin scales with Sigma.
 
 Searched endpoints (phi_re, theta_rr and their adaptive forms) come from
 random cone searches, which move under either map; their intervals must
@@ -22,7 +24,7 @@ import functools
 import numpy as np
 import pytest
 
-from lasso_audit import DEFAULT_CONFIG, ConeSpec, GramMatrix
+from lasso_audit import DEFAULT_CONFIG, ConeSpec, GramMatrix, restricted_orthogonality, theta_uniform
 from lasso_audit.cli import condition_report
 from lasso_audit.experiments import random_psd_entries, sample_gaussian_design
 from lasso_audit.implications import check_all
@@ -139,3 +141,34 @@ def test_sign_flip_covariance(name):
         else:
             assert got.to_json_dict() == want.to_json_dict(), key
     assert verdicts(edges, len(edges)) == verdicts(base_edges, len(base_edges))
+
+
+def scored_rows(gram: GramMatrix, monkeypatch) -> tuple:
+    """theta(S, 6) and theta_{3,3} on the enum cone, each with the number of
+    rows the enumeration kernel handed to svd."""
+    rows, real = [], np.linalg.svd
+
+    def counted(blocks, *args, **kwargs):
+        rows.append(len(blocks))
+        return real(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    try:
+        theta = restricted_orthogonality(gram, GRAMS["enum"][1])
+        theta_rows = sum(rows)
+        uniform = theta_uniform(gram, 3, 3)
+    finally:
+        monkeypatch.undo()
+    return theta, theta_rows, uniform, sum(rows) - theta_rows
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_pruning_scores_the_same_rows_at_every_scale(c, monkeypatch):
+    # the pruning margin scales with Sigma, so c * Sigma prunes what Sigma does
+    entries = GRAMS["enum"][0]()
+    theta, theta_rows, uniform, uniform_rows = scored_rows(GramMatrix(entries), monkeypatch)
+    scaled = scored_rows(GramMatrix(c * entries), monkeypatch)
+    assert scaled[1] == theta_rows and scaled[3] == uniform_rows
+    assert endpoints(scaled[0]) == tuple(c * v for v in endpoints(theta))
+    assert scaled[0].provenance == theta.provenance
+    assert endpoints(scaled[2]) == tuple(c * v for v in endpoints(uniform))

@@ -14,7 +14,6 @@ import ast
 from test_one_thread_driver import package
 
 PINNED = {
-    "constants._first_best",
     "core.BoundedValue.__post_init__",
     "estimators.compatibility_constant",
     "estimators._refine_ratio",

@@ -13,9 +13,10 @@ from lasso_audit import (
     PerturbationPair,
     check_all,
     check_edge,
+    irrepresentable_uniform,
     perturbation_transfer,
 )
-from lasso_audit.errors import InvalidParameter, MissingInput
+from lasso_audit.errors import InvalidParameter
 
 from conftest import random_gram
 
@@ -170,30 +171,18 @@ class TestCheckEdge:
         assert v.skipped
         assert v.lhs_value is None and v.slack is None
 
-    def test_missing_input_without_gram(self):
+    def test_supplied_inputs_win_over_the_gram(self, equicorr4):
         cone = ConeSpec(S=(0, 1), L=1.0, N=2)
-        with pytest.raises(MissingInput) as info:
-            check_edge("E4", None, cone)
-        assert info.value.edge_id == "E4"
-        assert info.value.key == "irr_uniform_s"
-
-    def test_supplied_reports_cover_for_missing_gram(self):
-        cone = ConeSpec(S=(0, 1), L=1.0, N=2)
+        own = irrepresentable_uniform(equicorr4, cone).estimate
+        assert own == pytest.approx(2.0 / 3.0)
         reports = {
             "irr_uniform_s": BoundedValue.exact(0.5),
             "rr_ad_s": BoundedValue.interval(0.7, 0.6, 0.8),
         }
-        v = check_edge("E4", None, cone, reports=reports)
+        v = check_edge("E4", equicorr4, cone, reports=reports)
         assert v.holds is True
         assert v.lhs_value == 0.5
         assert v.rhs_value == 0.6  # certified lower endpoint of the rhs
-
-    def test_supplied_alpha_still_needs_gram_for_solve(self):
-        cone = ConeSpec(S=(0, 1), L=1.0, N=2)
-        reports = {"alpha": BoundedValue.certified_upper(0.5)}
-        with pytest.raises(MissingInput) as info:
-            check_edge("E11", None, cone, reports=reports)
-        assert info.value.key == "gram"
 
 
 class TestHierarchyEdge:
@@ -236,7 +225,7 @@ class TestHierarchyEdge:
             "phi_re": BoundedValue.interval(0.8, 0.7, 0.8),
             "phi_compat": BoundedValue.interval(1.0, 0.99, 1.0),
         }
-        v = check_edge("E7", None, cone, reports=reports)
+        v = check_edge("E7", GramMatrix(np.eye(4)), cone, reports=reports)
         assert v.holds is holds
         assert (v.lhs_value, v.rhs_value) == (ad_lower, 0.8)
         assert "adaptive lower vs plain upper" in v.bound_direction_note
@@ -339,16 +328,28 @@ class TestInfiniteSide:
         reports = {"lambda2_s": BoundedValue.exact(0.5), "rr_ad_upper_s": inf_upper,
                    "norm_s_2inf": 1.0, "lambda2_2s": BoundedValue.exact(0.5),
                    "rr_ad_upper_2s": inf_upper, "max_norm_2s_2inf": 1.0}
-        v = check_edge("E2", None, ConeSpec(S=(0, 1), L=1.0, N=2), reports=reports)
+        v = check_edge("E2", GramMatrix(np.eye(4)), ConeSpec(S=(0, 1), L=1.0, N=2),
+                       reports=reports)
         assert v.skipped
         assert v.bound_direction_note == "skipped: no finite theta_rr_adaptive upper bound"
 
     def test_infinite_le_side_skips_e5(self):
         reports = {"rr_ad_upper_2s": BoundedValue.certified_upper(math.inf),
                    "weak_rip_2s": BoundedValue.exact(0.5)}
-        v = check_edge("E5", None, ConeSpec(S=(0, 1), L=1.0, N=2), reports=reports)
+        v = check_edge("E5", GramMatrix(np.eye(4)), ConeSpec(S=(0, 1), L=1.0, N=2),
+                       reports=reports)
         assert v.skipped
         assert "no finite margin" in v.bound_direction_note
+
+
+def test_a_vanishing_positive_lambda2_leaves_e2_and_e3_no_bound():
+    # Lambda^2(S, s) = Lambda^2(S, 2s) = 1e-12 is positive but numerically
+    # zero by the package's one rule (constants._lambda2_vanishes)
+    gram = GramMatrix(np.diag([1.0, 1e-12, 1.0, 1.0]))
+    notes = {v.edge_id: v.bound_direction_note
+             for v in check_all(gram, ConeSpec(S=(1,), L=1.0, N=1))}
+    assert notes["E2"] == "skipped: no applicable block-norm bound (singular or 2s > p)"
+    assert notes["E3"] == "skipped: no applicable coherence bound (singular or 2s > p)"
 
 
 def test_tiny_cap_yields_skips_not_raises(fast_config):
@@ -401,13 +402,3 @@ class TestPerturbationTransfer:
         cone = ConeSpec(S=(0, 1), L=3.0, N=2)
         out = perturbation_transfer(pair, cone, BoundedValue.certified_lower(0.5))
         assert out.estimate == 0.0
-
-    def test_which_validation(self):
-        g = GramMatrix(np.eye(3))
-        pair = PerturbationPair(g, g)
-        cone = ConeSpec(S=(0,), L=1.0, N=1)
-        phi0 = BoundedValue.certified_lower(1.0)
-        for which in ("compat", "re", "re_adaptive"):
-            perturbation_transfer(pair, cone, phi0, which)
-        with pytest.raises(InvalidParameter):
-            perturbation_transfer(pair, cone, phi0, "compatibility")

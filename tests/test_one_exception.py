@@ -1,11 +1,11 @@
 """Guard the exception taxonomy: one class per failure mode.
 
-errors.py defines exactly eight classes, AuditError and seven subclasses of
+errors.py defines exactly seven classes, AuditError and six subclasses of
 it, and no other module derives from any of them.  Every raise in src names
-one of the eight, re-raises a caught exception (a bare raise or an
+one of the seven, re-raises a caught exception (a bare raise or an
 uncalled lower-case name), or raises cli._NotFastCsv, the CSV fast path's
 sentinel, which load_matrix_csv catches so it never leaves cli.  Each of the
-eight is raised somewhere.  A numerically singular block, whatever reads
+seven is raised somewhere.  A numerically singular block, whatever reads
 it, is SingularBlock, and the diag(1, 0, 1) instance below pins that at the
 CLI.
 """
@@ -18,8 +18,8 @@ import numpy as np
 from lasso_audit.cli import main, save_matrix_csv
 from test_one_thread_driver import SRC, package
 
-EIGHT = {"AuditError", "InvalidParameter", "ParseError", "CapExceeded", "MaxItersExceeded",
-         "SingularBlock", "DenominatorNonPositive", "MissingInput"}
+SEVEN = {"AuditError", "InvalidParameter", "ParseError", "CapExceeded", "MaxItersExceeded",
+         "SingularBlock", "DenominatorNonPositive"}
 
 SENTINELS = {"cli": {"_NotFastCsv"}}
 
@@ -65,27 +65,27 @@ def caught(tree) -> set:
     return found
 
 
-def test_errors_defines_the_eight():
+def test_errors_defines_the_seven():
     tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
     bases = class_bases(tree)
-    assert set(bases) == EIGHT
+    assert set(bases) == SEVEN
     assert bases.pop("AuditError") == ["Exception"]
     assert all(b == ["AuditError"] for b in bases.values())
 
 
-def test_every_raise_names_one_of_the_eight():
+def test_every_raise_names_one_of_the_seven():
     raised = set()
     for module, tree in package():
-        allowed = EIGHT | SENTINELS.get(module, set())
+        allowed = SEVEN | SENTINELS.get(module, set())
         names = raised_classes(tree)
         assert set(names) <= allowed, (module, sorted(set(names) - allowed))
         raised.update(names)
         if module != "errors":
-            assert not any(set(b) & EIGHT for b in class_bases(tree).values()), module
+            assert not any(set(b) & SEVEN for b in class_bases(tree).values()), module
         for sentinel in SENTINELS.get(module, ()):
             assert sentinel in caught(tree)
             assert class_bases(tree)[sentinel] == ["Exception"]
-    assert EIGHT <= raised
+    assert SEVEN <= raised
 
 
 def test_scan_sees_every_raise_form():
