@@ -49,7 +49,7 @@ from .estimators import (
     restricted_regression,
 )
 from .experiments import (
-    _KIND_PARAMETERS,
+    _GENERATORS,
     GeneratorSpec,
     concentration_experiment,
     generate,
@@ -482,23 +482,15 @@ def _cmd_montecarlo(config: RunConfig):
 def _cmd_generate(config: RunConfig):
     if config.kind is None:
         raise InvalidParameter("command 'generate' requires --kind")
-    params = {}
-    if config.p is not None:
-        params["p"] = config.p
-    if config.s_size is not None:
-        params["s"] = config.s_size
-    if config.rho is not None:
-        params["rho"] = config.rho
-    if config.block_size is not None:
-        params["block_size"] = config.block_size
-    if config.n_samples is not None:
-        params["n"] = config.n_samples
-    if config.kind == "random_psd":
-        params["seed"] = config.seed
-        params["jitter"] = config.jitter
-    if config.kind == "gaussian_design":
-        params["seed"] = config.seed
-        params["noise_sd"] = config.noise_sd
+    # --p, --s, --rho, --block-size and --n go to every kind when given, so
+    # GeneratorSpec refuses one the kind never reads; --seed, --jitter and
+    # --noise-sd always hold a value and go only to a kind whose row lists them
+    given = (("p", config.p), ("s", config.s_size), ("rho", config.rho),
+             ("block_size", config.block_size), ("n", config.n_samples))
+    defaulted = (("seed", config.seed), ("jitter", config.jitter), ("noise_sd", config.noise_sd))
+    reads = _GENERATORS[config.kind][0] if config.kind in _GENERATORS else ()
+    params = {name: value for name, value in given if value is not None}
+    params.update((name, value) for name, value in defaulted if name in reads)
     produced = generate(GeneratorSpec(config.kind, params))
     matrix = produced.X if isinstance(produced, NoisyProblem) else produced.entries
     if config.out is not None:
@@ -620,11 +612,12 @@ def _refuse_unread_flags(given: dict) -> None:
         form, unread = "lasso --design", ("--gram", "--S", "--L", "--N", "--cap-subsets")
     elif command == "montecarlo" and given.get("experiment") == "noise":
         form, unread = "montecarlo --experiment noise", ("--gram",)
-    elif command == "generate" and given.get("kind") in _KIND_PARAMETERS:
+    elif command == "generate" and given.get("kind") in _GENERATORS:
         # these flags are the generator parameters of the same name
         form = f"generate --kind {given['kind']}"
+        reads, _ = _GENERATORS[given["kind"]]
         unread = tuple(flag for flag in ("--seed", "--jitter", "--noise-sd")
-                       if _FLAGS[flag][0] not in _KIND_PARAMETERS[given["kind"]])
+                       if _FLAGS[flag][0] not in reads)
     else:
         return
     ignored = [flag for flag in unread if _FLAGS[flag][0] in given]

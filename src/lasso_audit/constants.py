@@ -55,6 +55,7 @@ from .core import (
     GramMatrix,
     SubsetN,
     _complement,
+    _complements,
     _jsonable,
     _nonsingular,
     block,
@@ -84,13 +85,6 @@ def _combinations(pool: np.ndarray, k: int, rows: int):
         yield pool[flat.reshape(r, k)]
 
 
-def _complements(nsets: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise ascending complements of the stacked index sets."""
-    keep = np.ones((len(nsets), p), dtype=bool)
-    keep[np.arange(len(nsets))[:, None], nsets] = False
-    return np.nonzero(keep)[1].reshape(len(nsets), p - nsets.shape[1])
-
-
 def _supersets(p: int, base: tuple, n: int, rows: int):
     """The size-n supersets of base, lexicographic in the added indices, as
     stacked ascending (r, n) arrays."""
@@ -98,7 +92,7 @@ def _supersets(p: int, base: tuple, n: int, rows: int):
         yield from _combinations(np.arange(p, dtype=np.intp), n, rows)
         return
     base = np.asarray(base, dtype=np.intp).reshape(1, -1)
-    for extra in _combinations(_complements(base, p)[0], n - base.size, rows):
+    for extra in _combinations(_complement(p, base), n - base.size, rows):
         stacked = np.broadcast_to(base, (len(extra), base.size))
         yield np.sort(np.concatenate([stacked, extra], axis=1), axis=1)
 
@@ -547,7 +541,7 @@ def coherence(gram: GramMatrix, cone: ConeSpec, kind: str) -> BoundedValue:
     if _lambda2_vanishes(gram, lam2):
         raise SingularBlock(f"Lambda^2(S,s) = {lam2!r} is numerically zero")
     outside = _complement(gram.p, cone.S)
-    if not outside:
+    if outside.size == 0:
         return BoundedValue.exact(0.0, provenance="empty complement")
     cross = gram.entries[np.ix_(outside, s_idx)]
     if kind == "mutual":

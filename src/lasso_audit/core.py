@@ -353,7 +353,7 @@ class SubsetN:
         return len(self.members)
 
     def complement(self, p: int) -> tuple:
-        return tuple(_complement(p, self.members))
+        return tuple(_complement(p, self.members).tolist())
 
     def contains(self, other) -> bool:
         return set(other).issubset(self.members)
@@ -375,10 +375,17 @@ class PerturbationPair:
         object.__setattr__(self, "d_inf", d_infinity(self.sigma0, self.sigma1))
 
 
-def _complement(p: int, members) -> list:
-    """The indices 0..p-1 outside members, ascending."""
-    inside = set(members)
-    return [j for j in range(p) if j not in inside]
+def _complements(nsets: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise ascending complements of the stacked index sets: the one
+    code that builds a complement (_complement is its one-row call)."""
+    keep = np.ones((len(nsets), p), dtype=bool)
+    keep[np.arange(len(nsets))[:, None], nsets] = False
+    return np.nonzero(keep)[1].reshape(len(nsets), p - nsets.shape[1])
+
+
+def _complement(p: int, members) -> np.ndarray:
+    """The indices 0..p-1 outside members, as an ascending intp array."""
+    return _complements(np.asarray(members, dtype=np.intp).reshape(1, -1), p)[0]
 
 
 def _as_vector(beta, p=None) -> np.ndarray:
@@ -400,7 +407,7 @@ def block(gram: GramMatrix, nset: SubsetN, which: str) -> np.ndarray:
     idx = np.array(nset.members, dtype=int)
     if idx.size and idx[-1] >= p:
         raise InvalidParameter(f"subset index {idx[-1]} out of range for p={p}")
-    comp = np.array(nset.complement(p), dtype=int)
+    comp = _complement(p, nset.members)
     if which == "11":
         return gram.entries[np.ix_(idx, idx)].copy()
     if which == "21":
@@ -450,11 +457,8 @@ def cone_membership(beta, cone: ConeSpec, nset: SubsetN = None, variant: str = "
     beta = _as_vector(beta)
     p = beta.shape[0]
     cone.validate_p(p)
-    S = np.array(cone.S, dtype=int)
-    mask = np.zeros(p, dtype=bool)
-    mask[S] = True
-    head = beta[mask]
-    tail_l1 = float(np.sum(np.abs(beta[~mask])))
+    head = beta[np.array(cone.S, dtype=int)]
+    tail_l1 = float(np.sum(np.abs(beta[_complement(p, cone.S)])))
     if variant == "plain":
         head_norm = float(np.sum(np.abs(head)))
         if head_norm == 0.0:
@@ -495,7 +499,8 @@ def top_nset(beta, cone: ConeSpec) -> SubsetN:
     ||beta_nset||_2 is maximal.  Ties break by ascending index (_top_tail).
     """
     beta = _as_vector(beta)
-    comp = np.array(_complement(beta.shape[0], cone.S), dtype=np.intp)
+    cone.validate_p(beta.shape[0])
+    comp = _complement(beta.shape[0], cone.S)
     extra = comp[_top_tail(np.abs(beta[comp])[None, :], cone.N - cone.s)[0]]
     return SubsetN(tuple(sorted(cone.S + tuple(extra.tolist()))))
 

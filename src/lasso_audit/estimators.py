@@ -179,7 +179,7 @@ class _ConeIndex(NamedTuple):
 
 
 def _cone_index(p: int, cone: ConeSpec) -> _ConeIndex:
-    comp = np.array(_complement(p, cone.S), dtype=np.intp)
+    comp = _complement(p, cone.S)
     return _ConeIndex(cone, np.array(cone.S, dtype=np.intp), comp, min(cone.N - cone.s, comp.size))
 
 

@@ -29,19 +29,6 @@ from .core import GramMatrix, _jsonable, _run_lanes, derived_rng
 from .errors import InvalidParameter
 from .lasso import NoisyProblem, lambda0_bound
 
-# kind -> the parameters generate reads for it; any other is refused
-_KIND_PARAMETERS = {
-    "identity": {"p"},
-    "equicorrelation": {"p", "rho"},
-    "toeplitz_geometric": {"p", "rho"},
-    "block_equicorrelation": {"p", "block_size", "rho"},
-    "rank_one_cross": {"p", "s", "rho", "b1", "b2"},
-    "coupled_pair": {"p", "s", "rho"},
-    "random_psd": {"p", "seed", "jitter", "normalize"},
-    "gaussian_design": {"n", "p", "seed", "population", "beta0", "noise_sd"},
-}
-GENERATOR_KINDS = tuple(_KIND_PARAMETERS)
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -55,7 +42,7 @@ class GeneratorSpec:
             raise InvalidParameter(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
-        reads = _KIND_PARAMETERS[self.kind]
+        reads, _ = _GENERATORS[self.kind]
         unread = [key for key in self.parameters if key not in reads]
         if unread:
             raise InvalidParameter(
@@ -224,39 +211,11 @@ def random_psd_entries(p: int, seed: int, jitter: float = 0.0,
     return (sig + sig.T) / 2.0
 
 
-def generate(spec: GeneratorSpec) -> Union[GramMatrix, NoisyProblem]:
-    """Materialize the matrix (or sampled regression problem) a spec names."""
-    params = spec.parameters
-    kind = spec.kind
-    if kind == "identity":
-        return GramMatrix(np.eye(_need_int(params, "p")))
-    if kind == "equicorrelation":
-        p = _need_int(params, "p")
-        return GramMatrix(equicorrelation_entries(p, _need_rho(params)))
-    if kind == "toeplitz_geometric":
-        p = _need_int(params, "p")
-        return GramMatrix(toeplitz_geometric_entries(p, _need_rho(params)))
-    if kind == "block_equicorrelation":
-        p = _need_int(params, "p")
-        m = _need_int(params, "block_size")
-        return GramMatrix(block_equicorrelation_entries(p, m, _need_rho(params)))
-    if kind == "rank_one_cross":
-        p = _need_int(params, "p")
-        s = _need_int(params, "s")
-        return GramMatrix(rank_one_cross_entries(p, s, _need_rho(params),
-                                                 params.get("b1"), params.get("b2")))
-    if kind == "coupled_pair":
-        p = _need_int(params, "p")
-        s = _need_int(params, "s")
-        return GramMatrix(coupled_pair_entries(p, s, _need_rho(params)))
-    if kind == "random_psd":
-        p = _need_int(params, "p")
-        seed = _need_int(params, "seed", minimum=0) if "seed" in params else 0
-        return GramMatrix(random_psd_entries(p, seed, float(params.get("jitter", 0.0)),
-                                             bool(params.get("normalize", True))))
-    if kind == "gaussian_design":
-        return _generate_gaussian_design(params)
-    raise InvalidParameter(f"unknown generator kind {kind!r}")
+def _generate_random_psd(params: dict) -> GramMatrix:
+    p = _need_int(params, "p")
+    seed = _need_int(params, "seed", minimum=0) if "seed" in params else 0
+    return GramMatrix(random_psd_entries(p, seed, float(params.get("jitter", 0.0)),
+                                         bool(params.get("normalize", True))))
 
 
 def _generate_gaussian_design(params: dict) -> NoisyProblem:
@@ -288,6 +247,35 @@ def _generate_gaussian_design(params: dict) -> NoisyProblem:
     eps = sd * _box_muller(derived_rng(seed, "generate", "gaussian_design", "noise"), n)
     y = x @ beta0 + eps
     return NoisyProblem(x, y, beta0=beta0, epsilon=eps)
+
+
+# kind -> (the parameters its builder reads, in the order it reads them, and
+# the builder); GeneratorSpec refuses any other parameter
+_GENERATORS = {
+    "identity": (("p",), lambda params: GramMatrix(np.eye(_need_int(params, "p")))),
+    "equicorrelation": (("p", "rho"), lambda params: GramMatrix(
+        equicorrelation_entries(_need_int(params, "p"), _need_rho(params)))),
+    "toeplitz_geometric": (("p", "rho"), lambda params: GramMatrix(
+        toeplitz_geometric_entries(_need_int(params, "p"), _need_rho(params)))),
+    "block_equicorrelation": (("p", "block_size", "rho"), lambda params: GramMatrix(
+        block_equicorrelation_entries(_need_int(params, "p"), _need_int(params, "block_size"),
+                                      _need_rho(params)))),
+    "rank_one_cross": (("p", "s", "rho", "b1", "b2"), lambda params: GramMatrix(
+        rank_one_cross_entries(_need_int(params, "p"), _need_int(params, "s"), _need_rho(params),
+                               params.get("b1"), params.get("b2")))),
+    "coupled_pair": (("p", "s", "rho"), lambda params: GramMatrix(
+        coupled_pair_entries(_need_int(params, "p"), _need_int(params, "s"), _need_rho(params)))),
+    "random_psd": (("p", "seed", "jitter", "normalize"), _generate_random_psd),
+    "gaussian_design": (("n", "p", "seed", "population", "beta0", "noise_sd"),
+                        _generate_gaussian_design),
+}
+GENERATOR_KINDS = tuple(_GENERATORS)
+
+
+def generate(spec: GeneratorSpec) -> Union[GramMatrix, NoisyProblem]:
+    """Materialize the matrix (or sampled regression problem) a spec names."""
+    _, build = _GENERATORS[spec.kind]
+    return build(spec.parameters)
 
 
 def _design_rows(n: int, p: int, population: GramMatrix, seed: int) -> np.ndarray:

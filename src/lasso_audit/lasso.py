@@ -236,15 +236,13 @@ def antiprojection_identity_check(gram: GramMatrix, solution: LassoSolution, nse
     support lies inside nset and Sigma_11(nset) is invertible.  Returns
     (lhs, rhs, gap).
     """
-    comp = _complement(gram.p, nset.members)
-    inv = inverse_11(gram, nset)
-    head_idx = list(nset.members)
-    tau_head = solution.tau_star[head_idx]
-    b = solution.beta_star[comp]
-    if not comp:
-        return 0.0, 0.0, 0.0
-    s22 = block(gram, nset, "22")
     s21 = block(gram, nset, "21")
+    if len(s21) == 0:
+        return 0.0, 0.0, 0.0
+    inv = inverse_11(gram, nset)
+    tau_head = solution.tau_star[list(nset.members)]
+    b = solution.beta_star[_complement(gram.p, nset.members)]
+    s22 = block(gram, nset, "22")
     lhs = 2.0 * float(b @ s22 @ b - b @ s21 @ inv @ (s21.T @ b))
     rhs = float(solution.lam * (b @ s21 @ inv @ tau_head)
                 - solution.lam * np.abs(b).sum())
@@ -371,7 +369,7 @@ def oracle_verdict(gram: GramMatrix, solution: LassoSolution, cone: ConeSpec, la
     diff = solution.beta_star - beta0
     pred = float(diff @ gram.entries @ diff)
     comp = _complement(gram.p, cone.S)
-    tail_l1 = float(np.abs(solution.beta_star[comp]).sum()) if comp else 0.0
+    tail_l1 = float(np.abs(solution.beta_star[comp]).sum())
     lhs = pred + lam * tail_l1
     phi2 = max(float(phi_lower.estimate), 0.0)
     rhs = lam * lam * s / phi2 if phi2 > 0 else math.inf
@@ -437,8 +435,7 @@ def _dual_certificate_bound(gram: GramMatrix, beta0: np.ndarray) -> float:
     abs_v = np.abs(v)
     residual = float(np.max(np.abs(head @ v - tau) + _gamma(k + 1) * (abs_head @ abs_v + 1.0)))
     inv_norm = 2.0 * float(np.max(abs_inv.sum(axis=1)))
-    off = np.ones(gram.p, dtype=bool)
-    off[support] = False
+    off = _complement(gram.p, support)
     abs_off = np.abs(cols[off])
     bound = (np.abs(cols[off] @ v) + 2.0 * (_gamma(k) * (abs_off @ abs_v)
                                             + abs_off.sum(axis=1) * (inv_norm * residual)))
@@ -534,7 +531,7 @@ def solve_noisy(noisy: NoisyProblem, lam: float, config: SolverConfig = DEFAULT_
     diff = beta - noisy.beta0
     pred = float(diff @ gram.entries @ diff)
     comp = _complement(gram.p, support)
-    tail_l1 = float(np.abs(beta[comp]).sum()) if comp else 0.0
+    tail_l1 = float(np.abs(beta[comp]).sum())
     lhs = pred + (lam - lam0) * tail_l1
     phi_low = certified_lower_phi(gram, cone, target="compatibility")
     phi2 = max(float(phi_low.estimate), 0.0)

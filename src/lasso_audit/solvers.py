@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import _complement
 from .errors import InvalidParameter, MaxItersExceeded, SingularBlock
 
 _PIVOT_TOL = 1e-10
@@ -301,8 +302,8 @@ def simplex_lp(problem: LPProblem, config: SolverConfig = DEFAULT_CONFIG) -> Sim
                 continue
             _pivot(tableau, basis, i, candidates[0])
             pivots += 1
-    keep = [i for i in range(m) if i not in drop_rows]
-    rows = keep + [m]
+    keep = _complement(m, drop_rows)
+    rows = np.append(keep, m)
     tableau = tableau[np.ix_(rows, list(range(n)) + [n + m])]
     basis = basis[keep]
     m2 = len(keep)

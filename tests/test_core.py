@@ -402,6 +402,11 @@ def test_top_nset():
     assert top_nset(beta, ConeSpec(S=(2,), L=1.0, N=4)).members == (0, 1, 2, 3)
     assert top_nset(beta, ConeSpec(S=(2,), L=1.0, N=1)).members == (2,)
     assert top_nset([0.0, 0.5, 0.0, 1.0, 0.0], ConeSpec(S=(3,), L=1.0, N=3)).members == (0, 1, 3)
+    # a cone that does not fit beta is refused, not enlarged past p
+    with pytest.raises(InvalidParameter, match="out of range"):
+        top_nset(beta, ConeSpec(S=(5,), L=1.0, N=2))
+    with pytest.raises(InvalidParameter, match="exceeds"):
+        top_nset(beta, ConeSpec(S=(2,), L=1.0, N=5))
 
 
 def test_d_infinity():

@@ -213,18 +213,48 @@ class TestGeneratorSpec:
             generate(GeneratorSpec.from_dict({"kind": kind, **params}))
 
     def test_every_parameter_a_kind_reads_is_accepted(self):
-        # the parameter sets the benchmark passes, and every optional one
-        eye = GramMatrix(np.eye(3))
-        specs = [
-            ("random_psd", {"p": 4, "seed": 2, "jitter": 0.1, "normalize": False}),
-            ("gaussian_design", {"n": 6, "p": 3, "seed": 1, "beta0": [1.0, 0.0, 0.0],
-                                 "population": eye, "noise_sd": 0.5}),
-            ("rank_one_cross", {"p": 4, "s": 2, "rho": 0.5, "b1": [0.6, 0.8],
-                                "b2": [1.0, 0.0]}),
-            ("block_equicorrelation", {"p": 4, "block_size": 2, "rho": 0.3}),
-        ]
-        for kind, params in specs:
-            generate(GeneratorSpec(kind, params))
+        # every kind with every parameter its row declares (the sets the
+        # benchmark passes among them): each is accepted, and the builder
+        # reads exactly those, first in the row's order
+        class Recording(dict):
+            def __init__(self, params):
+                super().__init__(params)
+                self.reads = []
+
+            def _read(self, key):
+                if key not in self.reads:
+                    self.reads.append(key)
+
+            def __contains__(self, key):
+                self._read(key)
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                self._read(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self._read(key)
+                return super().get(key, default)
+
+        specs = {
+            "identity": {"p": 3},
+            "equicorrelation": {"p": 3, "rho": 0.5},
+            "toeplitz_geometric": {"p": 3, "rho": 0.5},
+            "block_equicorrelation": {"p": 4, "block_size": 2, "rho": 0.3},
+            "rank_one_cross": {"p": 4, "s": 2, "rho": 0.5, "b1": [0.6, 0.8], "b2": [1.0, 0.0]},
+            "coupled_pair": {"p": 4, "s": 3, "rho": 0.4},
+            "random_psd": {"p": 4, "seed": 2, "jitter": 0.1, "normalize": False},
+            "gaussian_design": {"n": 6, "p": 3, "seed": 1, "population": GramMatrix(np.eye(3)),
+                                "beta0": [1.0, 0.0, 0.0], "noise_sd": 0.5},
+        }
+        assert tuple(specs) == GENERATOR_KINDS
+        for kind, params in specs.items():
+            declared, _ = experiments._GENERATORS[kind]
+            assert set(params) == set(declared)
+            recording = Recording(params)
+            generate(GeneratorSpec(kind, recording))
+            assert tuple(recording.reads) == declared, kind
 
 
     def test_gaussian_design_draws_x_without_forming_a_gram(self, monkeypatch):

@@ -30,7 +30,7 @@ from lasso_audit import (
     soft_threshold,
 )
 from lasso_audit import lasso
-from lasso_audit.errors import InvalidParameter
+from lasso_audit.errors import InvalidParameter, SingularBlock
 
 from conftest import random_gram
 
@@ -164,6 +164,20 @@ class TestAntiprojection:
         g = equicorr(3, 0.2)
         sol = solve_noiseless(g, [1.0, 0.0, 0.0], 0.2)
         assert antiprojection_identity_check(g, sol, SubsetN((0, 1, 2))) == (0.0, 0.0, 0.0)
+
+    def test_full_nset_inverts_no_block(self):
+        # with no tail there is nothing to project, so a singular Sigma_11
+        # gives the zeros I_2 gives; a singular head with a tail still refuses
+        for sigma in (np.ones((2, 2)), np.eye(2)):
+            g = GramMatrix(sigma)
+            sol = solve_noiseless(g, [1.0, 0.0], 0.1)
+            assert antiprojection_identity_check(g, sol, SubsetN((0, 1))) == (0.0, 0.0, 0.0)
+        g = GramMatrix(np.ones((3, 3)))
+        sol = solve_noiseless(g, [1.0, 0.0, 0.0], 0.1)
+        with pytest.raises(SingularBlock):
+            antiprojection_identity_check(g, sol, SubsetN((0, 1)))
+        with pytest.raises(InvalidParameter, match="out of range"):
+            antiprojection_identity_check(g, sol, SubsetN((0, 3)))
 
 
 class TestSelectionReport:
