@@ -24,30 +24,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .constants import (
-    DEFAULT_SIGN_CAP,
-    ConditionReport,
-    alpha_constant,
-    coherence,
-    irrepresentable_signed,
-    irrepresentable_uniform,
-    restricted_isometry,
-    restricted_orthogonality,
-    rip_constant,
-    theta_uniform,
-    uniform_eigenvalue,
-    weak_rip_constant,
-)
+from .constants import DEFAULT_SIGN_CAP, ConditionReport
 from .core import DEFAULT_SUBSET_CAP, BoundedValue, ConeSpec, GramMatrix, _jsonable, _run_lanes
 from .errors import AuditError, InvalidParameter, ParseError
-from .estimators import (
-    _best_route,
-    certified_lower_phi,
-    compatibility_constant,
-    lower_phi_routes,
-    restricted_eigenvalue,
-    restricted_regression,
-)
+from .estimators import _best_route, certified_lower_phi
 from .experiments import (
     _GENERATORS,
     GeneratorSpec,
@@ -55,7 +35,7 @@ from .experiments import (
     generate,
     noise_bound_experiment,
 )
-from .implications import check_all
+from .implications import _Inputs, check_all
 from .lasso import (
     NoisyProblem,
     basis_pursuit_recover,
@@ -298,93 +278,62 @@ def _beta0_for(config: RunConfig, p: int) -> np.ndarray:
     return beta0
 
 
+# the quantities analyze reports, in the order it computes them; the five
+# feasible-point searches are independent, each drawing from its own derived
+# stream and caching under its own key, so they run on lanes
+_BEFORE_SEARCHES = ("lambda2", "delta_N", "theta", "theta_uniform", "rip", "weak_rip",
+                    "irr_uniform", "irr_part2", "irr_part3", "mutual", "cumulative", "alpha")
+_SEARCHES = ("phi_compat", "phi_re", "phi_re_adaptive", "theta_rr", "theta_rr_adaptive")
+_AFTER_SEARCHES = ("phi_lower_routes",)
+
+
 def condition_report(gram: GramMatrix, cone: ConeSpec,
                      config: SolverConfig = DEFAULT_CONFIG,
                      cap: int = DEFAULT_SUBSET_CAP,
                      sign_cap: int = DEFAULT_SIGN_CAP) -> ConditionReport:
-    """Every named condition constant for one (gram, cone) pair.
+    """Every named condition constant for one (gram, cone) pair, each read
+    by its report key from the quantities the implication edges read.
 
     Constants whose computation raises an audit error appear under errors
     instead of entries; booleans are encoded as 1.0 / 0.0 entries with their
     witnesses alongside.
     """
-    p, s = gram.p, cone.s
     report = ConditionReport(context={
-        "p": p,
+        "p": gram.p,
         "fingerprint": gram.fingerprint(),
         "S": list(cone.S),
         "L": cone.L,
         "N": cone.N,
     })
+    inputs = _Inputs(gram, cone, config, cap, sign_cap)
 
-    def record(key, value, error):
+    def attempt(key):
+        try:
+            return inputs.get(key), None
+        except AuditError as exc:
+            return None, exc
+
+    def entry(key, value):
+        if key == "phi_lower_routes":
+            report.witnesses[key] = value
+            return _best_route(value)
+        if key not in ("irr_part2", "irr_part3"):
+            return value
+        ok, witness = value
+        if key == "irr_part3":
+            witness = ({"certified_sign_vectors": 2 ** cone.s} if ok else
+                       {"failing_tau_S": list(witness["failing_tau_S"]) if witness else None})
+        report.witnesses[key] = witness
+        return BoundedValue.exact(1.0 if ok else 0.0, provenance="boolean condition")
+
+    outcomes = [attempt(key) for key in _BEFORE_SEARCHES]
+    outcomes += _run_lanes([functools.partial(inputs.get, key) for key in _SEARCHES])
+    outcomes += [attempt(key) for key in _AFTER_SEARCHES]
+    for key, (value, error) in zip(_BEFORE_SEARCHES + _SEARCHES + _AFTER_SEARCHES, outcomes):
         if error is None:
-            report.entries[key] = value
+            report.entries[key] = entry(key, value)
         else:
             report.errors[key] = f"{type(error).__name__}: {error}"
-
-    def attempt(key, fn):
-        try:
-            record(key, fn(), None)
-        except AuditError as exc:
-            record(key, None, exc)
-
-    attempt("lambda2", lambda: uniform_eigenvalue(gram, cone, cap))
-    attempt("delta_N", lambda: restricted_isometry(gram, cone.N, cap))
-    attempt("theta", lambda: restricted_orthogonality(gram, cone, cap))
-    attempt("theta_uniform", lambda: theta_uniform(gram, s, cone.N, cap))
-    attempt("rip", lambda: rip_constant(gram, s, cap))
-    attempt("weak_rip", lambda: weak_rip_constant(gram, cone, cap))
-    attempt("irr_uniform", lambda: irrepresentable_uniform(gram, cone, cap))
-
-    def part2():
-        ok, nset = irrepresentable_signed(gram, cone, part=2, cap=cap, sign_cap=sign_cap)
-        report.witnesses["irr_part2"] = nset
-        return BoundedValue.exact(1.0 if ok else 0.0, provenance="boolean condition")
-
-    def part3():
-        ok, wit = irrepresentable_signed(gram, cone, part=3, cap=cap, sign_cap=sign_cap)
-        if ok:
-            report.witnesses["irr_part3"] = {"certified_sign_vectors": 2 ** s}
-        else:
-            report.witnesses["irr_part3"] = {
-                "failing_tau_S": list(wit["failing_tau_S"]) if wit else None
-            }
-        return BoundedValue.exact(1.0 if ok else 0.0, provenance="boolean condition")
-
-    attempt("irr_part2", part2)
-    attempt("irr_part3", part3)
-    attempt("mutual", lambda: coherence(gram, cone, "mutual"))
-    attempt("cumulative", lambda: coherence(gram, cone, "cumulative"))
-
-    def alpha():
-        if 2 * s > p:
-            raise InvalidParameter("alpha needs 2s <= p")
-        phi2s = certified_lower_phi(gram, cone.with_(L=1.0, N=2 * s),
-                                    "restricted_eigenvalue", "plain", cap, sign_cap)
-        return alpha_constant(gram, cone.with_(N=s), float(phi2s.estimate), cap)
-
-    attempt("alpha", alpha)
-    # the five feasible-point searches are independent, each drawing from
-    # its own derived stream, so they run on lanes
-    searches = {
-        "phi_compat": lambda: compatibility_constant(gram, cone, config, sign_cap),
-        "phi_re": lambda: restricted_eigenvalue(gram, cone, "plain", config, cap, sign_cap),
-        "phi_re_adaptive":
-            lambda: restricted_eigenvalue(gram, cone, "adaptive", config, cap, sign_cap),
-        "theta_rr": lambda: restricted_regression(gram, cone, "plain", config, cap, sign_cap),
-        "theta_rr_adaptive":
-            lambda: restricted_regression(gram, cone, "adaptive", config, cap, sign_cap),
-    }
-    for key, (value, error) in zip(searches, _run_lanes(list(searches.values()))):
-        record(key, value, error)
-
-    def phi_routes():
-        found = lower_phi_routes(gram, cone, "compatibility", "plain", cap, sign_cap)
-        report.witnesses["phi_lower_routes"] = found
-        return _best_route(found)
-
-    attempt("phi_lower_routes", phi_routes)
     return report
 
 

@@ -137,6 +137,14 @@ def _need_rho(params: dict, default: Optional[float] = None) -> float:
     return rho
 
 
+def _need_nonnegative(name: str, value) -> float:
+    """value as a float, refused unless it is finite and nonnegative."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise InvalidParameter(f"parameter {name!r} must be finite and nonnegative, got {value!r}")
+    return value
+
+
 def equicorrelation_entries(p: int, rho: float) -> np.ndarray:
     return (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
 
@@ -214,14 +222,15 @@ def random_psd_entries(p: int, seed: int, jitter: float = 0.0,
 def _generate_random_psd(params: dict) -> GramMatrix:
     p = _need_int(params, "p")
     seed = _need_int(params, "seed", minimum=0) if "seed" in params else 0
-    return GramMatrix(random_psd_entries(p, seed, float(params.get("jitter", 0.0)),
-                                         bool(params.get("normalize", True))))
+    jitter = _need_nonnegative("jitter", params.get("jitter", 0.0))
+    return GramMatrix(random_psd_entries(p, seed, jitter, bool(params.get("normalize", True))))
 
 
 def _generate_gaussian_design(params: dict) -> NoisyProblem:
     n = _need_int(params, "n")
     p = _need_int(params, "p")
     seed = _need_int(params, "seed", minimum=0) if "seed" in params else 0
+    sd = _need_nonnegative("noise_sd", params.get("noise_sd", 1.0))
     pop = params.get("population")
     if pop is None:
         population = GramMatrix(np.eye(p))
@@ -241,9 +250,6 @@ def _generate_gaussian_design(params: dict) -> NoisyProblem:
         beta0 = np.asarray(beta0, dtype=float)
         if beta0.shape != (p,):
             raise InvalidParameter(f"beta0 must have length {p}")
-    sd = float(params.get("noise_sd", 1.0))
-    if sd < 0.0:
-        raise InvalidParameter(f"noise_sd must be nonnegative, got {sd!r}")
     eps = sd * _box_muller(derived_rng(seed, "generate", "gaussian_design", "noise"), n)
     y = x @ beta0 + eps
     return NoisyProblem(x, y, beta0=beta0, epsilon=eps)
@@ -266,7 +272,7 @@ _GENERATORS = {
     "coupled_pair": (("p", "s", "rho"), lambda params: GramMatrix(
         coupled_pair_entries(_need_int(params, "p"), _need_int(params, "s"), _need_rho(params)))),
     "random_psd": (("p", "seed", "jitter", "normalize"), _generate_random_psd),
-    "gaussian_design": (("n", "p", "seed", "population", "beta0", "noise_sd"),
+    "gaussian_design": (("n", "p", "seed", "noise_sd", "population", "beta0"),
                         _generate_gaussian_design),
 }
 GENERATOR_KINDS = tuple(_GENERATORS)

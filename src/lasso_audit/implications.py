@@ -51,6 +51,7 @@ from .constants import (
     irrepresentable_signed,
     irrepresentable_uniform,
     restricted_isometry,
+    restricted_orthogonality,
     rip_constant,
     theta_uniform,
     theta_uniform_plan,
@@ -71,6 +72,7 @@ from .estimators import (
     ROUTE_CAP,
     compatibility_constant,
     certified_lower_phi,
+    lower_phi_routes,
     regression_upper,
     restricted_eigenvalue,
     restricted_regression,
@@ -134,95 +136,103 @@ def _verdict(edge_id: str, lhs: float, rhs: float, relation: str, note: str) -> 
 
 
 class _Inputs:
-    """Lazy cache of the per-instance quantities the edges consume.
+    """Lazy cache of the named quantities of _QUANTITIES on one instance.
 
-    Keys present in the user-supplied mapping win; everything else is
-    computed on demand from the Gram matrix.
+    Values supplied under a name win; everything else is computed on demand
+    from the Gram matrix.  A supplied key that names no quantity is refused.
     """
 
     def __init__(self, gram: GramMatrix, cone: ConeSpec, config: SolverConfig,
                  cap: int, sign_cap: int, supplied=None):
         self.gram = gram
         self.cone = cone
+        self.s = cone.s
         self.config = config
         self.cap = cap
         self.sign_cap = sign_cap
         self.cache = dict(supplied) if supplied else {}
+        unknown = [key for key in self.cache if key not in _QUANTITIES]
+        if unknown:
+            raise InvalidParameter(f"supplied input {unknown[0]!r} names no quantity")
 
     def get(self, key: str):
         if key not in self.cache:
-            self.cache[key] = self._build(key)
+            self.cache[key] = _QUANTITIES[key](self)
         return self.cache[key]
 
-    def _build(self, key: str):
-        gram, cone = self.gram, self.cone
-        p, s = gram.p, cone.s
-        route_cap = min(self.cap, ROUTE_CAP)
-        if key == "lambda2":
-            return uniform_eigenvalue(gram, cone, self.cap)
-        if key == "lambda2_s":
-            return uniform_eigenvalue(gram, cone.with_(N=s), self.cap)
-        if key == "lambda2_2s":
-            return uniform_eigenvalue(gram, cone.with_(N=2 * s), self.cap)
-        if key == "irr_uniform_s":
-            return irrepresentable_uniform(gram, cone.with_(N=s), self.cap)
-        if key == "rr_plain_upper":
-            return regression_upper(gram, cone, "plain", self.cap, self.sign_cap)
-        if key == "rr_ad_upper_s":
-            return regression_upper(gram, cone.with_(N=s), "adaptive", self.cap, self.sign_cap)
-        if key == "rr_ad_upper_2s":
-            return regression_upper(gram, cone.with_(N=2 * s), "adaptive", self.cap, self.sign_cap)
-        if key == "rr_ad_s":
-            return restricted_regression(gram, cone.with_(L=1.0, N=s), "adaptive", self.config,
-                                         cap=self.cap, sign_cap=self.sign_cap)
-        if key == "phi_lower_plain":
-            return certified_lower_phi(gram, cone, "restricted_eigenvalue", "plain",
-                                       self.cap, self.sign_cap)
-        if key == "phi_lower_plain_2s":
-            return certified_lower_phi(gram, cone.with_(N=2 * s), "restricted_eigenvalue",
-                                       "plain", self.cap, self.sign_cap)
-        if key == "phi_lower_2s":
-            return certified_lower_phi(gram, cone.with_(L=1.0, N=2 * s),
-                                       "restricted_eigenvalue", "plain", self.cap, self.sign_cap)
-        if key == "alpha":
-            # alpha(S) fed with the certified phi^2(S,2s) lower bound
-            phi_low = self.get("phi_lower_2s")
-            return alpha_constant(gram, cone.with_(N=s), float(phi_low.estimate), self.cap)
-        if key == "phi_compat":
-            return compatibility_constant(gram, cone, self.config, self.sign_cap)
-        if key == "phi_re":
-            return restricted_eigenvalue(gram, cone, "plain", self.config, self.cap,
-                                         self.sign_cap)
-        if key == "phi_re_adaptive":
-            # E7 reads only the lower endpoint, so the certified route stands
-            # in for the searched interval (analyze still reports the search)
-            return certified_lower_phi(gram, cone, "restricted_eigenvalue", "adaptive",
-                                       self.cap, self.sign_cap)
-        if key == "weak_rip_2s":
-            return weak_rip_constant(gram, cone.with_(N=2 * s), self.cap)
-        if key == "weak_rip_n":
-            return weak_rip_constant(gram, cone, self.cap)
-        if key == "rip":
-            return rip_constant(gram, s, self.cap)
-        if key == "delta_s":
-            return restricted_isometry(gram, s, self.cap)
-        if key == "delta_n":
-            return restricted_isometry(gram, cone.N, self.cap)
-        if key == "theta_ss":
-            return theta_uniform(gram, s, s, self.cap)
-        if key == "theta_s2s":
-            return theta_uniform(gram, s, 2 * s, self.cap)
-        if key == "mutual":
-            return coherence(gram, cone, "mutual")
-        if key == "cumulative":
-            return coherence(gram, cone, "cumulative")
-        if key == "norm_s_2inf":
-            return float(block_norm_2q(gram, SubsetN(cone.S), math.inf).estimate)
-        if key == "max_norm_2s_2inf":
-            return block_norm_maxima(gram, cone.with_(N=2 * s), route_cap, self.sign_cap).col
-        if key == "max_norm_2s_22":
-            return block_norm_maxima(gram, cone.with_(N=2 * s), route_cap, self.sign_cap).spectral
-        raise InvalidParameter(f"unknown input key {key!r}")
+
+def _alpha_phi_lower(q: _Inputs) -> float:
+    """The certified phi^2(S,2s) lower estimate that alpha(S) is fed with."""
+    if 2 * q.s > q.gram.p:
+        raise InvalidParameter("alpha needs 2s <= p")
+    return float(q.get("phi_lower_2s").estimate)
+
+
+# every quantity an edge reads or analyze reports, by name, as its
+# computation on the inputs q; a name analyze reports is its report key, and
+# its value the entry, except that irr_part2 and irr_part3 are (holds,
+# witness) pairs and phi_lower_routes is the {route: value} map
+_QUANTITIES = {
+    # reported by analyze, in its order
+    "lambda2": lambda q: uniform_eigenvalue(q.gram, q.cone, q.cap),
+    "delta_N": lambda q: restricted_isometry(q.gram, q.cone.N, q.cap),
+    "theta": lambda q: restricted_orthogonality(q.gram, q.cone, q.cap),
+    "theta_uniform": lambda q: theta_uniform(q.gram, q.s, q.cone.N, q.cap),
+    "rip": lambda q: rip_constant(q.gram, q.s, q.cap),
+    "weak_rip": lambda q: weak_rip_constant(q.gram, q.cone, q.cap),
+    "irr_uniform": lambda q: irrepresentable_uniform(q.gram, q.cone, q.cap),
+    "irr_part2": lambda q: irrepresentable_signed(q.gram, q.cone, part=2, cap=q.cap,
+                                                  sign_cap=q.sign_cap),
+    "irr_part3": lambda q: irrepresentable_signed(q.gram, q.cone, part=3, cap=q.cap,
+                                                  sign_cap=q.sign_cap),
+    "mutual": lambda q: coherence(q.gram, q.cone, "mutual"),
+    "cumulative": lambda q: coherence(q.gram, q.cone, "cumulative"),
+    "alpha": lambda q: alpha_constant(q.gram, q.cone.with_(N=q.s), _alpha_phi_lower(q), q.cap),
+    "phi_compat": lambda q: compatibility_constant(q.gram, q.cone, q.config, q.sign_cap),
+    "phi_re": lambda q: restricted_eigenvalue(q.gram, q.cone, "plain", q.config, q.cap,
+                                              q.sign_cap),
+    "phi_re_adaptive": lambda q: restricted_eigenvalue(q.gram, q.cone, "adaptive", q.config,
+                                                       q.cap, q.sign_cap),
+    "theta_rr": lambda q: restricted_regression(q.gram, q.cone, "plain", q.config, q.cap,
+                                                q.sign_cap),
+    "theta_rr_adaptive": lambda q: restricted_regression(q.gram, q.cone, "adaptive", q.config,
+                                                         q.cap, q.sign_cap),
+    "phi_lower_routes": lambda q: lower_phi_routes(q.gram, q.cone, "compatibility", "plain",
+                                                   q.cap, q.sign_cap),
+    # read by the edges alone
+    "lambda2_s": lambda q: uniform_eigenvalue(q.gram, q.cone.with_(N=q.s), q.cap),
+    "lambda2_2s": lambda q: uniform_eigenvalue(q.gram, q.cone.with_(N=2 * q.s), q.cap),
+    "irr_uniform_s": lambda q: irrepresentable_uniform(q.gram, q.cone.with_(N=q.s), q.cap),
+    "irr_part3_2s": lambda q: irrepresentable_signed(q.gram, q.cone.with_(L=1.0, N=2 * q.s),
+                                                     part=3, cap=q.cap, sign_cap=q.sign_cap),
+    "rr_plain_upper": lambda q: regression_upper(q.gram, q.cone, "plain", q.cap, q.sign_cap),
+    "rr_ad_upper_s": lambda q: regression_upper(q.gram, q.cone.with_(N=q.s), "adaptive", q.cap,
+                                                q.sign_cap),
+    "rr_ad_upper_2s": lambda q: regression_upper(q.gram, q.cone.with_(N=2 * q.s), "adaptive",
+                                                 q.cap, q.sign_cap),
+    "rr_ad_s": lambda q: restricted_regression(q.gram, q.cone.with_(L=1.0, N=q.s), "adaptive",
+                                               q.config, cap=q.cap, sign_cap=q.sign_cap),
+    "phi_lower_plain": lambda q: certified_lower_phi(q.gram, q.cone, "restricted_eigenvalue",
+                                                     "plain", q.cap, q.sign_cap),
+    "phi_lower_plain_2s": lambda q: certified_lower_phi(
+        q.gram, q.cone.with_(N=2 * q.s), "restricted_eigenvalue", "plain", q.cap, q.sign_cap),
+    "phi_lower_2s": lambda q: certified_lower_phi(
+        q.gram, q.cone.with_(L=1.0, N=2 * q.s), "restricted_eigenvalue", "plain", q.cap,
+        q.sign_cap),
+    # E7 reads only the lower endpoint of the adaptive constant, which the
+    # certified route gives without a search
+    "phi_lower_adaptive": lambda q: certified_lower_phi(q.gram, q.cone, "restricted_eigenvalue",
+                                                        "adaptive", q.cap, q.sign_cap),
+    "weak_rip_2s": lambda q: weak_rip_constant(q.gram, q.cone.with_(N=2 * q.s), q.cap),
+    "delta_s": lambda q: restricted_isometry(q.gram, q.s, q.cap),
+    "theta_ss": lambda q: theta_uniform(q.gram, q.s, q.s, q.cap),
+    "theta_s2s": lambda q: theta_uniform(q.gram, q.s, 2 * q.s, q.cap),
+    "norm_s_2inf": lambda q: float(block_norm_2q(q.gram, SubsetN(q.cone.S), math.inf).estimate),
+    "max_norm_2s_2inf": lambda q: block_norm_maxima(q.gram, q.cone.with_(N=2 * q.s),
+                                                    min(q.cap, ROUTE_CAP), q.sign_cap).col,
+    "max_norm_2s_22": lambda q: block_norm_maxima(q.gram, q.cone.with_(N=2 * q.s),
+                                                  min(q.cap, ROUTE_CAP), q.sign_cap).spectral,
+}
 
 
 def check_edge(edge_id: str, gram: GramMatrix, cone: ConeSpec,
@@ -230,9 +240,11 @@ def check_edge(edge_id: str, gram: GramMatrix, cone: ConeSpec,
                cap: int = DEFAULT_SUBSET_CAP, sign_cap: int = DEFAULT_SIGN_CAP) -> ImplicationVerdict:
     """Evaluate one edge of the implication graph on one instance.
 
-    reports may supply precomputed inputs keyed by the names in _Inputs;
-    they win over the Gram matrix, which computes the rest.  Premise
-    failures and refused inputs yield a skip verdict, as in check_all.
+    reports may supply precomputed inputs keyed by the names of
+    _QUANTITIES, analyze's report keys among them; they win over the Gram
+    matrix, which computes the rest, and a key that names no quantity is
+    refused.  Premise failures and refused inputs yield a skip verdict, as
+    in check_all.
     """
     if edge_id not in EDGE_IDS:
         raise InvalidParameter(f"unknown edge {edge_id!r}")
@@ -355,7 +367,7 @@ def _edge_e6(edge_id, inputs):
 
 
 def _edge_e7(edge_id, inputs):
-    ad = inputs.get("phi_re_adaptive")
+    ad = inputs.get("phi_lower_adaptive")
     plain = inputs.get("phi_re")
     compat = inputs.get("phi_compat")
     checks = [
@@ -383,9 +395,9 @@ def _edge_e9(edge_id, inputs):
     if cone.N > 2 * cone.s:
         return _skip(edge_id, "guaranteed only for N <= 2s")
     rip = float(inputs.get("rip").estimate)
-    wr = float(inputs.get("weak_rip_n").estimate)
+    wr = float(inputs.get("weak_rip").estimate)
     lam2 = float(inputs.get("lambda2").estimate)
-    delta_n = float(inputs.get("delta_n").estimate)
+    delta_n = float(inputs.get("delta_N").estimate)
     checks = [
         (wr, rip, "theta_wRIP(S,N) <= theta_RIP"),
         (1.0 - delta_n, lam2, "1 - delta_N <= Lambda^2(S,N)"),
@@ -425,8 +437,7 @@ def _edge_e11(edge_id, inputs):
     lhs = float(inputs.get("alpha").upper)
     if not lhs < 1.0:
         return _skip(edge_id, f"premise alpha(S) < 1 fails (upper={lhs!r})")
-    part3_ok, _ = irrepresentable_signed(gram, cone.with_(L=1.0, N=2 * s), part=3,
-                                         cap=inputs.cap, sign_cap=inputs.sign_cap)
+    part3_ok, _ = inputs.get("irr_part3_2s")
     lam = 0.1
     phi2 = float(inputs.get("phi_lower_2s").estimate)
     magnitude = 2.0 * lam * math.sqrt(s) / phi2

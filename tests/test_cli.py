@@ -458,7 +458,7 @@ class TestAnalyze:
 
     def test_compatibility_routes_are_found_once(self, monkeypatch):
         import lasso_audit.cli as cli
-        from lasso_audit import estimators
+        from lasso_audit import estimators, implications
 
         original = estimators.lower_phi_routes
         targets = []
@@ -468,7 +468,7 @@ class TestAnalyze:
             return original(gram, cone, target, *args, **kwargs)
 
         monkeypatch.setattr(estimators, "lower_phi_routes", counted)
-        monkeypatch.setattr(cli, "lower_phi_routes", counted)
+        monkeypatch.setattr(implications, "lower_phi_routes", counted)
         entries = random_psd_entries(8, 3, 0.1)
         cone = ConeSpec((1, 4), 1.0, 4)
         report = cli.condition_report(GramMatrix(entries), cone, DEFAULT_CONFIG, 200_000, 2 ** 20)
@@ -523,6 +523,29 @@ class TestGenerate:
         assert main(["generate"] + argv + ["--out", str(out)]) == 1
         kind = argv[1]
         assert f"generator kind '{kind}' takes no parameter '{unread}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "random_psd", "--p", "3", "--jitter=-1"],
+         "parameter 'jitter' must be finite and nonnegative, got -1.0"),
+        (["--kind", "random_psd", "--p", "40", "--jitter=-1e-12"],
+         "parameter 'jitter' must be finite and nonnegative, got -1e-12"),
+        (["--kind", "gaussian_design", "--n", "4", "--p", "3", "--noise-sd=-1"],
+         "parameter 'noise_sd' must be finite and nonnegative, got -1.0"),
+    ])
+    def test_negative_parameter_is_refused_before_any_draw(self, argv, message, tmp_path,
+                                                           capsys, monkeypatch):
+        from lasso_audit import experiments
+
+        def no_draw(*args):
+            raise AssertionError("a draw before the refusal")
+
+        monkeypatch.setattr(experiments, "_box_muller", no_draw)
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate"] + argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: InvalidParameter: {message}\n"
         assert not out.exists()
 
 

@@ -37,6 +37,8 @@ GRAMS = {
     # X'X / n with n = 8 < p = 12: rank deficient
     "rank8_p12": (lambda: sample_gaussian_design(8, 12, GramMatrix(np.eye(12)), 5)[1].entries,
                   ConeSpec((1, 4, 7), 1.0, 5)),
+    # p = 8, N = 2s: E8 is evaluated, not skipped
+    "e8": (lambda: random_psd_entries(8, 11, 0.2), ConeSpec((2, 5), 1.0, 4)),
 }
 
 SCALES = (2.0 ** -60, 2.0 ** -40, 2.0 ** 40)
@@ -55,11 +57,16 @@ COMPAT_MARGIN = pytest.mark.xfail(
     "compatibility constant (estimators.compatibility_constant, ROADMAP item 1)")
 
 # the compatibility margin moves the lower endpoint wherever it does not
-# clamp to 0 at both scales: everywhere on the enum Gram, and at 2^40 on
-# the rank-deficient one, whose constant is about 1e-15
+# clamp to 0 at both scales: everywhere on the enum and e8 Grams, and at
+# 2^40 on the rank-deficient one, whose constant is about 1e-15
 COMPAT_LOWER_CASES = [
-    pytest.param(name, c, marks=COMPAT_MARGIN if name == "enum" or c > 1.0 else ())
+    pytest.param(name, c, marks=COMPAT_MARGIN if name != "rank8_p12" or c > 1.0 else ())
     for name in GRAMS for c in SCALES]
+
+E8_FLOORS = pytest.mark.xfail(
+    strict=True, reason="floor: the 10 * tol * max(1, |value|) compatibility margin clamps "
+    "E8's lhs to 0 below scale 1, and the max(1, |value|) scale of _EDGE_RTOL in "
+    "implications._verdict still reports the negative slack as holds=true")
 
 
 def sign_flip(p: int) -> np.ndarray:
@@ -122,6 +129,18 @@ def test_scale_covariance(name, c):
 def test_scale_covariance_of_the_compatibility_lower_endpoint(name, c):
     base, report = audit(name)[0], audit(name, c)[0]
     assert report.entries["phi_compat"].lower == c * base.entries["phi_compat"].lower
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, marks=E8_FLOORS if c < 1.0 else ())
+                               for c in SCALES])
+def test_e8_slack_scales_with_sigma(c):
+    # both sides of E8 are of degree 1 in Sigma, so its slack is c times the
+    # scale-1 slack, 0.4523 on this Gram, up to the compatibility margin,
+    # which is 10 * tol relative above scale 1
+    base, edge = audit("e8")[1][7], audit("e8", c)[1][7]
+    assert (base.edge_id, base.holds) == ("E8", True) and base.slack > 0.45
+    assert edge.slack == pytest.approx(c * base.slack, rel=1e-7, abs=0.0)
+    assert edge.holds is True
 
 
 @pytest.mark.parametrize("name", GRAMS)

@@ -16,6 +16,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,28 @@ class TestGenerateDispatcher:
         with pytest.raises(InvalidParameter):
             generate(GeneratorSpec("gaussian_design",
                                    {"n": 10, "p": 2, "seed": 0, "noise_sd": -1.0}))
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("random_psd", {"p": 3, "jitter": -1.0}, "jitter"),
+        ("random_psd", {"p": 40, "jitter": -1e-12}, "jitter"),
+        ("random_psd", {"p": 3, "jitter": math.nan}, "jitter"),
+        ("random_psd", {"p": 3, "jitter": math.inf}, "jitter"),
+        ("gaussian_design", {"n": 4, "p": 3, "noise_sd": -0.5}, "noise_sd"),
+        ("gaussian_design", {"n": 4, "p": 3, "noise_sd": math.nan}, "noise_sd"),
+        ("gaussian_design", {"n": 4, "p": 3, "noise_sd": -math.inf}, "noise_sd"),
+    ])
+    def test_bad_jitter_or_noise_sd_is_refused_before_any_draw(self, kind, params, name,
+                                                               monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a draw before the refusal")
+
+        monkeypatch.setattr(experiments, "_box_muller", no_draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter,
+                               match=f"^parameter '{name}' must be finite and nonnegative, "
+                                     f"got {params[name]!r}$"):
+                generate(GeneratorSpec(kind, params))
 
 
 class TestSampling:

@@ -184,6 +184,14 @@ class TestCheckEdge:
         assert v.lhs_value == 0.5
         assert v.rhs_value == 0.6  # certified lower endpoint of the rhs
 
+    @pytest.mark.parametrize("key", ["delta_n", "weak_rip_n", "irr_unifrom_s"])
+    def test_a_supplied_key_that_names_no_quantity_is_refused(self, key):
+        # delta_n and weak_rip_n are the earlier names of delta_N and weak_rip
+        reports = {key: BoundedValue.exact(0.5), "rip": BoundedValue.exact(0.1)}
+        with pytest.raises(InvalidParameter, match=f"^supplied input '{key}' names no quantity$"):
+            check_edge("E9", GramMatrix(np.eye(4)), ConeSpec(S=(0, 1), L=1.0, N=2),
+                       reports=reports)
+
 
 class TestHierarchyEdge:
     """E7 reads the adaptive constant only through its lower endpoint, so
@@ -221,7 +229,7 @@ class TestHierarchyEdge:
     def test_supplied_adaptive_interval_decides_on_its_lower(self, ad_lower, holds):
         cone = ConeSpec(S=(0, 1), L=1.0, N=2)
         reports = {
-            "phi_re_adaptive": BoundedValue.interval(0.95, ad_lower, 0.95),
+            "phi_lower_adaptive": BoundedValue.interval(0.95, ad_lower, 0.95),
             "phi_re": BoundedValue.interval(0.8, 0.7, 0.8),
             "phi_compat": BoundedValue.interval(1.0, 0.99, 1.0),
         }
