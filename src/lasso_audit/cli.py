@@ -350,9 +350,9 @@ def _cmd_lasso(config: RunConfig):
         raise InvalidParameter("command 'lasso' requires --lambda")
     solver = config.solver_config()
     if config.design_path is not None:
-        x = load_matrix_csv(config.design_path)
         if config.y_path is None:
             raise InvalidParameter("--design requires --y with the response vector")
+        x = load_matrix_csv(config.design_path)
         y = load_vector_csv(config.y_path)
         beta0 = None if config.beta0_path is None else load_vector_csv(config.beta0_path)
         problem = NoisyProblem(x, y, beta0=beta0)
@@ -368,10 +368,10 @@ def _cmd_lasso(config: RunConfig):
         return result, (2 if skipped else 0)
     gram = _load_gram(config)
     beta0 = _beta0_for(config, gram.p)
-    solution = solve_noiseless(gram, beta0, config.lam, solver)
     support = config.s_members or tuple(int(j) for j in np.flatnonzero(beta0))
     if not support:
         raise InvalidParameter("the target vector is zero; give --S or a nonzero --beta0")
+    solution = solve_noiseless(gram, beta0, config.lam, solver)
     cone = ConeSpec(support, config.big_l,
                     config.n_set if config.n_set is not None else len(support))
     cone.validate_p(gram.p)

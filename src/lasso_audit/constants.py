@@ -370,18 +370,19 @@ def rip_constant(gram: GramMatrix, s_size: int, cap: int = DEFAULT_SUBSET_CAP) -
     """theta_{s,2s} / (1 - delta_s - theta_{s,s}); the denominator must be positive.
 
     The costs of delta_s, theta_{s,s} and theta_{s,2s} are all checked, in
-    that order, before any of them is enumerated."""
+    that order, before any of them is enumerated, and theta_{s,2s} is
+    enumerated only once the denominator is known to be positive."""
     _check_isometry(gram.p, s_size, cap)
     theta_uniform_plan(gram.p, s_size, s_size, cap)
     theta_uniform_plan(gram.p, s_size, 2 * s_size, cap)
     delta_s = restricted_isometry(gram, s_size, cap).estimate
     t_ss = theta_uniform(gram, s_size, s_size, cap).estimate
-    t_s2s = theta_uniform(gram, s_size, 2 * s_size, cap).estimate
     denom = 1.0 - delta_s - t_ss
     if denom <= 0.0:
         raise DenominatorNonPositive(
             f"1 - delta_s - theta_ss = {denom!r} is not positive (delta_s={delta_s!r}, theta_ss={t_ss!r})"
         )
+    t_s2s = theta_uniform(gram, s_size, 2 * s_size, cap).estimate
     return BoundedValue.exact(
         t_s2s / denom,
         provenance=f"delta_s={delta_s!r}, theta_ss={t_ss!r}, theta_s2s={t_s2s!r}",

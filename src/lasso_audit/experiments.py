@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -126,15 +126,16 @@ def _need_int(params: dict, key: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def _need_rho(params: dict, default: Optional[float] = None) -> float:
+def _need_rho(params: dict) -> float:
     if "rho" not in params:
-        if default is not None:
-            return default
         raise InvalidParameter("missing generator parameter 'rho'")
-    rho = float(params["rho"])
+    return float(params["rho"])
+
+
+def _check_rho(rho) -> None:
+    """Refuse a correlation outside [0, 1) (NaN included)."""
     if not 0.0 <= rho < 1.0:
         raise InvalidParameter(f"parameter 'rho' must satisfy 0 <= rho < 1, got {rho!r}")
-    return rho
 
 
 def _need_nonnegative(name: str, value) -> float:
@@ -146,10 +147,12 @@ def _need_nonnegative(name: str, value) -> float:
 
 
 def equicorrelation_entries(p: int, rho: float) -> np.ndarray:
+    _check_rho(rho)
     return (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
 
 
 def toeplitz_geometric_entries(p: int, rho: float) -> np.ndarray:
+    _check_rho(rho)
     idx = np.arange(p)
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
@@ -158,6 +161,7 @@ def rank_one_cross_entries(p: int, s: int, rho: float,
                            b1=None, b2=None) -> np.ndarray:
     """Identity head block, identity tail block, and a rank-one cross block
     rho * b2 b1' with unit vectors b1 (head) and b2 (tail)."""
+    _check_rho(rho)
     if not 1 <= s < p:
         raise InvalidParameter(f"need 1 <= s < p, got s={s}, p={p}")
     b1 = np.full(s, 1.0 / math.sqrt(s)) if b1 is None else np.asarray(b1, dtype=float)
@@ -181,6 +185,7 @@ def rank_one_cross_entries(p: int, s: int, rho: float,
 def coupled_pair_entries(p: int, s: int, rho: float) -> np.ndarray:
     """First two active coordinates correlated at rho, everything else
     orthonormal: diag(diag([[1, rho], [rho, 1]], I_{s-2}), I_{p-s})."""
+    _check_rho(rho)
     if s <= 2:
         raise InvalidParameter(f"need s > 2, got s={s}")
     if p < s:
@@ -191,9 +196,12 @@ def coupled_pair_entries(p: int, s: int, rho: float) -> np.ndarray:
 
 
 def block_equicorrelation_entries(p: int, block_size: int, rho: float) -> np.ndarray:
+    if block_size < 1:
+        raise InvalidParameter(
+            f"parameter 'block_size' must be an integer >= 1, got {block_size!r}")
+    block = equicorrelation_entries(block_size, rho)  # checks rho
     if p % block_size != 0:
         raise InvalidParameter(f"block_size {block_size} must divide p {p}")
-    block = equicorrelation_entries(block_size, rho)
     out = np.zeros((p, p))
     for start in range(0, p, block_size):
         out[start:start + block_size, start:start + block_size] = block
@@ -205,12 +213,13 @@ def random_psd_entries(p: int, seed: int, jitter: float = 0.0,
     """A'A / p from Box-Muller normals, optional ridge, optionally rescaled
     to unit diagonal.  The normals are dropped once A'A is formed and the
     rest runs in place, so at most three p x p arrays are held at once."""
+    jitter = _need_nonnegative("jitter", jitter)
     rng = derived_rng(seed, "generate", "random_psd", p)
     a = _box_muller(rng, (p, p))
     sig = a.T @ a
     del a  # a view of the draw block, which holds U1 and U2
     sig /= p
-    sig += float(jitter) * np.eye(p)
+    sig += jitter * np.eye(p)
     if normalize:
         d = np.sqrt(np.diag(sig))
         if float(np.min(d)) <= 0.0:
@@ -222,8 +231,8 @@ def random_psd_entries(p: int, seed: int, jitter: float = 0.0,
 def _generate_random_psd(params: dict) -> GramMatrix:
     p = _need_int(params, "p")
     seed = _need_int(params, "seed", minimum=0) if "seed" in params else 0
-    jitter = _need_nonnegative("jitter", params.get("jitter", 0.0))
-    return GramMatrix(random_psd_entries(p, seed, jitter, bool(params.get("normalize", True))))
+    return GramMatrix(random_psd_entries(p, seed, params.get("jitter", 0.0),
+                                         bool(params.get("normalize", True))))
 
 
 def _generate_gaussian_design(params: dict) -> NoisyProblem:

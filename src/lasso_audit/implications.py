@@ -262,16 +262,21 @@ def _evaluate(edge_id: str, inputs: _Inputs) -> ImplicationVerdict:
         return _skip(edge_id, f"{type(exc).__name__}: {exc}")
 
 
+def _transfer(edge_id, inputs, x, premise, lam2_key, phi_key, note):
+    """The transfer form phi^2 certified lower >= (1 - L x)^2 Lambda^2, skipped
+    with "premise <premise>" unless L x < 1; Lambda^2 is read before phi^2."""
+    if not inputs.cone.L * x < 1.0:
+        return _skip(edge_id, f"premise {premise}")
+    lam2 = float(inputs.get(lam2_key).estimate)
+    lhs = float(inputs.get(phi_key).lower)
+    return _verdict(edge_id, lhs, (1.0 - inputs.cone.L * x) ** 2 * lam2, "ge", note)
+
+
 def _edge_e1(edge_id, inputs):
-    cone = inputs.cone
     ru = float(inputs.get("rr_plain_upper").upper)
-    if not cone.L * ru < 1.0:
-        return _skip(edge_id, f"premise theta_rr(S,N) < 1/L fails (upper={ru!r})")
-    lam2 = float(inputs.get("lambda2").estimate)
-    lhs = float(inputs.get("phi_lower_plain").estimate)
-    rhs = (1.0 - cone.L * ru) ** 2 * lam2
-    return _verdict(edge_id, lhs, rhs, "ge",
-                    "phi^2 certified lower vs (1 - L * theta_rr upper)^2 * Lambda^2")
+    return _transfer(edge_id, inputs, ru, f"theta_rr(S,N) < 1/L fails (upper={ru!r})",
+                     "lambda2", "phi_lower_plain",
+                     "phi^2 certified lower vs (1 - L * theta_rr upper)^2 * Lambda^2")
 
 
 def _finite_lhs(checks):
@@ -280,59 +285,53 @@ def _finite_lhs(checks):
     return [c for c in checks if math.isfinite(c[0])]
 
 
-def _edge_e2(edge_id, inputs):
-    gram, cone = inputs.gram, inputs.cone
-    s = cone.s
+def _regression_bound(edge_id, inputs, what, at_s, at_2s, key, note):
+    """theta_rr_adaptive's upper endpoint at N=s and N=2s against the (lhs, rhs,
+    which) sub-checks at_s and at_2s form from (upper, Lambda^2) at their N; a
+    level whose Lambda^2 vanishes (or N=2s > p) adds none, and of the sub-checks
+    with a finite lhs the one with the least key binds, its which put in note."""
     checks = []
     lam2_s = float(inputs.get("lambda2_s").estimate)
-    if not _lambda2_vanishes(gram, lam2_s):
-        lhs_s = float(inputs.get("rr_ad_upper_s").upper)
-        norm_s = inputs.get("norm_s_2inf")
-        checks.append((lhs_s, math.sqrt(s) * norm_s / lam2_s, "at N=s: column 2-norm form"))
-    if 2 * s <= gram.p:
+    if not _lambda2_vanishes(inputs.gram, lam2_s):
+        checks += at_s(float(inputs.get("rr_ad_upper_s").upper), lam2_s)
+    if 2 * inputs.s <= inputs.gram.p:
         lam2_2s = float(inputs.get("lambda2_2s").estimate)
-        if not _lambda2_vanishes(gram, lam2_2s):
-            lhs_2s = float(inputs.get("rr_ad_upper_2s").upper)
-            worst = inputs.get("max_norm_2s_2inf")
-            checks.append((lhs_2s, math.sqrt(s) * worst / lam2_2s,
-                           "at N=2s: q=inf block-norm form"))
+        if not _lambda2_vanishes(inputs.gram, lam2_2s):
+            checks += at_2s(float(inputs.get("rr_ad_upper_2s").upper), lam2_2s)
     if not checks:
-        return _skip(edge_id, "no applicable block-norm bound (singular or 2s > p)")
+        return _skip(edge_id, f"no applicable {what} bound (singular or 2s > p)")
     checks = _finite_lhs(checks)
     if not checks:
         return _skip(edge_id, "no finite theta_rr_adaptive upper bound")
-    lhs, rhs, which = min(checks, key=lambda c: c[1] - c[0])
-    return _verdict(edge_id, lhs, rhs, "le",
-                    f"theta_rr_adaptive upper vs block-norm bound ({which})")
+    lhs, rhs, which = min(checks, key=key)
+    return _verdict(edge_id, lhs, rhs, "le", note.format(which))
+
+
+def _edge_e2(edge_id, inputs):
+    root_s = math.sqrt(inputs.s)
+    return _regression_bound(
+        edge_id, inputs, "block-norm",
+        lambda upper, lam2: [(upper, root_s * inputs.get("norm_s_2inf") / lam2,
+                              "at N=s: column 2-norm form")],
+        lambda upper, lam2: [(upper, root_s * inputs.get("max_norm_2s_2inf") / lam2,
+                              "at N=2s: q=inf block-norm form")],
+        lambda c: c[1] - c[0], "theta_rr_adaptive upper vs block-norm bound ({})")
 
 
 def _edge_e3(edge_id, inputs):
-    gram, cone = inputs.gram, inputs.cone
-    s = cone.s
-    checks = []
-    lam2_s = float(inputs.get("lambda2_s").estimate)
-    if not _lambda2_vanishes(gram, lam2_s):
-        lhs_s = float(inputs.get("rr_ad_upper_s").upper)
-        norm_s = inputs.get("norm_s_2inf")
-        intermediate = math.sqrt(s) * norm_s / lam2_s
+    def at_s(upper, lam2):
+        intermediate = math.sqrt(inputs.s) * inputs.get("norm_s_2inf") / lam2
         mutual = float(inputs.get("mutual").estimate)
-        checks.append((lhs_s, intermediate, "mutual step 1: rr_ad <= sqrt(s) max col norm / Lambda^2"))
-        checks.append((intermediate, mutual, "mutual step 2: intermediate <= mutual coherence"))
         cumulative = float(inputs.get("cumulative").estimate)
-        checks.append((lhs_s, cumulative, "cumulative: rr_ad <= cumulative coherence"))
-    if 2 * s <= gram.p:
-        lam2_2s = float(inputs.get("lambda2_2s").estimate)
-        if not _lambda2_vanishes(gram, lam2_2s):
-            lhs_2s = float(inputs.get("rr_ad_upper_2s").upper)
-            worst = inputs.get("max_norm_2s_22")
-            checks.append((lhs_2s, worst / lam2_2s, "spectral: rr_ad(2s) <= max spectral norm / Lambda^2"))
-    if not checks:
-        return _skip(edge_id, "no applicable coherence bound (singular or 2s > p)")
-    checks = _finite_lhs(checks)
-    if not checks:
-        return _skip(edge_id, "no finite theta_rr_adaptive upper bound")
-    lhs, rhs, which = min(checks, key=lambda c: (c[1] - c[0]) / max(1.0, abs(c[1])))
-    return _verdict(edge_id, lhs, rhs, "le", f"coherence specializations (binding: {which})")
+        return [(upper, intermediate, "mutual step 1: rr_ad <= sqrt(s) max col norm / Lambda^2"),
+                (intermediate, mutual, "mutual step 2: intermediate <= mutual coherence"),
+                (upper, cumulative, "cumulative: rr_ad <= cumulative coherence")]
+
+    return _regression_bound(
+        edge_id, inputs, "coherence", at_s,
+        lambda upper, lam2: [(upper, inputs.get("max_norm_2s_22") / lam2,
+                              "spectral: rr_ad(2s) <= max spectral norm / Lambda^2")],
+        lambda c: (c[1] - c[0]) / max(1.0, abs(c[1])), "coherence specializations (binding: {})")
 
 
 def _edge_e4(edge_id, inputs):
@@ -353,17 +352,12 @@ def _edge_e5(edge_id, inputs):
 
 
 def _edge_e6(edge_id, inputs):
-    gram, cone = inputs.gram, inputs.cone
-    if 2 * cone.s > gram.p:
+    if 2 * inputs.s > inputs.gram.p:
         return _skip(edge_id, "requires 2s <= p")
     wr = float(inputs.get("weak_rip_2s").estimate)
-    if not cone.L * wr < 1.0:
-        return _skip(edge_id, f"premise theta_wRIP(S,2s) < 1/L fails (value={wr!r})")
-    lam2 = float(inputs.get("lambda2_2s").estimate)
-    lhs = float(inputs.get("phi_lower_plain_2s").estimate)
-    rhs = (1.0 - cone.L * wr) ** 2 * lam2
-    return _verdict(edge_id, lhs, rhs, "ge",
-                    "phi^2(L,S,2s) certified lower vs (1 - L * theta_wRIP)^2 * Lambda^2(S,2s)")
+    return _transfer(edge_id, inputs, wr, f"theta_wRIP(S,2s) < 1/L fails (value={wr!r})",
+                     "lambda2_2s", "phi_lower_plain_2s",
+                     "phi^2(L,S,2s) certified lower vs (1 - L * theta_wRIP)^2 * Lambda^2(S,2s)")
 
 
 def _edge_e7(edge_id, inputs):
@@ -379,15 +373,10 @@ def _edge_e7(edge_id, inputs):
 
 
 def _edge_e8(edge_id, inputs):
-    cone = inputs.cone
     irr = float(inputs.get("irr_uniform_s").estimate)
-    if not cone.L * irr < 1.0:
-        return _skip(edge_id, f"premise irr_uniform(S,s) < 1/L fails (value={irr!r})")
-    lam2 = float(inputs.get("lambda2_s").estimate)
-    lhs = float(inputs.get("phi_compat").lower)
-    rhs = (1.0 - cone.L * irr) ** 2 * lam2
-    return _verdict(edge_id, lhs, rhs, "ge",
-                    "phi^2_compat interval lower vs (1 - L * irr_uniform)^2 * Lambda^2(S,s)")
+    return _transfer(edge_id, inputs, irr, f"irr_uniform(S,s) < 1/L fails (value={irr!r})",
+                     "lambda2_s", "phi_compat",
+                     "phi^2_compat interval lower vs (1 - L * irr_uniform)^2 * Lambda^2(S,s)")
 
 
 def _edge_e9(edge_id, inputs):

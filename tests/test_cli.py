@@ -456,6 +456,22 @@ class TestAnalyze:
         assert kept_a == kept_b
         assert len(kept_a) == len(first) - 1
 
+    def test_report_without_out_goes_to_stdout(self, tmp_path, capsys):
+        gram = write_csv(tmp_path / "g.csv", np.eye(4))
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--gram", gram, "--S", "0", "--N", "2"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        to_stdout, to_file = json.loads(printed), read_report(out)
+        jsonschema.validate(to_stdout, SCHEMA, cls=jsonschema.Draft7Validator)
+        for report in (to_stdout, to_file):
+            del report["meta"]["wall_time_s"]
+        assert to_file["meta"]["config"].pop("out") == str(out)
+        assert to_stdout["meta"]["config"].pop("out") is None
+        assert to_stdout == to_file
+
     def test_compatibility_routes_are_found_once(self, monkeypatch):
         import lasso_audit.cli as cli
         from lasso_audit import estimators, implications
@@ -581,6 +597,36 @@ class TestLassoCommand:
         rc = main(["lasso", "--gram", gram, "--S", "0"])
         assert rc == 1
         assert "requires --lambda" in capsys.readouterr().err
+
+    def test_design_without_response_is_refused_before_the_design_is_read(self, tmp_path,
+                                                                          capsys, monkeypatch):
+        import lasso_audit.cli as cli
+
+        reads = []
+        real = cli.load_matrix_csv
+        monkeypatch.setattr(cli, "load_matrix_csv",
+                            lambda path: reads.append(path) or real(path))
+        design = write_csv(tmp_path / "x.csv", np.eye(3))
+        rc = main(["lasso", "--design", design, "--lambda", "0.5"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidParameter: --design requires --y with the response vector\n")
+        assert reads == []
+
+    def test_zero_target_is_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        import lasso_audit.cli as cli
+
+        solves = []
+        real = cli.solve_noiseless
+        monkeypatch.setattr(cli, "solve_noiseless",
+                            lambda *args: solves.append(args) or real(*args))
+        gram = write_csv(tmp_path / "g.csv", np.eye(3))
+        beta0 = write_csv(tmp_path / "b.csv", [np.zeros(3)])
+        rc = main(["lasso", "--gram", gram, "--beta0", beta0, "--lambda", "0.5"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: InvalidParameter: the target vector is zero; "
+                                           "give --S or a nonzero --beta0\n")
+        assert solves == []
 
     def test_noisy_design_bound_holds(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -825,6 +871,29 @@ class TestMonteCarloCommand:
         report = read_report(out)
         assert report["result"]["kind"] == "concentration"
         assert report["result"]["pass"] == [True, True]
+
+    def test_concentration_reads_its_population_from_a_gram(self, tmp_path):
+        from lasso_audit import concentration_experiment
+
+        entries = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]])
+        gram = write_csv(tmp_path / "g.csv", entries)
+        out = tmp_path / "report.json"
+        rc = main(["montecarlo", "--experiment", "concentration", "--gram", gram,
+                   "--n", "100", "--p", "3", "--reps", "150", "--t", "1,2", "--seed", "5",
+                   "--out", str(out)])
+        assert rc == 0
+        want = concentration_experiment(100, 3, GramMatrix(entries), 150, [1.0, 2.0], 5)
+        assert read_report(out)["result"] == json.loads(json.dumps(want.to_json_dict()))
+
+    def test_a_gram_of_another_size_is_refused(self, tmp_path, capsys):
+        gram = write_csv(tmp_path / "g.csv", np.eye(3))
+        out = tmp_path / "report.json"
+        rc = main(["montecarlo", "--experiment", "concentration", "--gram", gram,
+                   "--n", "100", "--p", "4", "--reps", "150", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidParameter: population is 3x3, expected p=4\n")
+        assert not out.exists()
 
     def test_noise_experiment(self, tmp_path):
         out = tmp_path / "report.json"

@@ -197,6 +197,21 @@ class TestRipAndWeakRip:
         with pytest.raises(DenominatorNonPositive):
             rip_constant(equicorr(6, 0.5), 2)
 
+    def test_theta_s_2s_is_not_enumerated_for_a_refused_denominator(self, monkeypatch):
+        calls = []
+        real = constants.theta_uniform
+
+        def spy(gram, s_size, n_size, cap):
+            calls.append((s_size, n_size))
+            return real(gram, s_size, n_size, cap)
+
+        monkeypatch.setattr(constants, "theta_uniform", spy)
+        with pytest.raises(DenominatorNonPositive):
+            rip_constant(equicorr(6, 0.5), 2)
+        assert calls == [(2, 2)]
+        assert rip_constant(equicorr(6, 0.1), 2).estimate > 0.0
+        assert calls == [(2, 2), (2, 2), (2, 4)]
+
     def test_weak_rip_equicorrelation(self):
         g = equicorr(6, 0.3)
         cone = ConeSpec(S=(0, 1), L=1.0, N=4)

@@ -139,7 +139,7 @@ class TestGeneratorEntries:
 
     @pytest.mark.parametrize("p, seed, jitter, normalize", [
         (1, 0, 0.0, True), (6, 1, 0.1, True), (16, 10_000, 0.1, True), (16, 10_000, 0.1, False),
-        (37, 5, 0.0, False), (80, 70_003, -0.25, False), (150, 20_000, 0.0, True),
+        (37, 5, 0.0, False), (80, 70_003, 0.25, False), (150, 20_000, 0.0, True),
         (300, 20_019, 2.5, True),
     ])
     def test_random_psd_matches_the_reference_bit_for_bit(self, p, seed, jitter, normalize):
@@ -160,6 +160,62 @@ class TestGeneratorEntries:
         # the draw block (two p x p) and A'A; a few length-p vectors beside.
         # Measured 3.0015 arrays; one expression per step held 5.0
         assert peak <= 3 * p * p * 8 + 4 * p * 8
+
+
+class TestHelpersCheckTheirParameters:
+    """Each *_entries helper refuses its own parameters, in generate's words,
+    before it builds anything."""
+
+    RHO_HELPERS = {
+        "equicorrelation": lambda rho: equicorrelation_entries(4, rho),
+        "toeplitz_geometric": lambda rho: toeplitz_geometric_entries(4, rho),
+        "rank_one_cross": lambda rho: rank_one_cross_entries(4, 2, rho),
+        "coupled_pair": lambda rho: coupled_pair_entries(4, 3, rho),
+        "block_equicorrelation": lambda rho: block_equicorrelation_entries(4, 2, rho),
+    }
+
+    @pytest.mark.parametrize("kind", list(RHO_HELPERS))
+    @pytest.mark.parametrize("rho", [math.nan, -0.1, 1.0, 1.5, 2.0, math.inf])
+    def test_rho_outside_zero_one_is_refused(self, kind, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter) as caught:
+                self.RHO_HELPERS[kind](rho)
+        assert str(caught.value) == f"parameter 'rho' must satisfy 0 <= rho < 1, got {rho!r}"
+
+    # the other parameters of each kind, as RHO_HELPERS passes them
+    OTHER_PARAMS = {"equicorrelation": {"p": 4}, "toeplitz_geometric": {"p": 4},
+                    "rank_one_cross": {"p": 4, "s": 2}, "coupled_pair": {"p": 4, "s": 3},
+                    "block_equicorrelation": {"p": 4, "block_size": 2}}
+
+    @pytest.mark.parametrize("kind", list(RHO_HELPERS))
+    def test_generate_gives_the_helper_message(self, kind):
+        with pytest.raises(InvalidParameter) as from_generate:
+            generate(GeneratorSpec(kind, {**self.OTHER_PARAMS[kind], "rho": 1.5}))
+        with pytest.raises(InvalidParameter) as from_helper:
+            self.RHO_HELPERS[kind](1.5)
+        assert str(from_generate.value) == str(from_helper.value)
+
+    @pytest.mark.parametrize("block_size", [0, -2])
+    def test_block_size_below_one_is_refused(self, block_size):
+        with pytest.raises(InvalidParameter) as caught:
+            block_equicorrelation_entries(4, block_size, 0.3)
+        assert str(caught.value) == (
+            f"parameter 'block_size' must be an integer >= 1, got {block_size}")
+
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf, -0.5, -1e-300])
+    def test_bad_jitter_is_refused_before_any_draw(self, jitter, monkeypatch):
+        draws = []
+        real = experiments._box_muller
+        monkeypatch.setattr(experiments, "_box_muller",
+                            lambda *args: draws.append(args) or real(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter) as caught:
+                random_psd_entries(3, 0, jitter)
+        assert str(caught.value) == (
+            f"parameter 'jitter' must be finite and nonnegative, got {jitter!r}")
+        assert draws == []
 
 
 class TestGeneratorSpec:

@@ -239,6 +239,55 @@ class TestHierarchyEdge:
         assert "adaptive lower vs plain upper" in v.bound_direction_note
 
 
+class TestTransferEdges:
+    """E1, E6 and E8 share one transfer form: phi^2's certified lower endpoint
+    against (1 - L x)^2 Lambda^2, with Lambda^2 read before phi^2."""
+
+    cone = ConeSpec(S=(0, 1), L=1.0, N=2)
+
+    @pytest.mark.parametrize("edge_id, x_key, lam2_key, phi_key", [
+        ("E1", "rr_plain_upper", "lambda2", "phi_lower_plain"),
+        ("E6", "weak_rip_2s", "lambda2_2s", "phi_lower_plain_2s"),
+        ("E8", "irr_uniform_s", "lambda2_s", "phi_compat"),
+    ])
+    def test_a_supplied_phi_interval_decides_on_its_lower(self, edge_id, x_key, lam2_key,
+                                                          phi_key):
+        reports = {x_key: BoundedValue.exact(0.5), lam2_key: BoundedValue.exact(0.8),
+                   phi_key: BoundedValue.interval(0.9, 0.1, 1.0)}
+        v = check_edge(edge_id, GramMatrix(np.eye(4)), self.cone, reports=reports)
+        assert (v.lhs_value, v.rhs_value, v.holds) == (0.1, 0.25 * 0.8, False)
+
+    @pytest.mark.parametrize("edge_id, key, premise", [
+        ("E1", "rr_plain_upper", "premise theta_rr(S,N) < 1/L fails (upper=1.0)"),
+        ("E6", "weak_rip_2s", "premise theta_wRIP(S,2s) < 1/L fails (value=1.0)"),
+        ("E8", "irr_uniform_s", "premise irr_uniform(S,s) < 1/L fails (value=1.0)"),
+    ])
+    def test_a_failed_premise_reads_nothing_more(self, edge_id, key, premise, monkeypatch):
+        from lasso_audit import implications
+
+        def refuse(q):
+            raise AssertionError("an input read after the premise failed")
+
+        monkeypatch.setattr(implications, "_QUANTITIES",
+                            {name: refuse for name in implications._QUANTITIES})
+        v = check_edge(edge_id, GramMatrix(np.eye(4)), self.cone,
+                       reports={key: BoundedValue.exact(1.0)})
+        assert v.bound_direction_note == f"skipped: {premise}"
+
+
+def test_e9_skips_above_n_2s_before_reading_an_input(monkeypatch):
+    from lasso_audit import implications
+
+    def refuse(q):
+        raise AssertionError("E9 read an input")
+
+    monkeypatch.setattr(implications, "_QUANTITIES",
+                        {name: refuse for name in implications._QUANTITIES})
+    v = check_edge("E9", GramMatrix(np.eye(6)), ConeSpec(S=(0,), L=1.0, N=3))
+    assert v.skipped
+    assert v.bound_direction_note == "skipped: guaranteed only for N <= 2s"
+
+
 def test_check_all_computes_each_regression_upper_key_once(fast_config, monkeypatch):
     # lower_phi_routes under each certified_lower_phi, restricted_regression
     # and the rr_*_upper inputs ask for the same routes; the Gram's memo

@@ -5,8 +5,9 @@ decides Lambda^2(S, N) is numerically zero.  In estimators it is read only by
 the two regression-ratio denominators, and restricted_orthogonality is
 never called there: theta(S, N) / Lambda^2(S, N) is formed only by
 weak_rip_constant.  In implications SINGULAR_RTOL is never read: E2 and E3
-decide a vanishing Lambda^2 through _lambda2_vanishes, and no Lambda^2 there
-is compared with a number.  A read counts for the outermost function or
+decide a vanishing Lambda^2 through _lambda2_vanishes, in the one helper
+_regression_bound they share, and no Lambda^2 there is compared with a
+number.  A read counts for the outermost function or
 class around it, as in test_one_cone_index.
 """
 
@@ -64,7 +65,7 @@ def test_one_floor_and_one_ratio():
     assert callers(estimators, "restricted_orthogonality") == []
     implications = parse("implications")
     assert readers(implications, "SINGULAR_RTOL") == []
-    assert callers(implications, "_lambda2_vanishes") == ["_edge_e2"] * 2 + ["_edge_e3"] * 2
+    assert callers(implications, "_lambda2_vanishes") == ["_regression_bound"] * 2
     assert number_tests(implications, "lam2") == []
 
 

@@ -388,6 +388,27 @@ class TestSimplex:
         assert result.status == "Optimal"
         assert result.objective == pytest.approx(1.0, abs=1e-10)
 
+    def test_a_zero_level_artificial_is_driven_out_of_the_basis(self, monkeypatch):
+        # b = 0 leaves phase 1 at value 0 with no pivot and the artificial
+        # basic at level 0; the drive-out pivots it onto the first nonzero column
+        from lasso_audit import solvers
+
+        pivots = []
+        real = solvers._pivot
+
+        def spy(tableau, basis, row, col):
+            pivots.append((row, col))
+            return real(tableau, basis, row, col)
+
+        monkeypatch.setattr(solvers, "_pivot", spy)
+        problem = LPProblem(c=np.ones(4), a_eq=np.array([[-2.0, 0.0, -2.0, -1.0]]),
+                            b_eq=np.array([0.0]))
+        result = simplex_lp(problem)
+        assert pivots == [(0, 0)]
+        assert result.status == "Optimal" and result.pivots == 1
+        assert result.objective == 0.0
+        np.testing.assert_array_equal(result.x, np.zeros(4))
+
     def test_vertex_enumeration_oracle(self):
         rng = np.random.default_rng(59)
         hits = 0
